@@ -17,7 +17,7 @@ from . import reps
 from .braid import BraidWord, check_braid_relations
 from .invariants import (InvariantError, alexander, krammer_fraction,
                          markov1_test, markov2_probe)
-from .laurent import LaurentPoly, parse_poly
+from .laurent import parse_poly
 
 
 class UsageError(Exception):
@@ -69,14 +69,6 @@ def build_representation(args):
     raise UsageError("unknown constructor %r" % name)
 
 
-def _matrix_text(m):
-    return str(m)
-
-
-def _matrix_latex(m):
-    return m.to_latex()
-
-
 def cmd_rep(args):
     rep = build_representation(args)
     if args.word is not None:
@@ -87,9 +79,9 @@ def cmd_rep(args):
                               "strands": rep.strands, "word": str(word),
                               "image": img.to_json()}))
         elif args.format == "latex":
-            print(_matrix_latex(img))
+            print(img.to_latex())
         else:
-            print(_matrix_text(img))
+            print(str(img))
         return 0
     if args.format == "json":
         print(json.dumps({"schema": 1, "constructor": rep.label,
@@ -98,17 +90,13 @@ def cmd_rep(args):
         return 0
     for i, g in enumerate(rep.gen_images):
         if args.format == "latex":
-            print("\\sigma_{%d} \\mapsto %s" % (i + 1, _matrix_latex(g)))
+            print("\\sigma_{%d} \\mapsto %s" % (i + 1, g.to_latex()))
         else:
             print("sigma_%d ->" % (i + 1))
-            print(_matrix_text(g))
+            print(str(g))
         if i + 1 < len(rep.gen_images):
             print()
     return 0
-
-
-def _poly_json(p):
-    return p.to_json_terms()
 
 
 def cmd_invariant(args):
@@ -125,8 +113,8 @@ def cmd_invariant(args):
         collapsed = result.collapsed
     if args.format == "json":
         print(json.dumps({"schema": 1, "invariant": args.invariant,
-                          "num": _poly_json(num), "den": _poly_json(den),
-                          "collapsed": None if collapsed is None else _poly_json(collapsed)}))
+                          "num": num.to_json_terms(), "den": den.to_json_terms(),
+                          "collapsed": None if collapsed is None else collapsed.to_json_terms()}))
     elif args.format == "latex":
         if args.invariant == "alexander":
             print(headline.to_latex())
@@ -182,6 +170,8 @@ def run_check(args):
 
 def cmd_verify(args):
     report = run_check(args)
+    if not report.entries:
+        raise UsageError("--check %s ran no cases with these parameters" % args.check)
     if args.format == "json":
         payload = {"schema": 1}
         payload.update(report.to_json())

@@ -62,7 +62,7 @@ def _generator_sweep(n):
 def _normalize_alexander(p):
     if p.is_zero():
         return p
-    et, _eq, _ex = p.min_exponents()
+    et, _eq = p.min_exponents()
     shifted = p.times_term(1, -et, 0)
     if shifted.coeff() < 0:
         shifted = -shifted

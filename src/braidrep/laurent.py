@@ -1,12 +1,12 @@
 """Exact arithmetic over the ring Z[t, t^-1, q, q^-1].
 
-Polynomials are stored sparsely as {(et, eq, ex): coeff} with arbitrary
-precision integer coefficients.  The third exponent slot ex belongs to an
-auxiliary variable used internally for characteristic polynomials; it never
-appears in parsed input or in serialized output.
+Polynomials in the two variables t and q are stored sparsely as
+{(et, eq): coeff} with arbitrary precision integer coefficients.  There is
+no auxiliary variable: characteristic polynomials are coefficient lists
+(see polymatrix.char_poly).
 
-Term order is graded lexicographic on (total degree, et, eq, ex).  The text
-form lists terms in descending order:
+Term order is graded lexicographic on (total degree et + eq, et, eq).  The
+text form lists terms in descending order:
 
     t^4*q^2 - t^2*q + 1
 
@@ -26,21 +26,21 @@ from fractions import Fraction
 
 
 def _order_key(mono):
-    et, eq, ex = mono
-    return (et + eq + ex, et, eq, ex)
+    et, eq = mono
+    return (et + eq, et, eq)
 
 
 class LaurentPoly:
-    """Sparse integer Laurent polynomial in t and q (and internally x)."""
+    """Sparse integer Laurent polynomial in t and q."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         data = {}
         if terms:
-            for mono, c in terms.items() if hasattr(terms, "items") else terms:
+            for (et, eq), c in terms.items() if hasattr(terms, "items") else terms:
                 if c:
-                    mono = (int(mono[0]), int(mono[1]), int(mono[2]) if len(mono) > 2 else 0)
+                    mono = (int(et), int(eq))
                     c0 = data.get(mono, 0) + int(c)
                     if c0:
                         data[mono] = c0
@@ -49,9 +49,9 @@ class LaurentPoly:
         self._terms = data
 
     @classmethod
-    def monomial(cls, c, et=0, eq=0, ex=0):
+    def monomial(cls, c, et=0, eq=0):
         p = cls.__new__(cls)
-        p._terms = {(et, eq, ex): int(c)} if c else {}
+        p._terms = {(et, eq): int(c)} if c else {}
         return p
 
     @classmethod
@@ -70,14 +70,14 @@ class LaurentPoly:
     # inspection
 
     def sorted_terms(self):
-        """Terms as ((et, eq, ex), c) pairs, descending in the term order."""
+        """Terms as ((et, eq), c) pairs, descending in the term order."""
         return sorted(self._terms.items(), key=lambda kv: _order_key(kv[0]), reverse=True)
 
     def is_zero(self):
         return not self._terms
 
     def is_one(self):
-        return self._terms == {(0, 0, 0): 1}
+        return self._terms == {(0, 0): 1}
 
     def is_monomial(self):
         return len(self._terms) == 1
@@ -89,11 +89,8 @@ class LaurentPoly:
         c, = self._terms.values()
         return c in (1, -1)
 
-    def has_x(self):
-        return any(m[2] for m in self._terms)
-
-    def coeff(self, et=0, eq=0, ex=0):
-        return self._terms.get((et, eq, ex), 0)
+    def coeff(self, et=0, eq=0):
+        return self._terms.get((et, eq), 0)
 
     def leading(self):
         """(monomial, coeff) of the largest term; raises on the zero poly."""
@@ -110,17 +107,17 @@ class LaurentPoly:
         return g
 
     def min_exponents(self):
-        """Componentwise minimum (et, eq, ex) over the support; (0,0,0) if zero."""
+        """Componentwise minimum (et, eq) over the support; (0, 0) if zero."""
         if not self._terms:
-            return (0, 0, 0)
-        ets, eqs, exs = zip(*self._terms)
-        return (min(ets), min(eqs), min(exs))
+            return (0, 0)
+        ets, eqs = zip(*self._terms)
+        return (min(ets), min(eqs))
 
     def max_exponents(self):
         if not self._terms:
-            return (0, 0, 0)
-        ets, eqs, exs = zip(*self._terms)
-        return (max(ets), max(eqs), max(exs))
+            return (0, 0)
+        ets, eqs = zip(*self._terms)
+        return (max(ets), max(eqs))
 
     def __bool__(self):
         return bool(self._terms)
@@ -166,9 +163,9 @@ class LaurentPoly:
         except TypeError:
             return NotImplemented
         data = {}
-        for (a1, b1, c1), k1 in self._terms.items():
-            for (a2, b2, c2), k2 in other._terms.items():
-                m = (a1 + a2, b1 + b2, c1 + c2)
+        for (a1, b1), k1 in self._terms.items():
+            for (a2, b2), k2 in other._terms.items():
+                m = (a1 + a2, b1 + b2)
                 c0 = data.get(m, 0) + k1 * k2
                 if c0:
                     data[m] = c0
@@ -180,12 +177,12 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def times_term(self, c=1, et=0, eq=0, ex=0):
+    def times_term(self, c=1, et=0, eq=0):
         """Multiply by the monomial c*t^et*q^eq (no convolution needed)."""
         if not c:
             return ZERO
         p = LaurentPoly.__new__(LaurentPoly)
-        p._terms = {(a + et, b + eq, e + ex): k * c for (a, b, e), k in self._terms.items()}
+        p._terms = {(a + et, b + eq): k * c for (a, b), k in self._terms.items()}
         return p
 
     def __pow__(self, n):
@@ -194,8 +191,8 @@ class LaurentPoly:
             # only units (single +-monomial terms) are invertible
             if not self.is_unit():
                 raise ValueError("negative power of a non-unit Laurent polynomial")
-            (et, eq, ex), c = self.leading()
-            return LaurentPoly.monomial(c if n % 2 else 1, et * n, eq * n, ex * n)
+            (et, eq), c = self.leading()
+            return LaurentPoly.monomial(c if n % 2 else 1, et * n, eq * n)
         out = ONE
         base = self
         while n:
@@ -213,33 +210,29 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self):
+        # a constant hashes like the int it compares equal to (0 included)
+        if not self._terms.keys() - {(0, 0)}:
+            return hash(self._terms.get((0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     # ------------------------------------------------------------------
     # substitution and evaluation
 
     def substitute(self, t_image, q_image):
-        """Substitute fractions (or polys) for t and q; returns a PolyFraction.
-
-        The internal x slot must be unused here.
-        """
-        if self.has_x():
-            raise ValueError("cannot substitute into a polynomial carrying the internal variable")
+        """Substitute fractions (or polys) for t and q; returns a PolyFraction."""
         t_image = PolyFraction.coerce(t_image)
         q_image = PolyFraction.coerce(q_image)
         out = PolyFraction(ZERO)
-        for (a, b, _e), c in self.sorted_terms():
+        for (a, b), c in self.sorted_terms():
             out = out + (t_image ** a) * (q_image ** b) * c
         return out
 
     def eval_rational(self, t_value, q_value):
         """Evaluate at exact rational points (fractions.Fraction arithmetic)."""
-        if self.has_x():
-            raise ValueError("cannot evaluate a polynomial carrying the internal variable")
         tv = Fraction(t_value)
         qv = Fraction(q_value)
         out = Fraction(0)
-        for (a, b, _e), c in self._terms.items():
+        for (a, b), c in self._terms.items():
             out += Fraction(c) * tv ** a * qv ** b
         return out
 
@@ -257,30 +250,23 @@ class LaurentPoly:
 
     def to_json_terms(self):
         """JSON form: list of {"c","et","eq"} dicts, descending term order."""
-        out = []
-        for (a, b, e), c in self.sorted_terms():
-            if e:
-                raise ValueError("internal variable cannot be serialized")
-            out.append({"c": c, "et": a, "eq": b})
-        return out
+        return [{"c": c, "et": a, "eq": b} for (a, b), c in self.sorted_terms()]
 
     @classmethod
     def from_json_terms(cls, items):
-        return cls({(int(d["et"]), int(d["eq"]), 0): int(d["c"]) for d in items})
+        return cls({(int(d["et"]), int(d["eq"])): int(d["c"]) for d in items})
 
 
 ZERO = LaurentPoly.const(0)
 ONE = LaurentPoly.const(1)
 T = LaurentPoly.monomial(1, et=1)
 Q = LaurentPoly.monomial(1, eq=1)
-# auxiliary characteristic-polynomial variable; internal use only
-X = LaurentPoly.monomial(1, ex=1)
 
 
 def _render_term(mono, c, latex=False):
-    a, b, e = mono
+    a, b = mono
     parts = []
-    for sym, k in (("t", a), ("q", b), ("x", e)):
+    for sym, k in (("t", a), ("q", b)):
         if k == 0:
             continue
         if k == 1:
@@ -312,7 +298,7 @@ def render_poly(p, latex=False):
     return "".join(chunks)
 
 
-_TOKEN = re.compile(r"(?:(?P<int>\d+)|(?P<var>[tqx])(?:\^(?P<exp>-?\d+))?|(?P<op>[+*-]))")
+_TOKEN = re.compile(r"(?:(?P<int>\d+)|(?P<var>[tq])(?:\^(?P<exp>-?\d+))?|(?P<op>[+*-]))")
 
 
 def _tokenize(text):
@@ -341,8 +327,7 @@ def parse_poly(text):
     """Parse the text grammar back into a LaurentPoly.
 
     Terms are [-]c*t^a*q^b separated by + or -; the coefficient, if present,
-    comes first in its term.  The internal variable x is rejected.  Errors
-    carry the offending position.
+    comes first in its term.  Errors carry the offending position.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -371,9 +356,6 @@ def parse_poly(text):
                     coeff = val
                 elif kind == "var":
                     sym, k = val
-                    if sym == "x":
-                        raise ValueError("the internal variable x is not part of the input"
-                                         " grammar (position %d in %r)" % (pos, text))
                     if sym in exps:
                         raise ValueError("duplicate %s factor at position %d in %r" % (sym, pos, text))
                     exps[sym] = k
@@ -393,7 +375,7 @@ def parse_poly(text):
         if expect_factor:
             raise ValueError("incomplete term at end of %r" % (text,))
         c = sign * (1 if coeff is None else coeff)
-        mono = (exps.get("t", 0), exps.get("q", 0), 0)
+        mono = (exps.get("t", 0), exps.get("q", 0))
         c0 = terms.get(mono, 0) + c
         if c0:
             terms[mono] = c0
@@ -424,21 +406,21 @@ def exact_div(a, b):
         return ZERO
     sa = a.min_exponents()
     sb = b.min_exponents()
-    A = a.times_term(1, -sa[0], -sa[1], -sa[2])
-    B = b.times_term(1, -sb[0], -sb[1], -sb[2])
+    A = a.times_term(1, -sa[0], -sa[1])
+    B = b.times_term(1, -sb[0], -sb[1])
     bm, bc = B.leading()
     quo = {}
     R = A
     while not R.is_zero():
         rm, rc = R.leading()
-        d = (rm[0] - bm[0], rm[1] - bm[1], rm[2] - bm[2])
-        if d[0] < 0 or d[1] < 0 or d[2] < 0 or rc % bc:
+        d = (rm[0] - bm[0], rm[1] - bm[1])
+        if d[0] < 0 or d[1] < 0 or rc % bc:
             return None
         k = rc // bc
         quo[d] = k
         R = R - B.times_term(k, *d)
     q = LaurentPoly(quo)
-    return q.times_term(1, sa[0] - sb[0], sa[1] - sb[1], sa[2] - sb[2])
+    return q.times_term(1, sa[0] - sb[0], sa[1] - sb[1])
 
 
 # ----------------------------------------------------------------------
@@ -471,10 +453,10 @@ class PolyFraction:
             return
         mn = num.min_exponents()
         md = den.min_exponents()
-        shift = (min(mn[0], md[0]), min(mn[1], md[1]), min(mn[2], md[2]))
+        shift = (min(mn[0], md[0]), min(mn[1], md[1]))
         if any(shift):
-            num = num.times_term(1, -shift[0], -shift[1], -shift[2])
-            den = den.times_term(1, -shift[0], -shift[1], -shift[2])
+            num = num.times_term(1, -shift[0], -shift[1])
+            den = den.times_term(1, -shift[0], -shift[1])
         g = math.gcd(num.content(), den.content())
         if g > 1:
             num = LaurentPoly({m: c // g for m, c in num._terms.items()})
@@ -576,10 +558,10 @@ def q_natural(n, form="paren"):
     if n < 0:
         raise ValueError("q_natural needs n >= 0")
     if form == "paren":
-        return LaurentPoly({(0, k, 0): 1 for k in range(n)})
+        return LaurentPoly({(0, k): 1 for k in range(n)})
     if form == "bracket":
         # [n]_q = q^(1-n) + q^(3-n) + ... + q^(n-1)
-        return LaurentPoly({(0, 1 - n + 2 * k, 0): 1 for k in range(n)})
+        return LaurentPoly({(0, 1 - n + 2 * k): 1 for k in range(n)})
     raise ValueError("unknown form %r" % (form,))
 
 

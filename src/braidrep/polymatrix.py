@@ -2,7 +2,8 @@
 
 Everything here is exact: determinants use the Bareiss algorithm (interior
 divisions are exact by the Sylvester identity), inverses use one-step
-fraction-free Gauss-Jordan elimination plus a unit-determinant check, and the
+fraction-free Gauss-Jordan elimination plus a unit-determinant check,
+characteristic polynomials use Berkowitz's division-free algorithm, and the
 multilinear functors (tensor, symmetric and exterior powers) act on the
 unnormalized product bases described below.
 
@@ -20,7 +21,16 @@ from __future__ import annotations
 
 import itertools
 
-from .laurent import LaurentPoly, ONE, X, ZERO, exact_div
+from .laurent import LaurentPoly, ONE, ZERO, exact_div
+
+
+def _dot(xs, ys):
+    """sum of xs[i] * ys[i] over the shorter length, skipping zero factors."""
+    acc = ZERO
+    for x, y in zip(xs, ys):
+        if not (x.is_zero() or y.is_zero()):
+            acc = acc + x * y
+    return acc
 
 
 class PolyMatrix:
@@ -110,23 +120,8 @@ class PolyMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product (%dx%d by %dx%d)"
                              % (self.rows, self.cols, other.rows, other.cols))
-        out = []
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = []
-            for j in range(other.cols):
-                acc = ZERO
-                for k in range(self.cols):
-                    a = arow[k]
-                    if a.is_zero():
-                        continue
-                    b = other.data[k][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                orow.append(acc)
-            out.append(orow)
-        return PolyMatrix(out)
+        cols = list(zip(*other.data))
+        return PolyMatrix([[_dot(arow, col) for col in cols] for arow in self.data])
 
     def __rmul__(self, other):
         if isinstance(other, (int, LaurentPoly)):
@@ -416,50 +411,47 @@ def exp_nilpotent(a):
 
 
 def char_poly(a):
-    """det(xI - a) with x carried in the internal third exponent slot."""
+    """Coefficients [c_0, ..., c_n] of det(xI - a), lowest degree first.
+
+    Berkowitz's division-free algorithm (S. J. Berkowitz, Inf. Process. Lett.
+    18, 1984), using ring operations only.  The characteristic polynomial of
+    the trailing principal block M grows by one row and column at a time:
+    for the new diagonal entry a_kk, row R and column C, the new coefficient
+    vector (highest degree first) is the lower triangular Toeplitz matrix
+    with first column 1, -a_kk, -R C, -R M C, -R M^2 C, ... applied to the
+    old one.
+    """
     a._require_square("char_poly")
     n = a.rows
-    m = PolyMatrix([[X - a.data[i][j] if i == j else -a.data[i][j] for j in range(n)]
-                    for i in range(n)])
-    return m.det()
+    d = a.data
+    poly = [ONE]
+    for k in range(n - 1, -1, -1):
+        block = [d[i][k + 1:] for i in range(k + 1, n)]
+        row = d[k][k + 1:]
+        col = [d[i][k] for i in range(k + 1, n)]
+        toeplitz = [ONE, -d[k][k]]
+        for _ in block:
+            toeplitz.append(-_dot(row, col))
+            col = [_dot(r, col) for r in block]
+        poly = [_dot(toeplitz[i::-1], poly) for i in range(len(toeplitz))]
+    return poly[::-1]
 
 
 def char_poly_from_roots(roots):
-    """prod (x - r) over the given ring elements, for spectrum comparisons."""
-    out = ONE
+    """Coefficients of prod (x - r) over the given ring elements, lowest
+    degree first, in the list form char_poly returns."""
+    poly = [ONE]
     for r in roots:
-        out = out * (X - LaurentPoly.coerce(r))
-    return out
+        r = LaurentPoly.coerce(r)
+        poly = [lo - r * hi for lo, hi in zip([ZERO] + poly, poly)] + [ONE]
+    return poly
 
 
 def generalized_char_poly(c, lambdas):
-    """det(C + diag(lambda_1..lambda_m)), computed two independent ways.
-
-    Direct route: Bareiss on C + diag(lambda).  Cofactor route: the multilinear
-    expansion sum over subsets S of a product of lambdas times the complementary
-    principal minor of C.  The two must agree exactly; disagreement raises.
-    """
+    """det(C + diag(lambda_1..lambda_m)) by Bareiss on the shifted matrix."""
     c._require_square("generalized_char_poly")
     m = c.rows
     lambdas = [LaurentPoly.coerce(v) for v in lambdas]
     if len(lambdas) != m:
         raise ValueError("need exactly %d diagonal entries" % (m,))
-    shifted = PolyMatrix([[c.data[i][j] + lambdas[i] if i == j else c.data[i][j]
-                           for j in range(m)] for i in range(m)])
-    direct = shifted.det()
-    total = ZERO
-    for bits in range(1 << m):
-        keep = [i for i in range(m) if not (bits >> i) & 1]
-        coeff = ONE
-        for i in range(m):
-            if (bits >> i) & 1:
-                coeff = coeff * lambdas[i]
-        if keep:
-            minor = PolyMatrix([[c.data[i][j] for j in keep] for i in keep]).det()
-        else:
-            minor = ONE
-        total = total + coeff * minor
-    if total != direct:
-        raise ArithmeticError("generalized characteristic polynomial routes disagree; "
-                              "this indicates an arithmetic defect")
-    return direct
+    return (c + PolyMatrix.diagonal(lambdas)).det()

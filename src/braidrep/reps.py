@@ -343,46 +343,6 @@ def change_of_basis(n):
     return c, e_inv
 
 
-def change_of_basis_blocks(n):
-    """Closed block form of (C, C^-1), grouping basis pairs by second index.
-
-    Group r holds the pairs (1,r)..(r,r).  In C^-1 the block in row-group s,
-    column-group j (s <= j) is the s x s all-ones lower triangle padded by
-    zero columns.  C is block tridiagonal: the diagonal block of group k is
-    I - e_k (e_k the subdiagonal shift), the superdiagonal block in row-group
-    k, column-group k+1 is -(I - e_k) padded by one zero column, and every
-    other block vanishes.
-    """
-    n = int(n)
-    if n < 3:
-        raise ValueError("the change of basis needs n >= 3")
-    m = n - 1
-    dim = m * (m + 1) // 2
-    offset = [0] * (m + 1)
-    for r in range(1, m + 1):
-        offset[r] = offset[r - 1] + (r - 1)
-
-    e_inv = PolyMatrix.zeros(dim)
-    c = PolyMatrix.zeros(dim)
-    for s in range(1, m + 1):
-        for j in range(s, m + 1):
-            for a in range(s):
-                for i in range(j):
-                    if i <= a:
-                        e_inv.data[offset[s] + a][offset[j] + i] = ONE
-    for k in range(1, m + 1):
-        for a in range(k):
-            c.data[offset[k] + a][offset[k] + a] = ONE
-            if a + 1 < k:
-                c.data[offset[k] + a + 1][offset[k] + a] = -ONE
-        if k < m:
-            for a in range(k):
-                c.data[offset[k] + a][offset[k + 1] + a] = -ONE
-                if a + 1 < k:
-                    c.data[offset[k] + a + 1][offset[k + 1] + a] = ONE
-    return c, e_inv
-
-
 def verify_lk_equivalence(n):
     """Check C * [S^2 rho_n]_q * C^-1 = lk(n) generator by generator."""
     c, c_inv = change_of_basis(n)
@@ -625,7 +585,7 @@ def _as_diagonal_ints(mat, what):
             for j in range(n):
                 e = mat.data[i][j]
                 if i == j:
-                    if not (e.is_zero() or (e.is_monomial() and e.max_exponents() == (0, 0, 0))):
+                    if e != e.coeff():
                         raise ValueError("%s must have constant integer diagonal" % what)
                     diag.append(e.coeff())
                 elif not e.is_zero():

@@ -224,3 +224,15 @@ def test_missing_strands_for_burau(capsys):
     code, _, err = run_exit(capsys, "rep", "--rep", "burau")
     assert code == 2
     assert "--strands" in err
+
+
+@pytest.mark.parametrize("argv, check", [
+    (("verify", "--check", "humphry", "--max-power", "0"), "humphry"),
+    (("verify", "--strands", "2", "--check", "braid-relations", "--rep", "burau"),
+     "braid-relations"),
+])
+def test_check_with_no_cases_is_usage_error(capsys, argv, check):
+    code, out, err = run_exit(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--check %s" % check in err

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidrep.laurent import (ONE, Q, T, X, ZERO, LaurentPoly, PolyFraction,
+from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, PolyFraction,
                               exact_div, parse_poly, q_binomial, q_factorial,
                               q_natural, q_pochhammer)
 from conftest import laurent_polys, nonzero_polys
@@ -35,15 +35,31 @@ def test_coeff_and_leading():
     assert p.coeff() == 7
     assert p.coeff(et=9) == 0
     mono, c = p.leading()
-    assert mono == (2, 1, 0) and c == 5
+    assert mono == (2, 1) and c == 5
     assert p.content() == 1
     assert (2 * T + 4 * Q).content() == 2
 
 
 def test_min_max_exponents():
     p = parse_poly("t^3*q^-2 + t^-1*q")
-    assert p.min_exponents() == (-1, -2, 0)
-    assert p.max_exponents() == (3, 1, 0)
+    assert p.min_exponents() == (-1, -2)
+    assert p.max_exponents() == (3, 1)
+
+
+def test_term_keys_are_pairs():
+    assert LaurentPoly({(1, 2): 3}) == 3 * T * Q ** 2
+    with pytest.raises(ValueError):
+        LaurentPoly({(1, 2, 0): 3})
+    with pytest.raises(ValueError):
+        LaurentPoly({(1, 2, 1): 0})
+
+
+def test_constants_hash_like_ints():
+    for c in (0, 1, -1, 7):
+        assert LaurentPoly.const(c) == c
+        assert hash(LaurentPoly.const(c)) == hash(c)
+    assert len({LaurentPoly.const(1), 1}) == 1
+    assert len({ZERO, 0}) == 1
 
 
 def test_parse_round_trip_fixtures():
@@ -59,13 +75,14 @@ def test_parse_errors_carry_position():
         parse_poly("t^x")
     with pytest.raises(ValueError):
         parse_poly("")
+    with pytest.raises(ValueError) as e:
+        parse_poly("t + x^2")
+    assert "position 4" in str(e.value)
 
 
 def test_json_terms_round_trip():
     p = parse_poly("2*t^3*q^-1 - t + 5")
     assert LaurentPoly.from_json_terms(p.to_json_terms()) == p
-    with pytest.raises(ValueError):
-        X.to_json_terms()
 
 
 @given(laurent_polys(), laurent_polys(), laurent_polys())
@@ -197,11 +214,11 @@ def test_bracket_binomial_relates_to_paren(n):
 
 @pytest.mark.parametrize("k", range(0, 9))
 def test_gauss_binomial_theorem(k):
-    # (-x; q)_k = sum_r q^(r(r-1)/2) C_k^r x^r
-    lhs = q_pochhammer(-X, k)
+    # (-t; q)_k = sum_r q^(r(r-1)/2) C_k^r t^r, with t as the formal variable
+    lhs = q_pochhammer(-T, k)
     rhs = ZERO
     for r in range(k + 1):
-        rhs = rhs + q_binomial(k, r) * LaurentPoly.monomial(1, 0, r * (r - 1) // 2, r)
+        rhs = rhs + q_binomial(k, r) * LaurentPoly.monomial(1, r, r * (r - 1) // 2)
     assert lhs == rhs
 
 

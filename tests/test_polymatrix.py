@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidrep.laurent import ONE, Q, T, X, ZERO, LaurentPoly, parse_poly
+from braidrep.laurent import ONE, Q, T, ZERO, LaurentPoly, parse_poly
 from braidrep.polymatrix import (PolyMatrix, char_poly, char_poly_from_roots,
                                  exp_nilpotent, ext_basis, ext_power,
                                  generalized_char_poly, sym_basis, sym_power,
                                  tensor_product)
+from braidrep.reps import lk
+from oracles import cofactor_char_poly
 
 
 def m22(a, b, c, d):
@@ -21,12 +23,12 @@ def random_int_matrix(rng, n, lo=-4, hi=4):
                        for _ in range(n)])
 
 
-def random_poly_matrix(rng, n):
+def random_poly_matrix(rng, n, lo=0):
     def entry():
         p = LaurentPoly()
         for _ in range(rng.randint(0, 2)):
             p = p + LaurentPoly.monomial(rng.randint(-3, 3),
-                                         rng.randint(0, 1), rng.randint(0, 1))
+                                         rng.randint(lo, 1), rng.randint(lo, 1))
         return p
     return PolyMatrix([[entry() for _ in range(n)] for _ in range(n)])
 
@@ -209,9 +211,35 @@ def test_exp_inverse_for_raising_matrices():
 
 def test_char_poly():
     a = m22(T, 0, 0, Q)
-    assert char_poly(a) == (X - T) * (X - Q)
+    assert char_poly(a) == [T * Q, -(T + Q), ONE]
     assert char_poly_from_roots([T, Q]) == char_poly(a)
-    assert char_poly(PolyMatrix.identity(3)) == (X - ONE) ** 3
+    assert char_poly(PolyMatrix.identity(3)) == [-ONE, 3 * ONE, -3 * ONE, ONE]
+    assert char_poly(PolyMatrix([[T]])) == [-T, ONE]
+
+
+def assert_char_poly_matches_bareiss(a):
+    # a polynomial of degree <= n is pinned down by its values at n+1 points
+    n = a.rows
+    coeffs = char_poly(a)
+    assert len(coeffs) == n + 1 and coeffs[n] == ONE
+    for k in range(n + 1):
+        value = ZERO
+        for c in reversed(coeffs):
+            value = value * k + c
+        assert value == (PolyMatrix.identity(n).scale(k) - a).det()
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_char_poly_matches_bareiss_on_lk(n):
+    rep = lk(n, "new")
+    for g in rep.gen_images[:2]:
+        assert_char_poly_matches_bareiss(g)
+
+
+def test_char_poly_matches_bareiss_random():
+    rng = random.Random(19840101)
+    for _ in range(60):
+        assert_char_poly_matches_bareiss(random_poly_matrix(rng, rng.randint(1, 5), lo=-1))
 
 
 def test_generalized_char_poly_fixture():
@@ -229,9 +257,7 @@ def test_generalized_char_poly_dual_route_random():
         lam = [LaurentPoly.monomial(rng.choice((1, -1)),
                                     rng.randint(-2, 2), rng.randint(-2, 2))
                for _ in range(n)]
-        got = generalized_char_poly(c, lam)
-        d = PolyMatrix.diagonal(lam)
-        assert got == (c + d).det()
+        assert generalized_char_poly(c, lam) == cofactor_char_poly(c, lam)
 
 
 def test_generalized_char_poly_shape_errors():

@@ -6,6 +6,7 @@ from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, parse_poly,
                               q_binomial)
 from braidrep.polymatrix import (PolyMatrix, char_poly, char_poly_from_roots,
                                  sym_power)
+from oracles import change_of_basis_blocks
 
 
 def mat(rows):
@@ -245,7 +246,7 @@ def test_change_of_basis_pair_is_inverse(n):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_change_of_basis_block_form_matches_columns(n):
-    assert reps.change_of_basis_blocks(n) == reps.change_of_basis(n)
+    assert change_of_basis_blocks(n) == reps.change_of_basis(n)
 
 
 def five_strand_near_miss():
@@ -453,6 +454,16 @@ def test_sl2_power_data_shape():
                          ["0", "0", "0", "1"], ["0", "0", "0", "0"]])
     assert ys[0] == mat([["0", "0", "0", "0"], ["1", "0", "0", "0"],
                          ["0", "2", "0", "0"], ["0", "0", "3", "0"]])
+
+
+def test_lie_cartan_elements_as_matrices():
+    es, xs, ys = reps.natural_lie_data(3)
+    as_matrices = [PolyMatrix.diagonal(e) for e in es]
+    assert (reps.braid_from_lie_rep(as_matrices, xs, ys, 3).gen_images
+            == reps.lie_rep(strands=3).gen_images)
+    for bad in (PolyMatrix.diagonal([T, ONE]), mat([["1", "1"], ["0", "0"]])):
+        with pytest.raises(ValueError):
+            reps.braid_from_lie_rep([bad, as_matrices[1]], xs, ys, 3)
 
 
 # ----------------------------------------------------------------------

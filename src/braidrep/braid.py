@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import re
 
+# Longest word BraidWord.parse expands, checked before the letters are built
+# so that a huge exponent fails fast instead of exhausting memory.
+MAX_WORD_LETTERS = 10000
+
 
 class BraidWord:
     __slots__ = ("strands", "letters")
@@ -43,12 +47,15 @@ class BraidWord:
                 exp = int(m.group(2)) if m.group(2) is not None else 1
                 if idx == 0:
                     raise ValueError("generator index 0 in token %r (token %d)" % (tok, pos))
-                letters.extend([idx if exp > 0 else -idx] * abs(exp))
-                continue
-            if cls._SIGNED.match(tok):
-                letters.append(int(tok))
-                continue
-            raise ValueError("cannot read braid token %r (token %d)" % (tok, pos))
+                letter, count = (idx if exp > 0 else -idx), abs(exp)
+            elif cls._SIGNED.match(tok):
+                letter, count = int(tok), 1
+            else:
+                raise ValueError("cannot read braid token %r (token %d)" % (tok, pos))
+            if len(letters) + count > MAX_WORD_LETTERS:
+                raise ValueError("braid word longer than %d letters at token %r (token %d)"
+                                 % (MAX_WORD_LETTERS, tok, pos))
+            letters.extend([letter] * count)
         return cls(strands, letters)
 
     @classmethod

@@ -12,7 +12,7 @@ Both are determinant ratios:
 from fractions import Fraction
 
 from .braid import BraidWord, CheckReport
-from .laurent import LaurentPoly, ONE, PolyFraction, Q, T, ZERO, exact_div
+from .laurent import LaurentPoly, PolyFraction, Q, T
 from .polymatrix import PolyMatrix
 from .reps import burau_reduced, image_of_word, lk
 
@@ -69,6 +69,14 @@ def _normalize_alexander(p):
     return shifted
 
 
+def _det_ratio(rep, image, word):
+    """Canonical fraction det(image(word) - I) / det(image(sweep) - I)."""
+    eye = PolyMatrix.identity(rep.dim)
+    num = (image(rep, word) - eye).det()
+    den = (image(rep, _generator_sweep(word.strands)) - eye).det()
+    return PolyFraction(num, den)
+
+
 def alexander(word):
     """Alexander polynomial of the closure of a braid word.
 
@@ -77,16 +85,10 @@ def alexander(word):
     division is not exact (the ratio then fails to be a polynomial, which
     happens for some multi-component closures).
     """
-    n = word.strands
-    rep = burau_reduced(n, "conjugated")
-    eye = PolyMatrix.identity(rep.dim)
-    num = (image_of_word(rep, word) - eye).det()
-    den = (image_of_word(rep, _generator_sweep(n)) - eye).det()
-    raw = PolyFraction(num, den)
-    quotient = exact_div(num, den)
-    if quotient is None:
-        raise InvariantError("determinant ratio (%s)/(%s) is not a polynomial" % (num, den))
-    return AlexanderResult(raw, _normalize_alexander(quotient))
+    raw = _det_ratio(burau_reduced(word.strands, "conjugated"), image_of_word, word)
+    if not raw.is_polynomial():
+        raise InvariantError("determinant ratio %s is not a polynomial" % (raw,))
+    return AlexanderResult(raw, _normalize_alexander(raw.num))
 
 
 def _signed_image(rep, word):
@@ -102,12 +104,8 @@ def krammer_fraction(word):
     Uses the sign-twisted two-row representation.  collapsed carries the
     polynomial value when the denominator divides exactly.
     """
-    n = word.strands
-    rep = lk(n, "new")
-    eye = PolyMatrix.identity(rep.dim)
-    num = (_signed_image(rep, word) - eye).det()
-    den = (_signed_image(rep, _generator_sweep(n)) - eye).det()
-    return KrammerResult(PolyFraction(num, den), exact_div(num, den))
+    fraction = _det_ratio(lk(word.strands, "new"), _signed_image, word)
+    return KrammerResult(fraction, fraction.num if fraction.is_polynomial() else None)
 
 
 def markov1_test(word, conjugators):

@@ -525,8 +525,19 @@ class PolyFraction:
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
-        # canonical form is deterministic, so hashing the pair is consistent
-        return hash((self.num, self.den))
+        # A fraction equal to a polynomial p is always collapsed, so it hashes
+        # like p.  Otherwise num/den == c/d gives num*d == c*den, and the end
+        # terms of a product are the products of the factors' end terms.
+        if self.is_polynomial():
+            return hash(self.num)
+
+        def end_ratio(pick):
+            mn = pick(self.num._terms, key=_order_key)
+            md = pick(self.den._terms, key=_order_key)
+            return (mn[0] - md[0], mn[1] - md[1],
+                    Fraction(self.num._terms[mn], self.den._terms[md]))
+
+        return hash((end_ratio(max), end_ratio(min)))
 
     def eval_rational(self, t_value, q_value):
         dv = self.den.eval_rational(t_value, q_value)

@@ -1,11 +1,10 @@
 """Dense matrices over the Laurent ring, with fraction-free exact linear algebra.
 
 Everything here is exact: determinants use the Bareiss algorithm (interior
-divisions are exact by the Sylvester identity), inverses use one-step
-fraction-free Gauss-Jordan elimination plus a unit-determinant check,
-characteristic polynomials use Berkowitz's division-free algorithm, and the
-multilinear functors (tensor, symmetric and exterior powers) act on the
-unnormalized product bases described below.
+divisions are exact by the Sylvester identity), characteristic polynomials
+use Berkowitz's division-free algorithm, inverses apply Cayley-Hamilton to
+them with no elimination, and the multilinear functors (tensor, symmetric
+and exterior powers) act on the unnormalized product bases described below.
 
 Basis conventions, used consistently by the representation constructors:
 
@@ -224,42 +223,23 @@ class PolyMatrix:
         return d if sign == 1 else -d
 
     def inverse(self):
-        """Exact inverse; raises unless the determinant is a unit +-t^a*q^b."""
+        """Exact inverse by Cayley-Hamilton: if det(xI - A) = x^n + ... + c_1 x + c_0,
+        then A^-1 = -(A^(n-1) + c_(n-1) A^(n-2) + ... + c_1 I) / c_0, evaluated by
+        Horner in ring operations; c_0 = (-1)^n det(A) must be a unit +-t^a*q^b."""
         self._require_square("inverse")
         n = self.rows
-        aug = [self.data[i][:] + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        prev = ONE
-        for k in range(n):
-            if aug[k][k].is_zero():
-                pivot = next((r for r in range(k + 1, n) if not aug[r][k].is_zero()), None)
-                if pivot is None:
-                    raise ArithmeticError("matrix is singular over the Laurent ring")
-                aug[k], aug[pivot] = aug[pivot], aug[k]
-            pk = aug[k][k]
-            for i in range(n):
-                if i == k:
-                    continue
-                fik = aug[i][k]
-                for j in range(2 * n):
-                    if j == k:
-                        continue
-                    num = pk * aug[i][j] - fik * aug[k][j]
-                    q = exact_div(num, prev)
-                    if q is None:
-                        raise ArithmeticError("fraction-free elimination lost exactness; "
-                                              "this indicates corrupted input")
-                    aug[i][j] = q
-                aug[i][k] = ZERO
-            prev = pk
-        d = aug[0][0]
-        for i in range(n):
-            if aug[i][i] != d:
-                raise ArithmeticError("elimination did not reach a scalar diagonal")
-        if not d.is_unit():
+        cp = char_poly(self)
+        if cp[0].is_zero():
+            raise ArithmeticError("matrix is singular over the Laurent ring")
+        if not cp[0].is_unit():
             raise ArithmeticError("matrix is not invertible over the Laurent ring "
-                                  "(determinant is %s up to sign, not a unit)" % (d,))
-        dinv = d ** (-1)
-        return PolyMatrix([[aug[i][n + j] * dinv for j in range(n)] for i in range(n)])
+                                  "(determinant is %s up to sign, not a unit)" % (cp[0],))
+        b = PolyMatrix.identity(n)
+        for c in reversed(cp[1:n]):
+            b = self * b
+            for i in range(n):
+                b.data[i][i] = b.data[i][i] + c
+        return b.scale(-cp[0] ** -1)
 
     # ------------------------------------------------------------------
     # rendering

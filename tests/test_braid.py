@@ -3,7 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from braidrep.laurent import T
-from braidrep.braid import BraidWord, CheckReport, check_braid_relations
+from braidrep.braid import (MAX_WORD_LETTERS, BraidWord, CheckReport,
+                            check_braid_relations)
 from braidrep.reps import burau_reduced, burau_unreduced
 
 
@@ -36,6 +37,17 @@ def test_parse_symbolic_grammar():
     assert "token 1" in str(e.value)
     with pytest.raises(ValueError):
         BraidWord.parse("s0", 3)
+
+
+def test_parse_rejects_over_long_words_before_building_them():
+    with pytest.raises(ValueError) as e:
+        BraidWord.parse("s1^100000000", 3)
+    assert "'s1^100000000'" in str(e.value) and "token 0" in str(e.value)
+    with pytest.raises(ValueError) as e:
+        BraidWord.parse("s2^-%d 1" % MAX_WORD_LETTERS, 3)
+    assert "'1' (token 1)" in str(e.value)
+    w = BraidWord.parse("s1^%d" % (MAX_WORD_LETTERS - 1) + " -2", 3)
+    assert len(w) == MAX_WORD_LETTERS and w.letters[-1] == -2
 
 
 def test_str_round_trip():

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -209,6 +211,14 @@ def test_failed_check_exits_one(capsys, monkeypatch):
     assert "FAIL broken case" in out
 
 
+def test_over_long_word_is_usage_error(capsys):
+    code, out, err = run_exit(capsys, "rep", "--rep", "lie", "--strands", "3",
+                              "--word", "s1^100000000")
+    assert code == 2
+    assert out == ""
+    assert "s1^100000000" in err
+
+
 def test_strands_lower_bound(capsys):
     code, _, err = run_exit(capsys, "rep", "--strands", "1", "--rep", "burau")
     assert code == 2
@@ -236,3 +246,34 @@ def test_check_with_no_cases_is_usage_error(capsys, argv, check):
     assert code == 2
     assert out == ""
     assert "--check %s" % check in err
+
+
+def readme_examples():
+    """(argv, expected stdout lines or None) for every `$ braidrep` line of
+    README.md; output lines shown under a command run up to the next blank
+    line, command or end of the code block."""
+    examples = []
+    in_block = False
+    current = None
+    for line in (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+            current = None
+        elif in_block and line.startswith("$ braidrep "):
+            current = [shlex.split(line[len("$ braidrep "):]), []]
+            examples.append(current)
+        elif in_block and current is not None and line.strip():
+            current[1].append(line)
+        else:
+            current = None
+    return [(argv, out or None) for argv, out in examples]
+
+
+def test_readme_examples_run_as_shown(capsys):
+    examples = readme_examples()
+    assert len(examples) >= 10 and sum(out is not None for _, out in examples) >= 3
+    for argv, expected in examples:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        if expected is not None:
+            assert out == "\n".join(expected) + "\n", argv

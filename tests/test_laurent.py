@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,36 @@ def test_fraction_strips_shared_monomial():
 @given(nonzero_polys(), nonzero_polys(), nonzero_polys())
 def test_fraction_equality_by_cross_multiplication(a, b, c):
     assert PolyFraction(a * c, b * c) == PolyFraction(a, b)
+
+
+def test_equal_fractions_hash_equal():
+    a = PolyFraction(T ** 2 + 3 * T + 2, T ** 2 + 4 * T + 3)
+    b = PolyFraction(T + 2, T + 3)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    # a fraction equal to a polynomial hashes like it, and like an int if constant
+    assert hash(PolyFraction(T ** 2 - ONE, T - ONE)) == hash(T + ONE)
+    assert hash(PolyFraction(6 * ONE, 3 * ONE)) == hash(2)
+    assert len({PolyFraction(6 * ONE, 3 * ONE), 2 * ONE, 2}) == 1
+
+
+def test_equal_fractions_hash_equal_random():
+    rng = random.Random(20261017)
+
+    def poly(max_terms):
+        p = ZERO
+        while p.is_zero():
+            for _ in range(rng.randint(1, max_terms)):
+                p = p + LaurentPoly.monomial(rng.randint(-4, 4),
+                                             rng.randint(-2, 2), rng.randint(-2, 2))
+        return p
+
+    for _ in range(300):
+        p, d, c = poly(3), poly(3), poly(2)
+        scaled, plain = PolyFraction(p * c, d * c), PolyFraction(p, d)
+        assert scaled == plain
+        assert hash(scaled) == hash(plain)
+        assert len({scaled, plain}) == 1
 
 
 @given(laurent_polys(max_terms=3), nonzero_polys())

@@ -9,6 +9,7 @@ from braidrep.polymatrix import (PolyMatrix, char_poly, char_poly_from_roots,
                                  exp_nilpotent, ext_basis, ext_power,
                                  generalized_char_poly, sym_basis, sym_power,
                                  tensor_product)
+from braidrep import reps
 from braidrep.reps import lk
 from oracles import cofactor_char_poly
 
@@ -73,10 +74,81 @@ def test_power_and_inverse():
 
 
 def test_inverse_needs_unit_determinant():
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="determinant is t \\+ 1 up to sign, not a unit"):
         m22(T + 1, 0, 0, 1).inverse()
-    with pytest.raises(ArithmeticError):
-        m22(1, 1, 1, 1).inverse()
+    singular = [m22(1, 1, 1, 1), PolyMatrix.zeros(2), PolyMatrix.zeros(1),
+                PolyMatrix([[ONE, T, Q], [T, Q, ONE], [ONE + T, T + Q, Q + ONE]])]
+    for a in singular:
+        with pytest.raises(ArithmeticError, match="singular over the Laurent ring"):
+            a.inverse()
+
+
+def assert_two_sided_inverse(a):
+    inv = a.inverse()
+    eye = PolyMatrix.identity(a.rows)
+    assert a * inv == eye
+    assert inv * a == eye
+    return inv
+
+
+GENERATOR_INVERSE_CASES = {
+    **{"burau_unreduced(%d)" % n: lambda n=n: reps.burau_unreduced(n) for n in range(2, 6)},
+    **{"burau_reduced(%d,%s)" % (n, f): lambda n=n, f=f: reps.burau_reduced(n, f)
+       for n in range(2, 7) for f in ("standard", "conjugated")},
+    **{"lk(%d,%s)" % (n, v): lambda n=n, v=v: reps.lk(n, v)
+       for n in range(2, 6) for v in ("new", "bigelow")},
+    **{"sym2_quantized(%d)" % n: lambda n=n: reps.sym2_quantized(n) for n in range(3, 6)},
+    "qpascal(t^2,-t,1)": lambda: reps.qpascal_rep([parse_poly("t^2"), -T, ONE]),
+    "qpascal(t^3*q^-1,-t,t*q,-t^-1*q^2,sharp)": lambda: reps.qpascal_rep(
+        [parse_poly(x) for x in ("t^3*q^-1", "-t", "t*q", "-t^-1*q^2")], "sharp"),
+    "lie_rep(strands=4)": lambda: reps.lie_rep(strands=4),
+    "lie_rep(power=3)": lambda: reps.lie_rep(power=3),
+}
+
+
+@pytest.mark.parametrize("build", GENERATOR_INVERSE_CASES.values(),
+                         ids=GENERATOR_INVERSE_CASES.keys())
+def test_generator_inverses_are_two_sided(build):
+    rep = build()
+    for g in rep.gen_images:
+        assert_two_sided_inverse(g)
+
+
+def random_unit_det_matrix(rng, n):
+    """+-monomial diagonal times a product of elementary matrices I + p*E_ij."""
+    a = PolyMatrix.diagonal([LaurentPoly.monomial(rng.choice((-1, 1)), rng.randint(-2, 2),
+                                                  rng.randint(-2, 2)) for _ in range(n)])
+    for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        e = PolyMatrix.identity(n)
+        e.data[i][j] = random_poly_matrix(rng, 1, lo=-1)[0, 0]
+        a = a * e if rng.random() < 0.5 else e * a
+    return a
+
+
+def test_inverse_of_random_unit_det_matrices():
+    rng = random.Random(31337)
+    for k in range(60):
+        a = random_unit_det_matrix(rng, 1 + k % 5)
+        assert a.det().is_unit()
+        inv = assert_two_sided_inverse(a)
+        assert inv ** -1 == a
+
+
+def test_inverse_against_sympy_oracle():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(4242)
+
+    def sym(p):
+        return sympy.sympify(str(p).replace("^", "**"))
+
+    for k in range(6):
+        a = random_unit_det_matrix(rng, 2 + k % 2)
+        inv = a.inverse()
+        want = sympy.Matrix(a.rows, a.cols, lambda i, j: sym(a[i, j])).inv()
+        for i in range(a.rows):
+            for j in range(a.cols):
+                assert sympy.cancel(sym(inv[i, j]) - want[i, j]) == 0
 
 
 def test_det_fixtures():

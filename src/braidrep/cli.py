@@ -19,14 +19,26 @@ from .invariants import (InvariantError, alexander, krammer_fraction,
                          markov1_test, markov2_probe)
 from .laurent import parse_poly
 
+# Largest --strands and --power, and largest q-Pascal dimension parameter
+# (--lambda takes MAX_SIZE + 1 entries): every constructor builds at this
+# size within seconds, while sizes far beyond it exhaust time or memory.
+MAX_SIZE = 16
+# Largest --max-power for --check humphry, whose symmetric powers cost
+# factorial time in the power (m = 9 takes 5 s, m = 10 nearly 2 minutes).
+MAX_HUMPHRY_POWER = 9
+
 
 class UsageError(Exception):
     pass
 
 
 def _parse_lambdas(text):
+    pieces = text.split(",")
+    if len(pieces) > MAX_SIZE + 1:
+        raise UsageError("--rep qpascal takes at most %d --lambda entries, got %d"
+                         % (MAX_SIZE + 1, len(pieces)))
     entries = []
-    for piece in text.split(","):
+    for piece in pieces:
         piece = piece.strip()
         if not piece:
             raise UsageError("empty entry in --lambda list")
@@ -100,6 +112,8 @@ def cmd_rep(args):
 
 
 def cmd_invariant(args):
+    if args.strands is None:
+        raise UsageError("--invariant %s needs --strands" % args.invariant)
     word = BraidWord.parse(args.word, args.strands)
     if args.invariant == "alexander":
         result = alexander(word)
@@ -124,6 +138,9 @@ def cmd_invariant(args):
             print(result.fraction.to_latex())
     else:
         print(str(headline))
+    if num.is_zero():
+        print("braidrep: note: det(rho(word) - I) = 0, so the value is 0: the image "
+              "of the word has eigenvalue 1 (as for a split closure)", file=sys.stderr)
     return 0
 
 
@@ -153,6 +170,9 @@ def run_check(args):
     if check == "ext-square":
         return reps.verify_ext_square()
     if check == "humphry":
+        if not 1 <= args.max_power <= MAX_HUMPHRY_POWER:
+            raise UsageError("--check humphry needs --max-power between 1 and %d"
+                             % MAX_HUMPHRY_POWER)
         return reps.verify_humphry(args.max_power)
     if check in ("markov1", "markov2-probe"):
         if n is None or args.word is None:
@@ -254,6 +274,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.strands is not None and args.strands < 2:
         parser.exit(2, "braidrep: --strands must be at least 2\n")
+    for name in ("strands", "power"):
+        if (getattr(args, name, None) or 0) > MAX_SIZE:
+            parser.exit(2, "braidrep: --%s must be at most %d\n" % (name, MAX_SIZE))
     try:
         return args.func(args)
     except UsageError as e:

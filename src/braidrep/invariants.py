@@ -14,7 +14,7 @@ from fractions import Fraction
 from .braid import BraidWord, CheckReport
 from .laurent import LaurentPoly, PolyFraction, Q, T
 from .polymatrix import PolyMatrix
-from .reps import burau_reduced, image_of_word, lk
+from .reps import Representation, burau_reduced, image_of_word, lk
 
 
 class InvariantError(Exception):
@@ -69,11 +69,11 @@ def _normalize_alexander(p):
     return shifted
 
 
-def _det_ratio(rep, image, word):
-    """Canonical fraction det(image(word) - I) / det(image(sweep) - I)."""
+def _det_ratio(rep, word):
+    """Canonical fraction det(rep(word) - I) / det(rep(sweep) - I)."""
     eye = PolyMatrix.identity(rep.dim)
-    num = (image(rep, word) - eye).det()
-    den = (image(rep, _generator_sweep(word.strands)) - eye).det()
+    num = (image_of_word(rep, word) - eye).det()
+    den = (image_of_word(rep, _generator_sweep(word.strands)) - eye).det()
     return PolyFraction(num, den)
 
 
@@ -85,26 +85,21 @@ def alexander(word):
     division is not exact (the ratio then fails to be a polynomial, which
     happens for some multi-component closures).
     """
-    raw = _det_ratio(burau_reduced(word.strands, "conjugated"), image_of_word, word)
+    raw = _det_ratio(burau_reduced(word.strands, "conjugated"), word)
     if not raw.is_polynomial():
         raise InvariantError("determinant ratio %s is not a polynomial" % (raw,))
     return AlexanderResult(raw, _normalize_alexander(raw.num))
 
 
-def _signed_image(rep, word):
-    img = image_of_word(rep, word)
-    if word.exponent_sum() % 2:
-        img = -img
-    return img
-
-
 def krammer_fraction(word):
     """Two-variable determinant ratio of the closure, as a canonical fraction.
 
-    Uses the sign-twisted two-row representation.  collapsed carries the
-    polynomial value when the denominator divides exactly.
+    Uses the two-row representation tensored with the sign character, that
+    is lk with negated generator images.  collapsed carries the polynomial
+    value when the denominator divides exactly.
     """
-    fraction = _det_ratio(lk(word.strands, "new"), _signed_image, word)
+    gens = [-g for g in lk(word.strands, "new").gen_images]
+    fraction = _det_ratio(Representation(word.strands, gens, "lk*sign"), word)
     return KrammerResult(fraction, fraction.num if fraction.is_polynomial() else None)
 
 

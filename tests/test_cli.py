@@ -1,11 +1,14 @@
 import json
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
 import braidrep.cli as cli
 from braidrep.braid import CheckReport
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -106,6 +109,45 @@ def test_invariant_empty_word(capsys):
                        "--invariant", "alexander", "--word", "")
     assert code == 0
     assert out.strip() == "0"
+
+
+DEGENERATE_NOTE = ("braidrep: note: det(rho(word) - I) = 0, so the value is 0: the image "
+                   "of the word has eigenvalue 1 (as for a split closure)\n")
+
+
+@pytest.mark.parametrize("invariant", ("alexander", "krammer"))
+@pytest.mark.parametrize("fmt, shown", [
+    ("text", "0\n"),
+    ("latex", "0\n"),
+    ("json", None),
+])
+def test_degenerate_zero_is_explained_on_stderr(capsys, invariant, fmt, shown):
+    code, out, err = run(capsys, "invariant", "--strands", "3", "--invariant", invariant,
+                         "--word", "", "--format", fmt)
+    assert code == 0
+    if shown is not None:
+        assert out == shown
+    else:
+        doc = json.loads(out)
+        assert sorted(doc) == ["collapsed", "den", "invariant", "num", "schema"]
+        assert doc["num"] == [] and doc["collapsed"] == []
+    assert err == DEGENERATE_NOTE
+
+
+@pytest.mark.parametrize("invariant", ("alexander", "krammer"))
+def test_trefoil_prints_no_note(capsys, invariant):
+    code, _, err = run(capsys, "invariant", "--strands", "2", "--invariant", invariant,
+                       "--word", "1 1 1")
+    assert code == 0
+    assert err == ""
+
+
+@pytest.mark.parametrize("invariant", ("alexander", "krammer"))
+def test_invariant_without_strands_is_usage_error(capsys, invariant):
+    code, out, err = run_exit(capsys, "invariant", "--invariant", invariant, "--word", "1 1 1")
+    assert code == 2
+    assert out == ""
+    assert "--strands" in err
 
 
 def test_invariant_json(capsys):
@@ -219,6 +261,31 @@ def test_over_long_word_is_usage_error(capsys):
     assert "s1^100000000" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("rep", "--strands", "17", "--rep", "burau"), "--strands"),
+    (("rep", "--strands", "100000", "--rep", "burau"), "--strands"),
+    (("verify", "--strands", "17", "--check", "lk-equivalence"), "--strands"),
+    (("invariant", "--strands", "17", "--invariant", "alexander", "--word", ""), "--strands"),
+    (("rep", "--rep", "lie", "--power", "17"), "--power"),
+    (("rep", "--rep", "qpascal", "--lambda=" + ",".join(["1"] * 18)), "--lambda"),
+    (("verify", "--check", "humphry", "--max-power", "10"), "--check humphry"),
+    (("verify", "--check", "humphry", "--max-power", "-1"), "--check humphry"),
+])
+def test_oversized_request_is_usage_error(capsys, monkeypatch, argv, named):
+    # a request past a bound must be refused before any representation is built
+    monkeypatch.setattr(cli, "reps", None)
+    code, out, err = run_exit(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
+def test_largest_strand_count_still_builds(capsys):
+    code, out, _ = run(capsys, "rep", "--strands", str(cli.MAX_SIZE), "--rep", "burau")
+    assert code == 0
+    assert out.count("sigma_") == cli.MAX_SIZE - 1
+
+
 def test_strands_lower_bound(capsys):
     code, _, err = run_exit(capsys, "rep", "--strands", "1", "--rep", "burau")
     assert code == 2
@@ -255,7 +322,7 @@ def readme_examples():
     examples = []
     in_block = False
     current = None
-    for line in (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines():
+    for line in README.read_text().splitlines():
         if line.startswith("```"):
             in_block = not in_block
             current = None
@@ -277,3 +344,18 @@ def test_readme_examples_run_as_shown(capsys):
         assert code == 0, (argv, err)
         if expected is not None:
             assert out == "\n".join(expected) + "\n", argv
+
+
+def test_readme_python_block_prints_its_comments():
+    """Each `print(...)  # value` line of README's Library example prints value."""
+    block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    printed = {}
+
+    def record(*args):
+        printed[sys._getframe(1).f_lineno] = " ".join(str(a) for a in args)
+
+    exec(compile(block, "README.md", "exec"), {"print": record})
+    expected = {n: line.split("#", 1)[1].strip()
+                for n, line in enumerate(block.splitlines(), 1) if "#" in line}
+    assert len(expected) >= 3
+    assert {n: printed.get(n) for n in expected} == expected

@@ -43,6 +43,36 @@ def test_alexander_mirror_symmetry():
     assert b.normalized == a.normalized
 
 
+def torus_knot_2(k):
+    """T(2, k), k odd: (t^k + 1) / (t + 1) = 1 - t + t^2 - ... + t^(k-1)."""
+    return sum(((-T) ** i for i in range(k)), ZERO)
+
+
+def twist_knot(n):
+    """Twist knot with n half twists: m t^2 - (n + 1) t + m for n = 2m,
+    m t^2 - n t + m for n = 2m - 1."""
+    m = (n + 1) // 2
+    return m * T ** 2 - (n + 1 if n % 2 == 0 else n) * T + m
+
+
+# 5_2 and 6_1 use some but not all of their inverse letters
+TEXTBOOK_ALEXANDER = [
+    ("3_1", "1 1 1", 2, "t^2 - t + 1", torus_knot_2(3)),
+    ("4_1", "1 -2 1 -2", 3, "t^2 - 3*t + 1", twist_knot(2)),
+    ("5_1", "1 1 1 1 1", 2, "t^4 - t^3 + t^2 - t + 1", torus_knot_2(5)),
+    ("5_2", "1 1 1 2 -1 2", 3, "2*t^2 - 3*t + 2", twist_knot(3)),
+    ("6_1", "1 1 2 -1 -3 2 -3", 4, "2*t^2 - 5*t + 2", twist_knot(4)),
+]
+
+
+@pytest.mark.parametrize("word, strands, text, closed_form",
+                         [case[1:] for case in TEXTBOOK_ALEXANDER],
+                         ids=[case[0] for case in TEXTBOOK_ALEXANDER])
+def test_alexander_textbook_table(word, strands, text, closed_form):
+    assert parse_poly(text) == closed_form
+    assert inv.alexander(W.parse(word, strands)).normalized == closed_form
+
+
 def test_krammer_fraction_of_the_trefoil():
     k = inv.krammer_fraction(TREFOIL)
     assert k.collapsed == parse_poly("t^4*q^2 - t^2*q + 1")

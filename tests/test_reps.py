@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from braidrep import reps
@@ -61,6 +63,57 @@ def test_sigma_accessor():
         r.sigma(0)
     with pytest.raises(ValueError):
         r.sigma(3)
+
+
+WORD_INVERSE_CASES = {
+    "burau_unreduced(4)": lambda: reps.burau_unreduced(4),
+    "burau_reduced(4,standard)": lambda: reps.burau_reduced(4, "standard"),
+    "burau_reduced(4,conjugated)": lambda: reps.burau_reduced(4, "conjugated"),
+    "lk(4)": lambda: reps.lk(4),
+    "sym2_quantized(4)": lambda: reps.sym2_quantized(4),
+    "qpascal(t^2,-t,1)": lambda: reps.qpascal_rep([parse_poly("t^2"), -T, ONE]),
+    "lie_rep(strands=4)": lambda: reps.lie_rep(strands=4),
+    "lie_rep(power=3)": lambda: reps.lie_rep(power=3),
+}
+
+
+@pytest.mark.parametrize("build", WORD_INVERSE_CASES.values(), ids=WORD_INVERSE_CASES.keys())
+def test_word_image_times_inverse_word_image_is_identity(build):
+    rep = build()
+    rng = random.Random(2024)
+    eye = PolyMatrix.identity(rep.dim)
+    for _ in range(6):
+        letters = [rng.choice((-1, 1)) * rng.randint(1, rep.strands - 1)
+                   for _ in range(rng.randint(1, 7))]
+        w = BraidWord(rep.strands, letters)
+        assert reps.image_of_word(rep, w) * reps.image_of_word(rep, w.inverse()) == eye, w
+
+
+def test_inverses_are_computed_only_for_inverse_letters(monkeypatch):
+    calls = []
+    inverse = PolyMatrix.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(PolyMatrix, "inverse", counted)
+    rep = reps.lk(4)
+    reps.burau_reduced(5)
+    assert len(calls) == 0
+    # sigma_2^-1 twice and sigma_1^-1 once: one inversion per distinct letter
+    reps.image_of_word(rep, "1 -2 -2 -1 3")
+    assert len(calls) == 2
+
+
+def test_singular_generator_fails_only_when_inverted():
+    g = mat([["1", "1"], ["1", "1"]])
+    rep = reps.Representation(2, [g], "singular")
+    assert rep.image("1 1 1") == g * g * g
+    with pytest.raises(ArithmeticError, match="singular over the Laurent ring"):
+        rep.sigma(-1)
+    with pytest.raises(ArithmeticError, match="singular over the Laurent ring"):
+        rep.image("1 -1")
 
 
 def test_burau_determinant_is_minus_t():
@@ -429,6 +482,12 @@ def test_unbalanced_diagonal_really_breaks_the_relation():
 
 def test_humphry_powers():
     assert reps.verify_humphry(7).passed
+
+
+@pytest.mark.parametrize("max_power", (0, -1))
+def test_humphry_without_powers_is_rejected(max_power):
+    with pytest.raises(ValueError, match="max_power >= 1"):
+        reps.verify_humphry(max_power)
 
 
 # ----------------------------------------------------------------------

@@ -19,13 +19,10 @@ from .invariants import (InvariantError, alexander, krammer_fraction,
                          markov1_test, markov2_probe)
 from .laurent import parse_poly
 
-# Largest --strands and --power, and largest q-Pascal dimension parameter
-# (--lambda takes MAX_SIZE + 1 entries): every constructor builds at this
-# size within seconds, while sizes far beyond it exhaust time or memory.
+# Largest --strands, --power and --max-power, and largest q-Pascal dimension
+# parameter (--lambda takes MAX_SIZE + 1 entries): every constructor builds at
+# this size within seconds, while sizes far beyond it exhaust time or memory.
 MAX_SIZE = 16
-# Largest --max-power for --check humphry, whose symmetric powers cost
-# factorial time in the power (m = 9 takes 5 s, m = 10 nearly 2 minutes).
-MAX_HUMPHRY_POWER = 9
 
 
 class UsageError(Exception):
@@ -170,9 +167,8 @@ def run_check(args):
     if check == "ext-square":
         return reps.verify_ext_square()
     if check == "humphry":
-        if not 1 <= args.max_power <= MAX_HUMPHRY_POWER:
-            raise UsageError("--check humphry needs --max-power between 1 and %d"
-                             % MAX_HUMPHRY_POWER)
+        if not 1 <= args.max_power <= MAX_SIZE:
+            raise UsageError("--check humphry needs --max-power between 1 and %d" % MAX_SIZE)
         return reps.verify_humphry(args.max_power)
     if check in ("markov1", "markov2-probe"):
         if n is None or args.word is None:

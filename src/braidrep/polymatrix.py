@@ -5,6 +5,8 @@ divisions are exact by the Sylvester identity), characteristic polynomials
 use Berkowitz's division-free algorithm, inverses apply Cayley-Hamilton to
 them with no elimination, and the multilinear functors (tensor, symmetric
 and exterior powers) act on the unnormalized product bases described below.
+The symmetric and exterior powers are both read off one expansion of a
+product of linear forms, in commuting or anticommuting variables.
 
 Basis conventions, used consistently by the representation constructors:
 
@@ -18,6 +20,7 @@ Basis conventions, used consistently by the representation constructors:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 
 from .laurent import LaurentPoly, ONE, ZERO, exact_div
@@ -304,6 +307,29 @@ def ext_basis(n, m):
     return list(itertools.combinations(range(n), m))
 
 
+def _multilinear_power(a, basis, alternating):
+    """Entry (L, K) is the coefficient of x_K in prod_{l in L} (sum_j a[l][j] x_j),
+    expanded one linear form at a time, for increasing index tuples L, K in basis.
+    Alternating x_j anticommute: a repeated index gives 0, and inserting j into
+    a key flips the sign once per key index greater than j."""
+    rows = []
+    for L in basis:
+        terms = {(): ONE}
+        for l in L:
+            grown = {}
+            for key, c in terms.items():
+                for j, alj in enumerate(a.data[l]):
+                    if alj.is_zero() or (alternating and j in key):
+                        continue
+                    pos = bisect.bisect_right(key, j)
+                    v = -c * alj if alternating and (len(key) - pos) % 2 else c * alj
+                    new = key[:pos] + (j,) + key[pos:]
+                    grown[new] = grown[new] + v if new in grown else v
+            terms = grown
+        rows.append([terms.get(K, ZERO) for K in basis])
+    return PolyMatrix(rows)
+
+
 def sym_power(a, m):
     """m-th symmetric power on the unnormalized symmetrized basis.
 
@@ -313,23 +339,7 @@ def sym_power(a, m):
     a._require_square("symmetric power")
     if m < 0:
         raise ValueError("symmetric power needs m >= 0")
-    if m == 0:
-        return PolyMatrix([[ONE]])
-    basis = sym_basis(a.rows, m)
-    dim = len(basis)
-    out = PolyMatrix.zeros(dim, dim)
-    for cj, K in enumerate(basis):
-        for ci, L in enumerate(basis):
-            acc = ZERO
-            for word in set(itertools.permutations(K)):
-                prod = ONE
-                for li, wi in zip(L, word):
-                    prod = prod * a.data[li][wi]
-                    if prod.is_zero():
-                        break
-                acc = acc + prod
-            out.data[ci][cj] = acc
-    return out
+    return _multilinear_power(a, sym_basis(a.rows, m), alternating=False)
 
 
 def ext_power(a, m):
@@ -337,18 +347,11 @@ def ext_power(a, m):
     a._require_square("exterior power")
     if m < 0:
         raise ValueError("exterior power needs m >= 0")
-    if m == 0:
-        return PolyMatrix([[ONE]])
     basis = ext_basis(a.rows, m)
     if not basis:
         raise ValueError("exterior power of degree %d of a %dx%d matrix is empty"
                          % (m, a.rows, a.cols))
-    out = PolyMatrix.zeros(len(basis), len(basis))
-    for cj, J in enumerate(basis):
-        for ci, I in enumerate(basis):
-            minor = PolyMatrix([[a.data[i][j] for j in J] for i in I])
-            out.data[ci][cj] = minor.det()
-    return out
+    return _multilinear_power(a, basis, alternating=True)
 
 
 def exp_nilpotent(a):

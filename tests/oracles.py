@@ -4,8 +4,10 @@ The library computes each of these results one way; the functions here
 compute the same results by a different construction.
 """
 
+import itertools
+
 from braidrep.laurent import ONE, ZERO
-from braidrep.polymatrix import PolyMatrix
+from braidrep.polymatrix import PolyMatrix, ext_basis, sym_basis
 
 
 def cofactor_char_poly(c, lambdas):
@@ -26,6 +28,34 @@ def cofactor_char_poly(c, lambdas):
             minor = ONE
         total = total + coeff * minor
     return total
+
+
+def permutation_sym_power(a, m):
+    """m-th symmetric power on sym_basis: entry (L, K) is the sum, over the
+    distinct orderings w of the multiset K, of prod_i a[L_i][w_i]."""
+    basis = sym_basis(a.rows, m)
+    out = PolyMatrix.zeros(len(basis))
+    for cj, K in enumerate(basis):
+        for ci, L in enumerate(basis):
+            acc = ZERO
+            for word in set(itertools.permutations(K)):
+                prod = ONE
+                for li, wi in zip(L, word):
+                    prod = prod * a[li, wi]
+                acc = acc + prod
+            out.data[ci][cj] = acc
+    return out
+
+
+def minor_ext_power(a, m):
+    """m-th exterior power on ext_basis (m >= 1): entry (I, J) is the Bareiss
+    determinant of the m x m minor of a on rows I and columns J."""
+    basis = ext_basis(a.rows, m)
+    out = PolyMatrix.zeros(len(basis))
+    for cj, J in enumerate(basis):
+        for ci, I in enumerate(basis):
+            out.data[ci][cj] = PolyMatrix([[a[i, j] for j in J] for i in I]).det()
+    return out
 
 
 def change_of_basis_blocks(n):

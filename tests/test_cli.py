@@ -268,7 +268,7 @@ def test_over_long_word_is_usage_error(capsys):
     (("invariant", "--strands", "17", "--invariant", "alexander", "--word", ""), "--strands"),
     (("rep", "--rep", "lie", "--power", "17"), "--power"),
     (("rep", "--rep", "qpascal", "--lambda=" + ",".join(["1"] * 18)), "--lambda"),
-    (("verify", "--check", "humphry", "--max-power", "10"), "--check humphry"),
+    (("verify", "--check", "humphry", "--max-power", "17"), "--check humphry"),
     (("verify", "--check", "humphry", "--max-power", "-1"), "--check humphry"),
 ])
 def test_oversized_request_is_usage_error(capsys, monkeypatch, argv, named):
@@ -284,6 +284,14 @@ def test_largest_strand_count_still_builds(capsys):
     code, out, _ = run(capsys, "rep", "--strands", str(cli.MAX_SIZE), "--rep", "burau")
     assert code == 0
     assert out.count("sigma_") == cli.MAX_SIZE - 1
+
+
+def test_largest_humphry_power_runs(capsys):
+    code, out, _ = run(capsys, "verify", "--check", "humphry", "--max-power", str(cli.MAX_SIZE))
+    assert code == 0
+    lines = out.splitlines()
+    assert sum(line.startswith("PASS m=") for line in lines) == 4 * cli.MAX_SIZE == 64
+    assert lines[-1] == "humphry(max_power=16): PASS"
 
 
 def test_strands_lower_bound(capsys):

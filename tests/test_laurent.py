@@ -185,6 +185,38 @@ def test_equal_fractions_hash_equal_random():
         assert len({scaled, plain}) == 1
 
 
+def test_exact_div_against_sympy_oracle():
+    sympy = pytest.importorskip("sympy")
+    t, q = sympy.symbols("t q")
+    rng = random.Random(20261018)
+
+    def poly(max_terms):
+        p = ZERO
+        while p.is_zero():
+            for _ in range(rng.randint(1, max_terms)):
+                p = p + LaurentPoly.monomial(rng.randint(-3, 3),
+                                             rng.randint(-2, 2), rng.randint(-2, 2))
+        return p
+
+    def sym(p):
+        return sympy.sympify(str(p).replace("^", "**"))
+
+    outcomes = []
+    for k in range(150):
+        b = poly(3)
+        a = poly(3) * b if k % 2 else poly(4)
+        got = exact_div(a, b)
+        num, den = sympy.fraction(sympy.together(sympy.cancel(sym(a) / sym(b))))
+        den = sympy.Poly(den, t, q)
+        if len(den.terms()) == 1 and abs(den.LC()) == 1:
+            assert got is not None, (a, b)
+            assert sympy.cancel(sym(got) - num / den.as_expr()) == 0, (a, b)
+        else:
+            assert got is None, (a, b)
+        outcomes.append(got is None)
+    assert 20 <= sum(outcomes) <= 130
+
+
 @given(laurent_polys(max_terms=3), nonzero_polys())
 def test_fraction_field_identities(a, b):
     f = PolyFraction(a, b)

@@ -11,7 +11,7 @@ from braidrep.polymatrix import (PolyMatrix, char_poly, char_poly_from_roots,
                                  tensor_product)
 from braidrep import reps
 from braidrep.reps import lk
-from oracles import cofactor_char_poly
+from oracles import cofactor_char_poly, minor_ext_power, permutation_sym_power
 
 
 def m22(a, b, c, d):
@@ -241,6 +241,18 @@ def test_ext_power_top_is_det():
         a = random_int_matrix(rng, 3)
         top = ext_power(a, 3)
         assert top.rows == 1 and top[0, 0] == a.det()
+
+
+def test_sym_ext_powers_match_oracles():
+    rng = random.Random(20261018)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        a = random_poly_matrix(rng, n, lo=-1)
+        assert sym_power(a, 0) == ext_power(a, 0) == PolyMatrix([[ONE]])
+        for m in range(1, 5):
+            assert sym_power(a, m) == permutation_sym_power(a, m), (n, m)
+            if m <= n:
+                assert ext_power(a, m) == minor_ext_power(a, m), (n, m)
 
 
 def test_exp_nilpotent():

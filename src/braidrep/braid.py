@@ -134,7 +134,8 @@ class CheckReport:
 
     @property
     def passed(self):
-        return all(ok for _label, ok in self.entries)
+        """True when there is at least one case and every case passed."""
+        return bool(self.entries) and all(ok for _label, ok in self.entries)
 
     def failures(self):
         return [label for label, ok in self.entries if not ok]

@@ -590,8 +590,8 @@ def q_binomial(n, k, form="paren"):
     """Gaussian binomial coefficient C_n^k(q).
 
     The paren form follows the Pascal recurrence
-    C_n^k = C_(n-1)^(k-1) + q^k * C_(n-1)^k; the bracket form divides
-    balanced factorials (the division is exact).
+    C_n^k = C_(n-1)^(k-1) + q^k * C_(n-1)^k; the balanced bracket form is
+    q^(-k(n-k)) times the paren form at q^2.
     """
     n = int(n)
     k = int(k)
@@ -599,24 +599,19 @@ def q_binomial(n, k, form="paren"):
         raise ValueError("q_binomial needs n >= 0")
     if k < 0 or k > n:
         return ZERO
+    if form not in ("paren", "bracket"):
+        raise ValueError("unknown form %r" % (form,))
+    row = [ONE]
+    for m in range(1, n + 1):
+        new = [ONE]
+        for j in range(1, m):
+            new.append(row[j - 1] + row[j].times_term(1, 0, j))
+        new.append(ONE)
+        row = new
     if form == "paren":
-        row = [ONE]
-        for m in range(1, n + 1):
-            new = [ONE]
-            for j in range(1, m):
-                new.append(row[j - 1] + row[j].times_term(1, 0, j))
-            new.append(ONE)
-            row = new
         return row[k]
-    if form == "bracket":
-        num = q_factorial(n, "bracket")
-        out = exact_div(num, q_factorial(k, "bracket"))
-        if out is not None:
-            out = exact_div(out, q_factorial(n - k, "bracket"))
-        if out is None:
-            raise ArithmeticError("bracket factorial division failed to be exact")
-        return out
-    raise ValueError("unknown form %r" % (form,))
+    shift = k * (n - k)
+    return LaurentPoly({(et, 2 * eq - shift): c for (et, eq), c in row[k]._terms.items()})
 
 
 def q_pochhammer(a, n):

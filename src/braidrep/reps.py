@@ -6,6 +6,13 @@ left-to-right matrix products, and every generator image is invertible over
 the Laurent ring.  A representation stores only the generator images; the
 image of an inverse letter sigma_i^-1 is computed exactly when a word uses it.
 
+Symmetric powers are quantized by one rule: the p-th power of a
+transvection I + s*e_ij carries the Gaussian binomial [a choose b]_q s^b
+where the classical power carries the binomial, and a diagonal scales the
+slots holding the active index r times by q^C(r,2).  sym2_quantized is the
+square of reduced Burau built that way; the q-Pascal matrices are the same
+rule on the 2 x 2 shear.
+
 The symmetric-square basis e^s_(k,r) (k <= r) is ordered colexicographically,
 and the two-index basis F_(j,k) (j < k) of the 2-row representation is
 ordered the same way, by (k, j).  The two orders are aligned so that the
@@ -14,8 +21,10 @@ change of basis w_(i,j) <-> F_(i,j+1) is position-for-position.
 
 from __future__ import annotations
 
+import math
+
 from .braid import BraidWord, CheckReport, check_braid_relations
-from .laurent import LaurentPoly, ONE, Q, T, ZERO
+from .laurent import LaurentPoly, ONE, Q, T, ZERO, q_binomial
 from .polymatrix import (
     PolyMatrix,
     char_poly,
@@ -235,69 +244,60 @@ def bigelow_to_new_bridge(n):
 # quantized symmetric square and the change of basis
 
 
-def _bracket_quantize(m):
-    """Replace the integer entries +-2 by +-(1+q) entry-wise."""
-    two = LaurentPoly.const(2)
-    one_plus_q = 1 + Q
+def _transvection_q(m, i, j, s, p):
+    """S^p_q(I + s*e_ij) on sym_basis(m, p): the row of a multiset holding a
+    copies of index i has q_binomial(a, b) * s^b in the column where b of
+    those copies become j.  At q = 1 this is sym_power(I + s*e_ij, p)."""
+    basis = sym_basis(m, p)
+    index = {tup: r for r, tup in enumerate(basis)}
+    out = PolyMatrix.zeros(len(basis))
+    for row, tup in enumerate(basis):
+        a = tup.count(i)
+        rest = [x for x in tup if x != i]
+        for b in range(a + 1):
+            col = index[tuple(sorted(rest + [i] * (a - b) + [j] * b))]
+            out.data[row][col] = q_binomial(a, b) * s ** b
+    return out
 
-    def fn(e):
-        if e == two:
-            return one_plus_q
-        if e == -two:
-            return -one_plus_q
-        return e
-    return m.map(fn)
+
+def _slot_q(m, k, p):
+    """diag(q^C(r,2)) on sym_basis(m, p), r the multiplicity of index k."""
+    return PolyMatrix.diagonal([Q ** math.comb(tup.count(k), 2) for tup in sym_basis(m, p)])
 
 
-def _sym_pair_index(m):
-    basis = sym_basis(m, 2)
-    return basis, {pair: p for p, pair in enumerate(basis)}
+def _quantized_sym_gens(n, p):
+    """Generator images of the quantized p-th symmetric power of the
+    conjugated reduced Burau representation on n strands: sigma_k is
+    S^p_q(I + e_(k,k-1)) S^p(D_k) S^p_q(I - e_(k,k+1)) diag(q^C(r,2)), with
+    D_k the identity with -t at index k, r the multiplicity of index k, and
+    each transvection only where its second index exists."""
+    m = n - 1
+    gens = []
+    for k in range(1, n):
+        diag = [ONE] * m
+        diag[k - 1] = -T
+        g = sym_power(PolyMatrix.diagonal(diag), p)
+        if k > 1:
+            g = _transvection_q(m, k - 1, k - 2, 1, p) * g
+        if k < n - 1:
+            g = g * _transvection_q(m, k - 1, k, -1, p)
+        gens.append(g * _slot_q(m, k - 1, p))
+    return gens
 
 
 def sym2_quantized(n):
     """Quantized symmetric square of the reduced Burau representation.
 
-    Each generator image is a product of symmetric squares of elementary
-    factors in which the entries +-2 are replaced by +-(1+q), followed by a
-    diagonal that scales the doubled basis slot e^s_(k,k) of the active
-    index by q.  Needs n >= 3.
+    Each generator image is the conjugated reduced Burau image factored as
+    transvection * diagonal * transvection, with every factor's symmetric
+    square quantized (Gaussian binomials on the transvections), times the
+    diagonal q^C(r,2) on the multiplicity r of the active index: q on the
+    doubled slot e^s_(k,k).  Needs n >= 3.
     """
     n = int(n)
     if n < 3:
         raise ValueError("the quantized symmetric square needs n >= 3")
-    m = n - 1
-    basis, index = _sym_pair_index(m)
-    dim = len(basis)
-
-    def s2(mat):
-        return sym_power(mat, 2)
-
-    def dmat(k):
-        entries = [ONE] * dim
-        entries[index[(k - 1, k - 1)]] = Q
-        return PolyMatrix.diagonal(entries)
-
-    def diag_s(k):
-        entries = [ONE] * m
-        entries[k - 1] = -T
-        return PolyMatrix.diagonal(entries)
-
-    def elem(i, j, sign):
-        g = PolyMatrix.identity(m)
-        g.data[i - 1][j - 1] = LaurentPoly.const(sign)
-        return g
-
-    gens = []
-    for k in range(1, n):
-        if k == 1:
-            g = s2(diag_s(1)) * _bracket_quantize(s2(elem(1, 2, -1)))
-        elif k == n - 1:
-            g = _bracket_quantize(s2(elem(m, m - 1, 1))) * s2(diag_s(m))
-        else:
-            g = (_bracket_quantize(s2(elem(k, k - 1, 1))) * s2(diag_s(k))
-                 * _bracket_quantize(s2(elem(k, k + 1, -1))))
-        gens.append(g * dmat(k))
-    return Representation(n, gens, "sym2q(n=%d)" % n)
+    return Representation(n, _quantized_sym_gens(n, 2), "sym2q(n=%d)" % n)
 
 
 def change_of_basis(n):
@@ -317,8 +317,7 @@ def change_of_basis(n):
     if n < 3:
         raise ValueError("the change of basis needs n >= 3")
     m = n - 1
-    basis0, _ = _sym_pair_index(m)
-    pairs = [(a + 1, b + 1) for a, b in basis0]
+    pairs = [(a + 1, b + 1) for a, b in sym_basis(m, 2)]
     index = {pair: p for p, pair in enumerate(pairs)}
     dim = len(pairs)
 
@@ -474,22 +473,19 @@ def verify_ext_square():
 def qpascal_sigma1(n, use_q=True):
     """(n+1) x (n+1) upper triangular Pascal matrix of Gaussian binomials.
 
-    Entry (k, m), 0-based, is C_(n-k)^(n-m)(q); with use_q=False the matrix
+    Entry (k, m), 0-based, is C_(n-k)^(n-m)(q): the quantized n-th symmetric
+    power of the 2 x 2 shear [[1, 1], [0, 1]].  With use_q=False the matrix
     is evaluated at q = 1 (ordinary binomial coefficients).
     """
-    from .laurent import q_binomial
-    import math as _math
     n = int(n)
     if n < 1:
         raise ValueError("qpascal_sigma1 needs n >= 1")
+    if use_q:
+        return _transvection_q(2, 0, 1, 1, n)
     out = PolyMatrix.zeros(n + 1)
     for k in range(n + 1):
-        for m in range(n + 1):
-            if use_q:
-                out.data[k][m] = q_binomial(n - k, n - m)
-            else:
-                if 0 <= n - m <= n - k:
-                    out.data[k][m] = LaurentPoly.const(_math.comb(n - k, n - m))
+        for m in range(k, n + 1):
+            out.data[k][m] = LaurentPoly.const(math.comb(n - k, n - m))
     return out
 
 
@@ -504,7 +500,7 @@ def qpascal_sigma2(n, use_q=True):
 
 def qpascal_dmatrix(n):
     """diag(q^(r(r-1)/2)) for r = 0..n."""
-    return PolyMatrix.diagonal([Q ** (r * (r - 1) // 2) for r in range(int(n) + 1)])
+    return _slot_q(2, 1, int(n))
 
 
 def validate_lambda(entries):

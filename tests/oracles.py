@@ -6,7 +6,7 @@ compute the same results by a different construction.
 
 import itertools
 
-from braidrep.laurent import ONE, ZERO
+from braidrep.laurent import ONE, ZERO, exact_div, q_factorial
 from braidrep.polymatrix import PolyMatrix, ext_basis, sym_basis
 
 
@@ -56,6 +56,14 @@ def minor_ext_power(a, m):
         for ci, I in enumerate(basis):
             out.data[ci][cj] = PolyMatrix([[a[i, j] for j in J] for i in I]).det()
     return out
+
+
+def factorial_bracket_binomial(n, k):
+    """Balanced Gaussian binomial [n choose k]_q as the quotient of balanced
+    q-factorials [n]! / ([k]! [n-k]!), by two exact divisions (None if either
+    is not exact)."""
+    out = exact_div(q_factorial(n, "bracket"), q_factorial(k, "bracket"))
+    return None if out is None else exact_div(out, q_factorial(n - k, "bracket"))
 
 
 def change_of_basis_blocks(n):

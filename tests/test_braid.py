@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from braidrep.laurent import T
 from braidrep.braid import (MAX_WORD_LETTERS, BraidWord, CheckReport,
                             check_braid_relations)
+from braidrep.invariants import markov1_test
 from braidrep.reps import burau_reduced, burau_unreduced
 
 
@@ -112,6 +113,16 @@ def test_check_report():
     assert not r.passed
     assert r.failures() == ["third"]
     assert "demo: FAIL" in str(r)
+
+
+def test_report_without_cases_does_not_pass():
+    # B_2 has no braid relations, and markov1 with no conjugators checks nothing
+    for r in (check_braid_relations(burau_reduced(2)),
+              markov1_test(BraidWord.parse("1 1 1", 2), [])):
+        assert r.entries == [] and not r.passed
+        assert str(r).splitlines()[-1].endswith(": FAIL")
+        j = r.to_json()
+        assert j["passed"] is False and j["results"] == []
 
 
 def test_braid_relation_checker_passes_for_burau():

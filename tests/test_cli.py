@@ -325,8 +325,8 @@ def test_check_with_no_cases_is_usage_error(capsys, argv, check):
 
 def readme_examples():
     """(argv, expected stdout lines or None) for every `$ braidrep` line of
-    README.md; output lines shown under a command run up to the next blank
-    line, command or end of the code block."""
+    README.md; output lines shown under a command run up to the next command
+    or the end of the code block, without trailing blank lines."""
     examples = []
     in_block = False
     current = None
@@ -337,10 +337,11 @@ def readme_examples():
         elif in_block and line.startswith("$ braidrep "):
             current = [shlex.split(line[len("$ braidrep "):]), []]
             examples.append(current)
-        elif in_block and current is not None and line.strip():
+        elif in_block and current is not None:
             current[1].append(line)
-        else:
-            current = None
+    for _argv, out in examples:
+        while out and not out[-1].strip():
+            out.pop()
     return [(argv, out or None) for argv, out in examples]
 
 

@@ -6,6 +6,7 @@ from braidrep import invariants as inv
 from braidrep.braid import BraidWord
 from braidrep.laurent import ONE, PolyFraction, Q, T, ZERO, parse_poly
 from braidrep.polymatrix import PolyMatrix, generalized_char_poly
+from braidrep import reps
 from braidrep.reps import image_of_word, lk
 
 W = BraidWord
@@ -71,6 +72,45 @@ TEXTBOOK_ALEXANDER = [
 def test_alexander_textbook_table(word, strands, text, closed_form):
     assert parse_poly(text) == closed_form
     assert inv.alexander(W.parse(word, strands)).normalized == closed_form
+
+
+def test_alexander_against_sympy_oracle():
+    # det(rho(w) - I) / det(rho(sigma_1...sigma_(n-1)) - I) with sympy's own
+    # matrix products, inverses, determinants and cancel
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261018)
+
+    def sym(p):
+        return sympy.sympify(str(p).replace("^", "**"))
+
+    def sym_matrix(m):
+        return sympy.Matrix(m.rows, m.cols, lambda i, j: sym(m[i, j]))
+
+    def sym_ratio(gens, letters, n):
+        def image(word):
+            out = sympy.eye(n - 1)
+            for x in word:
+                out = out * (gens[x - 1] if x > 0 else gens[-x - 1].inv())
+            return out - sympy.eye(n - 1)
+        return sympy.cancel(image(letters).det() / image(range(1, n)).det())
+
+    nonzero = 0
+    for _ in range(20):
+        n = rng.randint(3, 5)
+        letters = []
+        # freely reduced, at most 8 letters, every generator used
+        while {abs(x) for x in letters} != set(range(1, n)):
+            letters = []
+            for _ in range(rng.randint(n - 1, 8)):
+                x = rng.choice((1, -1)) * rng.randint(1, n - 1)
+                if not letters or letters[-1] != -x:
+                    letters.append(x)
+        gens = [sym_matrix(g) for g in reps.burau_reduced(n, "conjugated").gen_images]
+        want = sym_ratio(gens, letters, n)
+        raw = inv.alexander(W(n, letters)).raw_fraction
+        assert sympy.cancel(sym(raw.num) / sym(raw.den) - want) == 0, (n, letters)
+        nonzero += want != 0
+    assert nonzero >= 10
 
 
 def test_krammer_fraction_of_the_trefoil():

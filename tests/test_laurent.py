@@ -10,6 +10,7 @@ from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, PolyFraction,
                               exact_div, parse_poly, q_binomial, q_factorial,
                               q_natural, q_pochhammer)
 from conftest import laurent_polys, nonzero_polys
+from oracles import factorial_bracket_binomial
 
 
 def test_basic_arithmetic():
@@ -273,6 +274,13 @@ def test_bracket_binomial_relates_to_paren(n):
         assert paren_at_q2.den == ONE
         shifted = q_binomial(n, k, "bracket").times_term(1, 0, k * (n - k))
         assert shifted == paren_at_q2.num
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_bracket_binomial_matches_factorial_quotient(n):
+    for k in range(n + 1):
+        want = factorial_bracket_binomial(n, k)
+        assert want is not None and q_binomial(n, k, "bracket") == want, k
 
 
 @pytest.mark.parametrize("k", range(0, 9))

@@ -7,7 +7,7 @@ from braidrep.braid import BraidWord, check_braid_relations
 from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, parse_poly,
                               q_binomial)
 from braidrep.polymatrix import (PolyMatrix, char_poly, char_poly_from_roots,
-                                 sym_power)
+                                 sym_basis, sym_power)
 from oracles import change_of_basis_blocks
 
 
@@ -442,6 +442,62 @@ def test_sharp_form_matches_quantized_symmetric_square():
     s3 = reps.sym2_quantized(3)
     assert rep.gen_images[0] == s3.gen_images[0]
     assert rep.gen_images[1] == s3.gen_images[1]
+
+
+# ----------------------------------------------------------------------
+# the quantized symmetric power S^p_q of reduced Burau
+
+
+def test_transvection_q_at_q1_is_the_symmetric_power():
+    # the reference is sym_power's product-of-linear-forms expansion
+    rng = random.Random(20261018)
+    for _ in range(60):
+        m = rng.randint(2, 4)
+        i, j = rng.sample(range(m), 2)
+        s = rng.choice((ONE, -ONE, T, -T))
+        p = rng.randint(0, 5)
+        shear = PolyMatrix.identity(m)
+        shear.data[i][j] = s
+        quantum = reps._transvection_q(m, i, j, s, p)
+        assert quantum.substitute(T, ONE) == sym_power(shear, p), (m, i, j, s, p)
+
+
+@pytest.mark.parametrize("p", (1, 2, 3, 4))
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_quantized_symmetric_power(n, p):
+    gens = reps._quantized_sym_gens(n, p)
+    assert check_braid_relations(reps.Representation(n, gens, "symq")).passed
+    assert all(g.det().is_unit() for g in gens)
+    classical = reps.burau_reduced(n, "conjugated").gen_images
+    assert [g.substitute(T, ONE) for g in gens] == [sym_power(c, p) for c in classical]
+
+
+def _slot_mutant(n, p):
+    # scale the slots that hold the active index by q^(r-1) instead of q^C(r,2)
+    gens = reps._quantized_sym_gens(n, p)
+    basis = sym_basis(n - 1, p)
+    out = []
+    for k, g in enumerate(gens):
+        exps = [max(tup.count(k) - 1, 0) - tup.count(k) * (tup.count(k) - 1) // 2
+                for tup in basis]
+        out.append(g * PolyMatrix.diagonal([Q ** e for e in exps]))
+    return out
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_slot_exponent_mutant_breaks_the_braid_relations(n):
+    # r - 1 and C(r, 2) agree for r <= 2, so the mutant differs only from p = 3 on
+    assert _slot_mutant(n, 2) == reps._quantized_sym_gens(n, 2)
+    for p in (3, 4):
+        mutant = reps.Representation(n, _slot_mutant(n, p), "mutant")
+        assert not check_braid_relations(mutant).passed, p
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+def test_qpascal_family_is_the_three_strand_quantized_power(p):
+    lam = [(-T) ** (p - r) for r in range(p + 1)]
+    sharp = reps.qpascal_rep(lam, form="sharp")
+    assert sharp.gen_images == reps._quantized_sym_gens(3, p)
 
 
 LAMBDA_SPECS = (

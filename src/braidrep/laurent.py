@@ -11,7 +11,9 @@ text form lists terms in descending order:
     t^4*q^2 - t^2*q + 1
 
 Each rendered term is [-]c*t^a*q^b with c, ^1, t^0 and q^0 omitted where
-redundant.  parse_poly accepts the same grammar.
+redundant.  parse_poly reads the same grammar, one regular-expression match
+per term (a sign, a coefficient or factor, then "*"-joined factors, with
+whitespace between tokens), in time linear in the text.
 
 PolyFraction keeps num/den pairs in a value-preserving canonical form and
 compares by cross multiplication.  No multivariate gcd is computed anywhere;
@@ -298,91 +300,43 @@ def render_poly(p, latex=False):
     return "".join(chunks)
 
 
-_TOKEN = re.compile(r"(?:(?P<int>\d+)|(?P<var>[tq])(?:\^(?P<exp>-?\d+))?|(?P<op>[+*-]))")
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError("unexpected character %r at position %d in %r" % (text[pos], pos, text))
-        if m.group("int") is not None:
-            tokens.append(("int", int(m.group("int")), pos))
-        elif m.group("var") is not None:
-            k = int(m.group("exp")) if m.group("exp") is not None else 1
-            tokens.append(("var", (m.group("var"), k), pos))
-        else:
-            tokens.append(("op", m.group("op"), pos))
-        pos = m.end()
-    return tokens
+_FACTOR = re.compile(r"([tq])(?:\^(-?\d+))?")
+# One match per term: an optional sign, then a coefficient or a factor, then
+# "*"-joined factors.  Everything after the leading whitespace is optional, so
+# the match never fails, and a missing sign or body shows as an empty group.
+# The sign is \s*(?:([+-])\s*)?, not \s*[+-]?\s*: two adjacent quantifiers
+# over the same characters make a failing match quadratic in a blank run.
+_TERM = re.compile(r"\s*(?:([+-])\s*)?(?:(\d+|{0})((?:\s*\*\s*{0})*)\s*)?"
+                   .format(r"[tq](?:\^-?\d+)?"))
 
 
 def parse_poly(text):
     """Parse the text grammar back into a LaurentPoly.
 
     Terms are [-]c*t^a*q^b separated by + or -; the coefficient, if present,
-    comes first in its term.  Errors carry the offending position.
+    comes first in its term.  Each term is one match of _TERM, so parsing is
+    linear in the length of the text.  Errors carry the offending position.
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ValueError("empty polynomial text %r" % (text,))
-    terms = {}
-    i = 0
-    first = True
-    while i < len(tokens):
-        kind, val, pos = tokens[i]
-        sign = 1
-        if kind == "op" and val in "+-":
-            sign = -1 if val == "-" else 1
-            i += 1
-        elif not first:
-            raise ValueError("missing + or - before position %d in %r" % (pos, text))
-        coeff = None
+    terms = []
+    pos = 0
+    while True:
+        m = _TERM.match(text, pos)
+        sign, lead = m.group(1, 2)
+        if lead is None or (pos and sign is None):
+            raise ValueError("cannot read a term at position %d in %r"
+                             % (m.end() if lead is None else m.start(2), text))
+        c = -1 if sign == "-" else 1
+        if lead[0] not in "tq":
+            c *= int(lead)
         exps = {}
-        expect_factor = True
-        while i < len(tokens):
-            kind, val, pos = tokens[i]
-            if expect_factor:
-                if kind == "int":
-                    if coeff is not None or exps:
-                        raise ValueError("coefficient must lead its term"
-                                         " (position %d in %r)" % (pos, text))
-                    coeff = val
-                elif kind == "var":
-                    sym, k = val
-                    if sym in exps:
-                        raise ValueError("duplicate %s factor at position %d in %r" % (sym, pos, text))
-                    exps[sym] = k
-                else:
-                    raise ValueError("expected a coefficient or variable at position %d in %r"
-                                     % (pos, text))
-                expect_factor = False
-                i += 1
-            else:
-                if kind == "op" and val == "*":
-                    expect_factor = True
-                    i += 1
-                elif kind == "op":
-                    break
-                else:
-                    raise ValueError("missing * before position %d in %r" % (pos, text))
-        if expect_factor:
-            raise ValueError("incomplete term at end of %r" % (text,))
-        c = sign * (1 if coeff is None else coeff)
-        mono = (exps.get("t", 0), exps.get("q", 0))
-        c0 = terms.get(mono, 0) + c
-        if c0:
-            terms[mono] = c0
-        elif mono in terms:
-            del terms[mono]
-        first = False
-    return LaurentPoly(terms)
+        for f in _FACTOR.finditer(text, m.start(2), m.end(3)):
+            if f[1] in exps:
+                raise ValueError("duplicate %s factor at position %d in %r" % (f[1], f.start(), text))
+            exps[f[1]] = int(f[2] or 1)
+        terms.append(((exps.get("t", 0), exps.get("q", 0)), c))
+        pos = m.end()
+        if pos == len(text):
+            return LaurentPoly(terms)
 
 
 # ----------------------------------------------------------------------
@@ -577,6 +531,8 @@ def q_natural(n, form="paren"):
 
 
 def q_factorial(n, form="paren"):
+    if form not in ("paren", "bracket"):
+        raise ValueError("unknown form %r" % (form,))
     n = int(n)
     if n < 0:
         raise ValueError("q_factorial needs n >= 0")
@@ -593,14 +549,14 @@ def q_binomial(n, k, form="paren"):
     C_n^k = C_(n-1)^(k-1) + q^k * C_(n-1)^k; the balanced bracket form is
     q^(-k(n-k)) times the paren form at q^2.
     """
+    if form not in ("paren", "bracket"):
+        raise ValueError("unknown form %r" % (form,))
     n = int(n)
     k = int(k)
     if n < 0:
         raise ValueError("q_binomial needs n >= 0")
     if k < 0 or k > n:
         return ZERO
-    if form not in ("paren", "bracket"):
-        raise ValueError("unknown form %r" % (form,))
     row = [ONE]
     for m in range(1, n + 1):
         new = [ONE]

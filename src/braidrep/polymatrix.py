@@ -200,8 +200,6 @@ class PolyMatrix:
         """Determinant by fraction-free Bareiss elimination."""
         self._require_square("determinant")
         n = self.rows
-        if n == 0:
-            return ONE
         m = [row[:] for row in self.data]
         sign = 1
         prev = ONE
@@ -355,37 +353,24 @@ def ext_power(a, m):
 
 
 def exp_nilpotent(a):
-    """exp of a nilpotent matrix: I + a + a^2/2! + ...
+    """exp of a nilpotent matrix: I + a + a^2/2! + ... + a^(n-1)/(n-1)!.
 
-    Every division by k! must be exact in the ring, and a^dim must vanish;
-    otherwise this raises ArithmeticError.
+    Each a^k/k! is the previous term times a, divided by the integer k, which
+    must divide every coefficient; and a^n must vanish, checked once as the
+    last term times a.  Otherwise this raises ArithmeticError.
     """
     a._require_square("exp_nilpotent")
     n = a.rows
-    out = PolyMatrix.identity(n)
-    term = a
-    k = 1
-    while k < n:
+    out = term = PolyMatrix.identity(n)
+    for k in range(1, n):
+        term = term * a
+        if any(e.content() % k for r in term.data for e in r):
+            raise ArithmeticError("a^%d is not divisible by %d!; "
+                                  "exp does not stay in the ring" % (k, k))
+        term = term.map(lambda e: LaurentPoly({m: c // k for m, c in e._terms.items()}))
         out = out + term
-        k += 1
-        nxt = term * a
-        divided = []
-        for row in nxt.data:
-            drow = []
-            for e in row:
-                q = exact_div(e, LaurentPoly.const(k))
-                if q is None:
-                    raise ArithmeticError("a^%d is not divisible by %d!; "
-                                          "exp does not stay in the ring" % (k, k))
-                drow.append(q)
-            divided.append(drow)
-        term = PolyMatrix(divided)
-    if n > 1:
-        # term is now a^n/n!; the series must have terminated
-        if any(not e.is_zero() for r in term.data for e in r):
-            raise ArithmeticError("matrix is not nilpotent: a^%d != 0" % (n,))
-    elif not a.data[0][0].is_zero():
-        raise ArithmeticError("matrix is not nilpotent: a^1 != 0")
+    if any(not e.is_zero() for r in (term * a).data for e in r):
+        raise ArithmeticError("matrix is not nilpotent: a^%d != 0" % (n,))
     return out
 
 

@@ -167,59 +167,41 @@ def lk(n, notation="new"):
 
     notation="new" uses parameters (t, q); notation="bigelow" is the original
     parameter convention (q, t).  The two are related by the substitution
-    t -> -q, q -> t applied to the "bigelow" matrices.
+    t -> -q, q -> t applied to the "bigelow" matrices.  Both share one case
+    table; the notation only picks its five coefficients.
     """
     n = int(n)
     if n < 2:
         raise ValueError("need at least 2 strands")
     if notation not in ("new", "bigelow"):
         raise ValueError("unknown notation %r" % (notation,))
+    t, q = T, Q
+    if notation == "new":
+        a, b, c, d, e = t, t * (t - 1), 1 - t, q * t ** 2, t * (t - 1) * q
+    else:
+        a, b, c, d, e = q, q * (q - 1), 1 - q, -t * q ** 2, q * (1 - q) * t
     basis = lk_basis(n)
     index = {jk: p for p, jk in enumerate(basis)}
-    dim = len(basis)
-    t, q = T, Q
     gens = []
     for i in range(1, n):
-        g = PolyMatrix.zeros(dim)
-
-        def put(row_pair, col, value):
-            g.data[index[row_pair]][col] = g.data[index[row_pair]][col] + value
-
+        g = PolyMatrix.zeros(len(basis))
         for col, (j, k) in enumerate(basis):
-            if notation == "new":
-                if i == j - 1:
-                    put((i, k), col, t)
-                    put((i, j), col, t * (t - 1))
-                    put((j, k), col, 1 - t)
-                elif i == j and i == k - 1:
-                    put((j, k), col, q * t ** 2)
-                elif i == j:
-                    put((j + 1, k), col, ONE)
-                elif i == k - 1:
-                    put((j, i), col, t)
-                    put((j, k), col, 1 - t)
-                    put((i, k), col, t * (t - 1) * q)
-                elif i == k:
-                    put((j, k + 1), col, ONE)
-                else:
-                    put((j, k), col, ONE)
+            if i == j - 1:
+                g.data[index[i, k]][col] = a
+                g.data[index[i, j]][col] = b
+                g.data[index[j, k]][col] = c
+            elif i == j and i == k - 1:
+                g.data[index[j, k]][col] = d
+            elif i == j:
+                g.data[index[j + 1, k]][col] = ONE
+            elif i == k - 1:
+                g.data[index[j, i]][col] = a
+                g.data[index[j, k]][col] = c
+                g.data[index[i, k]][col] = e
+            elif i == k:
+                g.data[index[j, k + 1]][col] = ONE
             else:
-                if i == j - 1:
-                    put((i, k), col, q)
-                    put((i, j), col, q * (q - 1))
-                    put((j, k), col, 1 - q)
-                elif i == j and i == k - 1:
-                    put((j, k), col, -t * q ** 2)
-                elif i == j:
-                    put((j + 1, k), col, ONE)
-                elif i == k - 1:
-                    put((j, i), col, q)
-                    put((j, k), col, 1 - q)
-                    put((i, k), col, q * (1 - q) * t)
-                elif i == k:
-                    put((j, k + 1), col, ONE)
-                else:
-                    put((j, k), col, ONE)
+                g.data[index[j, k]][col] = ONE
         gens.append(g)
     return Representation(n, gens, "lk(n=%d,%s)" % (n, notation))
 
@@ -304,41 +286,28 @@ def change_of_basis(n):
     """The pair (C, C^-1) aligning the quantized symmetric square with lk(n).
 
     Columns of C^-1 express w_(i,j) = sum of e^s_(k,r) over i <= k <= r <= j.
-    Columns of C invert that summation: for j - i <= 1 the alternating sum
-    of w_(k,r) over the same index range, and for j - i >= 2 the mixed
-    second difference
+    Columns of C invert that summation by the mixed second difference
 
         e^s_(i,j) = w_(i,j) - w_(i+1,j) - w_(i,j-1) + w_(i+1,j-1),
 
-    which telescopes the summation exactly (each column of C touches at
-    most four basis vectors).
+    which telescopes the summation exactly.  A w whose first index exceeds
+    its second is an empty sum and is dropped, so each column of C touches
+    at most four basis vectors.
     """
     n = int(n)
     if n < 3:
         raise ValueError("the change of basis needs n >= 3")
-    m = n - 1
-    pairs = [(a + 1, b + 1) for a, b in sym_basis(m, 2)]
+    pairs = [(a + 1, b + 1) for a, b in sym_basis(n - 1, 2)]
     index = {pair: p for p, pair in enumerate(pairs)}
-    dim = len(pairs)
-
-    e_inv = PolyMatrix.zeros(dim)
+    c = PolyMatrix.zeros(len(pairs))
+    e_inv = PolyMatrix.zeros(len(pairs))
     for col, (i, j) in enumerate(pairs):
         for row, (k, r) in enumerate(pairs):
             if i <= k and r <= j:
                 e_inv.data[row][col] = ONE
-
-    c = PolyMatrix.zeros(dim)
-    for col, (i, j) in enumerate(pairs):
-        if j - i <= 1:
-            for (k, r) in pairs:
-                if i <= k and r <= j:
-                    sign = 1 if ((i + j) + (k + r)) % 2 == 0 else -1
-                    c.data[index[(k, r)]][col] = LaurentPoly.const(sign)
-        else:
-            c.data[index[(i, j)]][col] = ONE
-            c.data[index[(i + 1, j)]][col] = -ONE
-            c.data[index[(i, j - 1)]][col] = -ONE
-            c.data[index[(i + 1, j - 1)]][col] = ONE
+        for k, r, sign in ((i, j, ONE), (i + 1, j, -ONE), (i, j - 1, -ONE), (i + 1, j - 1, ONE)):
+            if k <= r:
+                c.data[index[k, r]][col] = sign
     return c, e_inv
 
 

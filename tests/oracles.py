@@ -5,8 +5,9 @@ compute the same results by a different construction.
 """
 
 import itertools
+import re
 
-from braidrep.laurent import ONE, ZERO, exact_div, q_factorial
+from braidrep.laurent import ONE, ZERO, LaurentPoly, exact_div, q_factorial
 from braidrep.polymatrix import PolyMatrix, ext_basis, sym_basis
 
 
@@ -106,3 +107,88 @@ def change_of_basis_blocks(n):
     return c, e_inv
 
 
+
+
+_TOKEN = re.compile(r"(?:(?P<int>\d+)|(?P<var>[tq])(?:\^(?P<exp>-?\d+))?|(?P<op>[+*-]))")
+
+
+def _tokenize(text):
+    tokens = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _TOKEN.match(text, pos)
+        if not m:
+            raise ValueError("unexpected character %r at position %d in %r" % (text[pos], pos, text))
+        if m.group("int") is not None:
+            tokens.append(("int", int(m.group("int")), pos))
+        elif m.group("var") is not None:
+            k = int(m.group("exp")) if m.group("exp") is not None else 1
+            tokens.append(("var", (m.group("var"), k), pos))
+        else:
+            tokens.append(("op", m.group("op"), pos))
+        pos = m.end()
+    return tokens
+
+
+def token_parse_poly(text):
+    """The polynomial text grammar read by a tokenizer and a state machine:
+    terms are [-]c*t^a*q^b separated by + or -, the coefficient, if present,
+    first in its term."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ValueError("empty polynomial text %r" % (text,))
+    terms = {}
+    i = 0
+    first = True
+    while i < len(tokens):
+        kind, val, pos = tokens[i]
+        sign = 1
+        if kind == "op" and val in "+-":
+            sign = -1 if val == "-" else 1
+            i += 1
+        elif not first:
+            raise ValueError("missing + or - before position %d in %r" % (pos, text))
+        coeff = None
+        exps = {}
+        expect_factor = True
+        while i < len(tokens):
+            kind, val, pos = tokens[i]
+            if expect_factor:
+                if kind == "int":
+                    if coeff is not None or exps:
+                        raise ValueError("coefficient must lead its term"
+                                         " (position %d in %r)" % (pos, text))
+                    coeff = val
+                elif kind == "var":
+                    sym, k = val
+                    if sym in exps:
+                        raise ValueError("duplicate %s factor at position %d in %r" % (sym, pos, text))
+                    exps[sym] = k
+                else:
+                    raise ValueError("expected a coefficient or variable at position %d in %r"
+                                     % (pos, text))
+                expect_factor = False
+                i += 1
+            else:
+                if kind == "op" and val == "*":
+                    expect_factor = True
+                    i += 1
+                elif kind == "op":
+                    break
+                else:
+                    raise ValueError("missing * before position %d in %r" % (pos, text))
+        if expect_factor:
+            raise ValueError("incomplete term at end of %r" % (text,))
+        c = sign * (1 if coeff is None else coeff)
+        mono = (exps.get("t", 0), exps.get("q", 0))
+        c0 = terms.get(mono, 0) + c
+        if c0:
+            terms[mono] = c0
+        elif mono in terms:
+            del terms[mono]
+        first = False
+    return LaurentPoly(terms)

@@ -84,6 +84,13 @@ def test_rep_qpascal_unbalanced(capsys):
     assert "unbalanced" in err
 
 
+@pytest.mark.parametrize("spec,pos", [("t^x,1", 1), ("2 t,1", 2)])
+def test_rep_qpascal_malformed_lambda(capsys, spec, pos):
+    code, out, err = run_exit(capsys, "rep", "--rep", "qpascal", "--lambda=" + spec)
+    assert code == 2 and out == ""
+    assert "position %d" % pos in err
+
+
 def test_rep_lie_power(capsys):
     code, out, _ = run(capsys, "rep", "--rep", "lie", "--power", "1")
     assert code == 0

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, PolyFraction,
                               exact_div, parse_poly, q_binomial, q_factorial,
                               q_natural, q_pochhammer)
 from conftest import laurent_polys, nonzero_polys
-from oracles import factorial_bracket_binomial
+from oracles import factorial_bracket_binomial, token_parse_poly
 
 
 def test_basic_arithmetic():
@@ -80,6 +82,57 @@ def test_parse_errors_carry_position():
     with pytest.raises(ValueError) as e:
         parse_poly("t + x^2")
     assert "position 4" in str(e.value)
+
+
+# One fixture for each way a text can be rejected, with the position named.
+PARSE_ERRORS = [
+    ("2*t^x", 3),     # bad character
+    ("t^2 3", 4),     # missing sign before a term
+    ("2 t", 2),       # missing * between factors
+    ("t*2", 1),       # coefficient not first in its term
+    ("q*t*q", 4),     # duplicate factor
+    ("t -", 3),       # trailing sign
+    ("", 0),          # empty text
+    (" \t", 2),       # whitespace only
+]
+
+
+@pytest.mark.parametrize("text,pos", PARSE_ERRORS)
+def test_parse_error_fixtures(text, pos):
+    with pytest.raises(ValueError) as e:
+        parse_poly(text)
+    named = [int(k) for k in re.findall(r"position (\d+)", str(e.value))]
+    assert named == [pos] and 0 <= pos <= len(text)
+
+
+PARSE_ALPHABET = ["t", "q", "^", "^-", "-", "+", "*", "x", "0", "1", "2", "3", " ", "\t"]
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return None
+
+
+def test_parse_agrees_with_token_parser():
+    rng = random.Random(11)
+    accepted = 0
+    for _ in range(20000):
+        text = "".join(rng.choice(PARSE_ALPHABET) for _ in range(rng.randint(0, 8)))
+        expected = _parse_outcome(token_parse_poly, text)
+        assert _parse_outcome(parse_poly, text) == expected, text
+        accepted += expected is not None
+    assert 1000 < accepted < 19000
+
+
+@pytest.mark.parametrize("text", [" " * 200000 + "x", "t" + " " * 200000 + "x",
+                                  "t" + " *" * 100000])
+def test_parse_rejects_long_hostile_text_in_linear_time(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="position"):
+        parse_poly(text)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_json_terms_round_trip():
@@ -239,6 +292,14 @@ def test_q_natural_forms():
     assert str(q_natural(3, "bracket")) == "q^2 + 1 + q^-2"
     with pytest.raises(ValueError):
         q_natural(2, "angle")
+
+
+def test_unknown_form_is_rejected_before_any_shortcut():
+    # an out-of-range k or an empty product used to return before the form was read
+    for call in (lambda: q_binomial(2, 5, "bogus"), lambda: q_factorial(0, "bogus"),
+                 lambda: q_natural(0, "bogus")):
+        with pytest.raises(ValueError, match="unknown form"):
+            call()
 
 
 def test_q_factorial():

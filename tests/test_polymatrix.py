@@ -266,6 +266,12 @@ def test_exp_nilpotent():
         exp_nilpotent(PolyMatrix.identity(2))
 
 
+def test_exp_nilpotent_one_by_one():
+    assert exp_nilpotent(PolyMatrix([[ZERO]])) == PolyMatrix.identity(1)
+    with pytest.raises(ArithmeticError, match="not nilpotent"):
+        exp_nilpotent(PolyMatrix([[T]]))
+
+
 def test_exp_rejects_inexact_division():
     # exp of this matrix has a 3/2 entry, which is outside the ring
     x = PolyMatrix([[ZERO, ONE, ONE],

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import re
 
+from .laurent import NUMERAL
+
 # Longest word BraidWord.parse expands, checked before the letters are built
 # so that a huge exponent fails fast instead of exhausting memory.
 MAX_WORD_LETTERS = 10000
@@ -32,8 +34,8 @@ class BraidWord:
 
     # ------------------------------------------------------------------
 
-    _SYMBOLIC = re.compile(r"^s(\d+)(?:\^(-?\d+))?$")
-    _SIGNED = re.compile(r"^-?\d+$")
+    _SYMBOLIC = re.compile(r"^s(%s)(?:\^(-?%s))?$" % (NUMERAL, NUMERAL))
+    _SIGNED = re.compile(r"^-?%s$" % NUMERAL)
 
     @classmethod
     def parse(cls, text, strands):

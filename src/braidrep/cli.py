@@ -68,7 +68,7 @@ def build_representation(args):
                              % (args.dim, len(lambdas)))
         if n is not None and n != 3:
             raise UsageError("qpascal representations live on 3 strands")
-        return reps.qpascal_rep(lambdas, args.form if args.form == "sharp" else "standard")
+        return reps.qpascal_rep(lambdas, args.form)
     if name == "lie":
         if args.power is not None:
             return reps.lie_rep(power=args.power)
@@ -114,28 +114,21 @@ def cmd_invariant(args):
     word = BraidWord.parse(args.word, args.strands)
     if args.invariant == "alexander":
         result = alexander(word)
-        headline = result.normalized
-        num, den = result.raw_fraction.num, result.raw_fraction.den
-        collapsed = result.normalized
+        fraction, collapsed = result.raw_fraction, result.normalized
     else:
         result = krammer_fraction(word)
-        headline = result
-        num, den = result.fraction.num, result.fraction.den
-        collapsed = result.collapsed
+        fraction, collapsed = result.fraction, result.collapsed
+    headline = fraction if collapsed is None else collapsed
     if args.format == "json":
         print(json.dumps({"schema": 1, "invariant": args.invariant,
-                          "num": num.to_json_terms(), "den": den.to_json_terms(),
+                          "num": fraction.num.to_json_terms(),
+                          "den": fraction.den.to_json_terms(),
                           "collapsed": None if collapsed is None else collapsed.to_json_terms()}))
     elif args.format == "latex":
-        if args.invariant == "alexander":
-            print(headline.to_latex())
-        elif result.collapsed is not None:
-            print(result.collapsed.to_latex())
-        else:
-            print(result.fraction.to_latex())
+        print(headline.to_latex())
     else:
         print(str(headline))
-    if num.is_zero():
+    if fraction.num.is_zero():
         print("braidrep: note: det(rho(word) - I) = 0, so the value is 0: the image "
               "of the word has eigenvalue 1 (as for a split closure)", file=sys.stderr)
     return 0
@@ -212,23 +205,26 @@ def build_parser():
         p.add_argument("--format", choices=("text", "json", "latex"),
                        default="text", help="output format")
 
-    p_rep = sub.add_parser("rep", help="print generator images or a word image")
-    common(p_rep)
-    p_rep.add_argument("--rep", required=True,
+    def constructor(p, required):
+        p.add_argument("--rep", required=required,
                        choices=("burau", "reduced-burau", "lk", "lk-orig",
                                 "sym2q", "qpascal", "lie"),
                        help="constructor name")
-    p_rep.add_argument("--form", choices=("standard", "conjugated", "sharp"),
+        p.add_argument("--form", choices=("standard", "conjugated", "sharp"),
                        default="standard",
                        help="reduced Burau form, or 'sharp' for the q-Pascal rep")
-    p_rep.add_argument("--notation", choices=("new", "bigelow"), default="new",
+        p.add_argument("--notation", choices=("new", "bigelow"), default="new",
                        help="parameter convention for --rep lk")
-    p_rep.add_argument("--dim", type=int, default=None,
+        p.add_argument("--dim", type=int, default=None,
                        help="dimension parameter for --rep qpascal")
-    p_rep.add_argument("--lambda", dest="lambdas", default=None,
+        p.add_argument("--lambda", dest="lambdas", default=None,
                        help="comma-separated unit monomials for --rep qpascal")
-    p_rep.add_argument("--power", type=int, default=None,
+        p.add_argument("--power", type=int, default=None,
                        help="symmetric power for --rep lie (3 strands)")
+
+    p_rep = sub.add_parser("rep", help="print generator images or a word image")
+    common(p_rep)
+    constructor(p_rep, required=True)
     p_rep.add_argument("--word", default=None,
                        help="braid word; when given, print its image instead")
     p_rep.set_defaults(func=cmd_rep)
@@ -246,16 +242,7 @@ def build_parser():
                        choices=("braid-relations", "lk-equivalence", "spectrum",
                                 "markov1", "markov2-probe", "stability",
                                 "ext-square", "humphry"))
-    p_ver.add_argument("--rep",
-                       choices=("burau", "reduced-burau", "lk", "lk-orig",
-                                "sym2q", "qpascal", "lie"),
-                       default=None, help="representation for braid-relations")
-    p_ver.add_argument("--form", choices=("standard", "conjugated", "sharp"),
-                       default="standard")
-    p_ver.add_argument("--notation", choices=("new", "bigelow"), default="new")
-    p_ver.add_argument("--dim", type=int, default=None)
-    p_ver.add_argument("--lambda", dest="lambdas", default=None)
-    p_ver.add_argument("--power", type=int, default=None)
+    constructor(p_ver, required=False)
     p_ver.add_argument("--word", default=None, help="braid word for the markov checks")
     p_ver.add_argument("--conjugators", default=None,
                        help="semicolon-separated conjugating words for markov1")

@@ -300,14 +300,20 @@ def render_poly(p, latex=False):
     return "".join(chunks)
 
 
-_FACTOR = re.compile(r"([tq])(?:\^(-?\d+))?")
+# Longest run of ASCII digits read as one numeral.  Python refuses to convert
+# a longer decimal string to int, so a longer run is left unmatched and the
+# parser reports where it stopped.
+MAX_NUMERAL_DIGITS = 4300
+NUMERAL = "[0-9]{1,%d}" % MAX_NUMERAL_DIGITS
+
+_FACTOR = re.compile(r"([tq])(?:\^(-?%s))?" % NUMERAL)
 # One match per term: an optional sign, then a coefficient or a factor, then
 # "*"-joined factors.  Everything after the leading whitespace is optional, so
 # the match never fails, and a missing sign or body shows as an empty group.
 # The sign is \s*(?:([+-])\s*)?, not \s*[+-]?\s*: two adjacent quantifiers
 # over the same characters make a failing match quadratic in a blank run.
-_TERM = re.compile(r"\s*(?:([+-])\s*)?(?:(\d+|{0})((?:\s*\*\s*{0})*)\s*)?"
-                   .format(r"[tq](?:\^-?\d+)?"))
+_TERM = re.compile(r"\s*(?:([+-])\s*)?(?:({1}|{0})((?:\s*\*\s*{0})*)\s*)?"
+                   .format(r"[tq](?:\^-?%s)?" % NUMERAL, NUMERAL))
 
 
 def parse_poly(text):

@@ -10,8 +10,12 @@ Symmetric powers are quantized by one rule: the p-th power of a
 transvection I + s*e_ij carries the Gaussian binomial [a choose b]_q s^b
 where the classical power carries the binomial, and a diagonal scales the
 slots holding the active index r times by q^C(r,2).  sym2_quantized is the
-square of reduced Burau built that way; the q-Pascal matrices are the same
-rule on the 2 x 2 shear.
+square of reduced Burau built that way, and the first power is the
+conjugated reduced Burau form itself.  The q-Pascal matrices are the same
+rule on the 2 x 2 shears: sigma_1 is the quantized upper shear, sigma_2 the
+quantized lower shear conjugated by diag(q^C(r,2)).  Every factored
+generator is built as the product of its factors; nothing is inverted or
+substituted at build time.
 
 The symmetric-square basis e^s_(k,r) (k <= r) is ordered colexicographically,
 and the two-index basis F_(j,k) (j < k) of the 2-row representation is
@@ -250,15 +254,14 @@ def _slot_q(m, k, p):
 def _quantized_sym_gens(n, p):
     """Generator images of the quantized p-th symmetric power of the
     conjugated reduced Burau representation on n strands: sigma_k is
-    S^p_q(I + e_(k,k-1)) S^p(D_k) S^p_q(I - e_(k,k+1)) diag(q^C(r,2)), with
-    D_k the identity with -t at index k, r the multiplicity of index k, and
-    each transvection only where its second index exists."""
+    S^p_q(I + e_(k,k-1)) diag((-t)^r) S^p_q(I - e_(k,k+1)) diag(q^C(r,2)),
+    with r the multiplicity of index k and each transvection only where its
+    second index exists.  The first power is the conjugated form itself."""
     m = n - 1
+    basis = sym_basis(m, p)
     gens = []
     for k in range(1, n):
-        diag = [ONE] * m
-        diag[k - 1] = -T
-        g = sym_power(PolyMatrix.diagonal(diag), p)
+        g = PolyMatrix.diagonal([(-T) ** tup.count(k - 1) for tup in basis])
         if k > 1:
             g = _transvection_q(m, k - 1, k - 2, 1, p) * g
         if k < n - 1:
@@ -439,32 +442,28 @@ def verify_ext_square():
 # q-Pascal representations of the 3-strand group
 
 
-def qpascal_sigma1(n, use_q=True):
+def qpascal_sigma1(n):
     """(n+1) x (n+1) upper triangular Pascal matrix of Gaussian binomials.
 
     Entry (k, m), 0-based, is C_(n-k)^(n-m)(q): the quantized n-th symmetric
-    power of the 2 x 2 shear [[1, 1], [0, 1]].  With use_q=False the matrix
-    is evaluated at q = 1 (ordinary binomial coefficients).
+    power of the 2 x 2 shear [[1, 1], [0, 1]].
     """
     n = int(n)
     if n < 1:
         raise ValueError("qpascal_sigma1 needs n >= 1")
-    if use_q:
-        return _transvection_q(2, 0, 1, 1, n)
-    out = PolyMatrix.zeros(n + 1)
-    for k in range(n + 1):
-        for m in range(k, n + 1):
-            out.data[k][m] = LaurentPoly.const(math.comb(n - k, n - m))
-    return out
+    return _transvection_q(2, 0, 1, 1, n)
 
 
-def qpascal_sigma2(n, use_q=True):
-    """The companion lower triangular generator: sharp of the inverse of
-    qpascal_sigma1 taken at q^-1."""
-    base = qpascal_sigma1(n, use_q)
-    if use_q:
-        base = base.substitute(T, Q ** -1)
-    return base.inverse().sharp()
+def qpascal_sigma2(n):
+    """The companion lower triangular generator D^-1 S^n_q([[1, 0], [-1, 1]]) D,
+    D = qpascal_dmatrix(n): the quantized n-th symmetric power of the lower
+    shear, conjugated.  It equals the sharp of the inverse of qpascal_sigma1
+    taken at q^-1."""
+    n = int(n)
+    if n < 1:
+        raise ValueError("qpascal_sigma2 needs n >= 1")
+    d_inv = PolyMatrix.diagonal([Q ** -math.comb(r, 2) for r in range(n + 1)])
+    return d_inv * _transvection_q(2, 1, 0, -1, n) * qpascal_dmatrix(n)
 
 
 def qpascal_dmatrix(n):
@@ -500,9 +499,8 @@ def qpascal_rep(lambdas, form="standard"):
     entries = validate_lambda(lambdas)
     n = len(entries) - 1
     lam = PolyMatrix.diagonal(entries)
-    d = qpascal_dmatrix(n)
-    s1 = qpascal_sigma1(n) * d.sharp() * lam
-    s2 = lam.sharp() * d * qpascal_sigma2(n)
+    s1 = _transvection_q(2, 0, 1, 1, n) * _slot_q(2, 0, n) * lam
+    s2 = lam.sharp() * _transvection_q(2, 1, 0, -1, n) * _slot_q(2, 1, n)
     if form == "standard":
         gens = [s1, s2]
     elif form == "sharp":
@@ -516,9 +514,10 @@ def verify_humphry(max_power=7):
     """Symmetric powers of the integer shears against Pascal matrices.
 
     For each m the three constructions of the sigma_1 image must agree:
-    S^m [[1,1],[0,1]], the q-Pascal matrix at q = 1, and exp of the module
-    data's nilpotent raising matrix; likewise on the sigma_2 side.  Raises
-    ValueError for max_power < 1, which would check nothing.
+    S^m [[1,1],[0,1]], the Pascal matrix of binomials C(m-k, m-j), and exp
+    of the module data's nilpotent raising matrix; likewise on the sigma_2
+    side, against the sharp of the inverse Pascal matrix.  Raises ValueError
+    for max_power < 1, which would check nothing.
     """
     max_power = int(max_power)
     if max_power < 1:
@@ -528,12 +527,12 @@ def verify_humphry(max_power=7):
     lower = PolyMatrix([[1, 0], [-1, 1]])
     for m in range(1, max_power + 1):
         _e, xs, ys = sl2_symmetric_power_data(m)
-        p1 = qpascal_sigma1(m, use_q=False)
+        p1 = PolyMatrix([[math.comb(m - k, m - j) for j in range(m + 1)] for k in range(m + 1)])
         report.add("m=%d: S^m of the upper shear equals the Pascal matrix" % m,
                    sym_power(upper, m) == p1)
         report.add("m=%d: exp of the raising matrix equals the Pascal matrix" % m,
                    exp_nilpotent(xs[0]) == p1)
-        p2 = qpascal_sigma2(m, use_q=False)
+        p2 = p1.inverse().sharp()
         report.add("m=%d: S^m of the lower shear equals sharp-inverse Pascal" % m,
                    sym_power(lower, m) == p2)
         report.add("m=%d: exp of minus the lowering matrix matches" % m,
@@ -587,22 +586,13 @@ def braid_from_lie_rep(e_diagonals, x_images, y_images, strands):
     dim = len(diags[0])
     if any(len(d) != dim for d in diags):
         raise ValueError("inconsistent module dimensions")
-
-    def expo(diag):
-        return PolyMatrix.diagonal(
-            [LaurentPoly.monomial(-1 if d % 2 else 1, d) for d in diag])
-
     gens = []
     for k in range(1, m + 1):
-        parts = []
-        if k >= 2:
-            parts.append(exp_nilpotent(y_images[k - 2]))
-        parts.append(expo(diags[k - 1]))
-        if k <= m - 1:
-            parts.append(exp_nilpotent(-x_images[k - 1]))
-        g = parts[0]
-        for p in parts[1:]:
-            g = g * p
+        g = PolyMatrix.diagonal([(-T) ** w for w in diags[k - 1]])
+        if k > 1:
+            g = exp_nilpotent(y_images[k - 2]) * g
+        if k < m:
+            g = g * exp_nilpotent(-x_images[k - 1])
         gens.append(g)
     return Representation(strands, gens, "lie(strands=%d,dim=%d)" % (strands, dim))
 

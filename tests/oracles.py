@@ -7,8 +7,9 @@ compute the same results by a different construction.
 import itertools
 import re
 
-from braidrep.laurent import ONE, ZERO, LaurentPoly, exact_div, q_factorial
+from braidrep.laurent import ONE, Q, T, ZERO, LaurentPoly, exact_div, q_factorial
 from braidrep.polymatrix import PolyMatrix, ext_basis, sym_basis
+from braidrep.reps import qpascal_sigma1
 
 
 def cofactor_char_poly(c, lambdas):
@@ -107,6 +108,10 @@ def change_of_basis_blocks(n):
     return c, e_inv
 
 
+def inverse_qpascal_sigma2(n):
+    """The lower triangular q-Pascal generator as the sharp of the
+    Cayley-Hamilton inverse of qpascal_sigma1(n) taken at q^-1."""
+    return qpascal_sigma1(n).substitute(T, Q ** -1).inverse().sharp()
 
 
 _TOKEN = re.compile(r"(?:(?P<int>\d+)|(?P<var>[tq])(?:\^(?P<exp>-?\d+))?|(?P<op>[+*-]))")

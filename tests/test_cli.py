@@ -91,6 +91,37 @@ def test_rep_qpascal_malformed_lambda(capsys, spec, pos):
     assert "position %d" % pos in err
 
 
+def test_rep_qpascal_rejects_the_conjugated_form(capsys):
+    code, out, err = run_exit(capsys, "rep", "--rep", "qpascal", "--form", "conjugated",
+                              "--lambda=t^2,-t,1")
+    assert (code, out, err) == (2, "", "braidrep: unknown form 'conjugated'\n")
+
+
+# Unicode decimal digits are not numerals, and an ASCII digit run longer than
+# Python's int conversion limit is stopped by the parsers, with a position or
+# a token, before Python's own conversion error.
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--rep", "qpascal", "--lambda=t^\u0663,1"], "cannot read a term at position 1"),
+    (["--rep", "qpascal", "--lambda=\u0662*t,t^-1"], "cannot read a term at position 0"),
+    (["--rep", "qpascal", "--lambda=t^%s,1" % LONG], "cannot read a term at position 4302"),
+    (["--rep", "qpascal", "--lambda=%s,1" % LONG], "cannot read a term at position 4300"),
+    (["--strands", "3", "--rep", "burau", "--word", "\u0661 -\u0662"],
+     "cannot read braid token '\u0661' (token 0)"),
+    (["--strands", "3", "--rep", "burau", "--word", "1 " + LONG],
+     "cannot read braid token '%s' (token 1)" % LONG),
+    (["--strands", "3", "--rep", "burau", "--word", "s1^" + LONG],
+     "cannot read braid token 's1^%s' (token 0)" % LONG),
+], ids=("lambda-unicode-exponent", "lambda-unicode-coefficient", "lambda-long-exponent",
+        "lambda-long-coefficient", "word-unicode", "word-long-letter", "word-long-exponent"))
+def test_numerals_are_bounded_ascii(capsys, argv, message):
+    code, out, err = run_exit(capsys, "rep", *argv)
+    assert code == 2 and out == ""
+    assert message in err and "Exceeds the limit" not in err
+
+
 def test_rep_lie_power(capsys):
     code, out, _ = run(capsys, "rep", "--rep", "lie", "--power", "1")
     assert code == 0

@@ -8,7 +8,7 @@ from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, parse_poly,
                               q_binomial)
 from braidrep.polymatrix import (PolyMatrix, char_poly, char_poly_from_roots,
                                  sym_basis, sym_power)
-from oracles import change_of_basis_blocks
+from oracles import change_of_basis_blocks, inverse_qpascal_sigma2
 
 
 def mat(rows):
@@ -42,6 +42,19 @@ def test_reduced_burau_conjugated_form():
     assert r.gen_images[0] == mat([["-t", "t", "0"], ["0", "1", "0"], ["0", "0", "1"]])
     assert r.gen_images[1] == mat([["1", "0", "0"], ["1", "-t", "t"], ["0", "0", "1"]])
     assert r.gen_images[2] == mat([["1", "0", "0"], ["0", "1", "0"], ["0", "1", "-t"]])
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_reduced_burau_is_the_first_quantized_power(n):
+    # The hand tables stay although they are the p = 1 case of the quantized
+    # power: building them as products of factors is about 20 times slower,
+    # and alexander rebuilds the conjugated form on every call.
+    conjugated = reps.burau_reduced(n, "conjugated").gen_images
+    assert conjugated == reps._quantized_sym_gens(n, 1)
+    d = PolyMatrix.diagonal([(-T) ** -j for j in range(n - 1)])
+    d_inv = PolyMatrix.diagonal([(-T) ** j for j in range(n - 1)])
+    standard = reps.burau_reduced(n, "standard").gen_images
+    assert standard == [d * g.transpose() * d_inv for g in conjugated]
 
 
 def test_reduced_burau_two_strands():
@@ -100,6 +113,8 @@ def test_inverses_are_computed_only_for_inverse_letters(monkeypatch):
     monkeypatch.setattr(PolyMatrix, "inverse", counted)
     rep = reps.lk(4)
     reps.burau_reduced(5)
+    reps.qpascal_rep([(-T) ** (16 - r) for r in range(17)])
+    reps.qpascal_sigma2(16)
     assert len(calls) == 0
     # sigma_2^-1 twice and sigma_1^-1 once: one inversion per distinct letter
     reps.image_of_word(rep, "1 -2 -2 -1 3")
@@ -381,9 +396,9 @@ def test_ext_square():
 
 
 def test_pascal_triangle_matrices():
-    assert reps.qpascal_sigma1(2, use_q=False) == mat([
+    assert reps.qpascal_sigma1(2).substitute(T, ONE) == mat([
         ["1", "2", "1"], ["0", "1", "1"], ["0", "0", "1"]])
-    assert reps.qpascal_sigma1(3, use_q=False) == mat([
+    assert reps.qpascal_sigma1(3).substitute(T, ONE) == mat([
         ["1", "3", "3", "1"], ["0", "1", "2", "1"],
         ["0", "0", "1", "1"], ["0", "0", "0", "1"]])
 
@@ -407,6 +422,11 @@ def test_qpascal_sigma2_entry_formula():
                 assert s2m.data[k][m] == expect
             else:
                 assert s2m.data[k][m] == ZERO
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_qpascal_sigma2_matches_the_inverse_route(n):
+    assert reps.qpascal_sigma2(n) == inverse_qpascal_sigma2(n)
 
 
 def test_qpascal_sigma2_diagonal_conjugation_is_signed_binomial():

@@ -11,18 +11,26 @@ invariant computation fails, 2 for usage errors.
 
 import argparse
 import json
+import math
 import sys
 
 from . import reps
-from .braid import BraidWord, check_braid_relations
+from .braid import MAX_WORD_LETTERS, BraidWord, check_braid_relations
 from .invariants import (InvariantError, alexander, krammer_fraction,
                          markov1_test, markov2_probe)
-from .laurent import parse_poly
+from .laurent import MAX_NUMERAL_DIGITS, parse_poly
 
 # Largest --strands, --power and --max-power, and largest q-Pascal dimension
 # parameter (--lambda takes MAX_SIZE + 1 entries): every constructor builds at
 # this size within seconds, while sizes far beyond it exhaust time or memory.
 MAX_SIZE = 16
+
+# Largest |exponent| of t or q in a --lambda entry.  Each q-Pascal generator
+# image or inverse has exponents within that of its entries plus C(MAX_SIZE, 2)
+# (Gaussian binomials and the slot diagonal q^C(r,2)), and a word image sums
+# at most MAX_WORD_LETTERS such exponents, so each stays below
+# 10^MAX_NUMERAL_DIGITS and prints in at most MAX_NUMERAL_DIGITS digits.
+MAX_LAMBDA_EXPONENT = (10 ** MAX_NUMERAL_DIGITS - 1) // MAX_WORD_LETTERS - math.comb(MAX_SIZE, 2)
 
 
 class UsageError(Exception):
@@ -35,11 +43,17 @@ def _parse_lambdas(text):
         raise UsageError("--rep qpascal takes at most %d --lambda entries, got %d"
                          % (MAX_SIZE + 1, len(pieces)))
     entries = []
-    for piece in pieces:
+    for r, piece in enumerate(pieces):
         piece = piece.strip()
         if not piece:
             raise UsageError("empty entry in --lambda list")
-        entries.append(parse_poly(piece))
+        entry = parse_poly(piece)
+        big = max(map(abs, entry.min_exponents() + entry.max_exponents()))
+        if big > MAX_LAMBDA_EXPONENT:
+            raise UsageError("--lambda entry lambda_%d has an exponent of %d digits, too large "
+                             "to print in the image of a word of up to %d letters"
+                             % (r, len(str(big)), MAX_WORD_LETTERS))
+        entries.append(entry)
     return entries
 
 

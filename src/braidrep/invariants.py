@@ -7,8 +7,12 @@ as t^4*q^2 - t^2*q + 1; it changes nothing for conjugation invariance).
 Both are determinant ratios:
 
     num = det(image(word) - I),   den = det(image(sigma_1 ... sigma_(n-1)) - I)
+
+The representation and den depend only on the invariant and the strand
+count, so a process builds them once per pair; a call computes only num.
 """
 
+import functools
 from fractions import Fraction
 
 from .braid import BraidWord, CheckReport
@@ -69,11 +73,22 @@ def _normalize_alexander(p):
     return shifted
 
 
-def _det_ratio(rep, word):
-    """Canonical fraction det(rep(word) - I) / det(rep(sweep) - I)."""
-    eye = PolyMatrix.identity(rep.dim)
-    num = (image_of_word(rep, word) - eye).det()
-    den = (image_of_word(rep, _generator_sweep(word.strands)) - eye).det()
+@functools.lru_cache(maxsize=None)
+def _closure_data(invariant, n):
+    """The representation behind an invariant on n strands and its sweep
+    denominator det(rho(sigma_1 ... sigma_(n-1)) - I), built once per pair."""
+    if invariant == "alexander":
+        rep = burau_reduced(n, "conjugated")
+    else:
+        rep = Representation(n, [-g for g in lk(n, "new").gen_images], "lk*sign")
+    den = (image_of_word(rep, _generator_sweep(n)) - PolyMatrix.identity(rep.dim)).det()
+    return rep, den
+
+
+def _det_ratio(invariant, word):
+    """Canonical fraction det(rho(word) - I) / det(rho(sweep) - I)."""
+    rep, den = _closure_data(invariant, word.strands)
+    num = (image_of_word(rep, word) - PolyMatrix.identity(rep.dim)).det()
     return PolyFraction(num, den)
 
 
@@ -85,7 +100,7 @@ def alexander(word):
     division is not exact (the ratio then fails to be a polynomial, which
     happens for some multi-component closures).
     """
-    raw = _det_ratio(burau_reduced(word.strands, "conjugated"), word)
+    raw = _det_ratio("alexander", word)
     if not raw.is_polynomial():
         raise InvariantError("determinant ratio %s is not a polynomial" % (raw,))
     return AlexanderResult(raw, _normalize_alexander(raw.num))
@@ -98,8 +113,7 @@ def krammer_fraction(word):
     is lk with negated generator images.  collapsed carries the polynomial
     value when the denominator divides exactly.
     """
-    gens = [-g for g in lk(word.strands, "new").gen_images]
-    fraction = _det_ratio(Representation(word.strands, gens, "lk*sign"), word)
+    fraction = _det_ratio("krammer", word)
     return KrammerResult(fraction, fraction.num if fraction.is_polynomial() else None)
 
 

@@ -9,13 +9,13 @@ image of an inverse letter sigma_i^-1 is computed exactly when a word uses it.
 Symmetric powers are quantized by one rule: the p-th power of a
 transvection I + s*e_ij carries the Gaussian binomial [a choose b]_q s^b
 where the classical power carries the binomial, and a diagonal scales the
-slots holding the active index r times by q^C(r,2).  sym2_quantized is the
-square of reduced Burau built that way, and the first power is the
-conjugated reduced Burau form itself.  The q-Pascal matrices are the same
-rule on the 2 x 2 shears: sigma_1 is the quantized upper shear, sigma_2 the
-quantized lower shear conjugated by diag(q^C(r,2)).  Every factored
-generator is built as the product of its factors; nothing is inverted or
-substituted at build time.
+slots holding the active index r times by q^C(r,2).  The first power is
+the only definition of reduced Burau (burau_reduced reads both of its
+forms off it), sym2_quantized is the second power, and the q-Pascal
+matrices are the same rule on the 2 x 2 shears: sigma_1 is the quantized
+upper shear, sigma_2 the quantized lower shear conjugated by
+diag(q^C(r,2)).  Every factored generator is built as the product of its
+factors; nothing is inverted or substituted at build time.
 
 The symmetric-square basis e^s_(k,r) (k <= r) is ordered colexicographically,
 and the two-index basis F_(j,k) (j < k) of the 2-row representation is
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 
 from .braid import BraidWord, CheckReport, check_braid_relations
-from .laurent import LaurentPoly, ONE, Q, T, ZERO, q_binomial
+from .laurent import LaurentPoly, ONE, Q, T, q_binomial
 from .polymatrix import (
     PolyMatrix,
     char_poly,
@@ -113,48 +113,23 @@ def burau_unreduced(n):
 def burau_reduced(n, form="standard"):
     """Reduced Burau on n strands, dimension n-1.
 
-    Two equivalent forms are provided; "conjugated" is the variant whose
-    symmetric square feeds the quantization, and the stability and
-    exterior-square identities are stated for it.
+    Two equivalent forms are provided.  "conjugated" is the first power of
+    the quantization rule (_quantized_sym_gens(n, 1)); its symmetric square
+    feeds the quantization, and the stability and exterior-square identities
+    are stated for it.  "standard" is D sigma^T D^-1 with D = diag((-t)^-j):
+    entry (i, j) is (-t)^(j-i) times entry (j, i) of the conjugated image.
     """
     n = int(n)
     if n < 2:
         raise ValueError("need at least 2 strands")
     if form not in ("standard", "conjugated"):
         raise ValueError("unknown reduced Burau form %r" % (form,))
-    label = "reduced-burau(n=%d,%s)" % (n, form)
-    if n == 2:
-        return Representation(2, [PolyMatrix([[-T]])], label)
-    m = n - 1
-    gens = []
-    for i in range(1, n):
-        g = PolyMatrix.identity(m)
-        if form == "standard":
-            if i == 1:
-                g.data[0][0] = -T
-                g.data[1][0] = -ONE
-            elif i == n - 1:
-                g.data[m - 2][m - 1] = -T
-                g.data[m - 1][m - 1] = -T
-            else:
-                p = i - 2
-                g.data[p][p + 1] = -T
-                g.data[p + 1][p + 1] = -T
-                g.data[p + 2][p + 1] = -ONE
-        else:
-            if i == 1:
-                g.data[0][0] = -T
-                g.data[0][1] = T
-            elif i == n - 1:
-                g.data[m - 1][m - 2] = ONE
-                g.data[m - 1][m - 1] = -T
-            else:
-                p = i - 2
-                g.data[p + 1][p] = ONE
-                g.data[p + 1][p + 1] = -T
-                g.data[p + 1][p + 2] = T
-        gens.append(g)
-    return Representation(n, gens, label)
+    gens = _quantized_sym_gens(n, 1)
+    if form == "standard":
+        m = n - 1
+        gens = [PolyMatrix([[(-T) ** (j - i) * g[j, i] for j in range(m)] for i in range(m)])
+                for g in gens]
+    return Representation(n, gens, "reduced-burau(n=%d,%s)" % (n, form))
 
 
 # ----------------------------------------------------------------------
@@ -398,30 +373,25 @@ def verify_stability(n):
 # exterior square of the 4-strand reduced Burau
 
 
-def _antidiag(n):
-    return PolyMatrix([[ONE if i + j == n - 1 else ZERO for j in range(n)] for i in range(n)])
-
-
 def verify_ext_square():
     """Wedge square of the 4-strand reduced Burau against a parameter flip.
 
     For every generator, wedge^2 rho_4(sigma_k) equals -t S rho'_4(sigma_k) S
     where rho'_4 is the standard-form reduced Burau with t replaced by t^-1
-    and S is the 3x3 antidiagonal.  The same comparison with t -> -t^-1 must
-    fail, and the sigma_1 spectra separate wedge^2 rho_4 from rho_4 except at
-    t = -1.
+    and S is the 3x3 antidiagonal, so that S X S is the sharp of X.  The
+    same comparison with t -> -t^-1 must fail, and the sigma_1 spectra
+    separate wedge^2 rho_4 from rho_4 except at t = -1.
     """
     conj = burau_reduced(4, "conjugated")
     std = burau_reduced(4, "standard")
-    s3 = _antidiag(3)
     tinv = T ** -1
     report = CheckReport("ext-square(n=4)")
     wedges = [ext_power(g, 2) for g in conj.gen_images]
     for i, w in enumerate(wedges):
-        rhs = (s3 * std.gen_images[i].substitute(tinv, Q) * s3).scale(-T)
+        rhs = std.gen_images[i].substitute(tinv, Q).sharp().scale(-T)
         report.add("wedge^2 rho_4(sigma_%d) = -t S rho_4(sigma_%d)|_(t -> t^-1) S"
                    % (i + 1, i + 1), w == rhs)
-    rhs_bad = (s3 * std.gen_images[0].substitute(-tinv, Q) * s3).scale(-T)
+    rhs_bad = std.gen_images[0].substitute(-tinv, Q).sharp().scale(-T)
     report.add("substitution t -> -t^-1 fails on sigma_1 (expected failure)",
                wedges[0] != rhs_bad)
     cp_wedge = char_poly(wedges[0])

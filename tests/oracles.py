@@ -12,6 +12,44 @@ from braidrep.polymatrix import PolyMatrix, ext_basis, sym_basis
 from braidrep.reps import qpascal_sigma1
 
 
+def table_burau_reduced(n, form):
+    """Generator images of reduced Burau on n strands written entry by entry:
+    sigma_i differs from the identity only in column i (standard form) or in
+    row i (conjugated form)."""
+    if n == 2:
+        return [PolyMatrix([[-T]])]
+    m = n - 1
+    gens = []
+    for i in range(1, n):
+        g = PolyMatrix.identity(m)
+        if form == "standard":
+            if i == 1:
+                g.data[0][0] = -T
+                g.data[1][0] = -ONE
+            elif i == n - 1:
+                g.data[m - 2][m - 1] = -T
+                g.data[m - 1][m - 1] = -T
+            else:
+                p = i - 2
+                g.data[p][p + 1] = -T
+                g.data[p + 1][p + 1] = -T
+                g.data[p + 2][p + 1] = -ONE
+        else:
+            if i == 1:
+                g.data[0][0] = -T
+                g.data[0][1] = T
+            elif i == n - 1:
+                g.data[m - 1][m - 2] = ONE
+                g.data[m - 1][m - 1] = -T
+            else:
+                p = i - 2
+                g.data[p + 1][p] = ONE
+                g.data[p + 1][p + 1] = -T
+                g.data[p + 1][p + 2] = T
+        gens.append(g)
+    return gens
+
+
 def cofactor_char_poly(c, lambdas):
     """det(C + diag(lambda_1..lambda_m)) by the multilinear expansion: the sum
     over subsets S of the product of the lambdas in S times the principal

@@ -2,9 +2,11 @@
 
 bench/tracer.py wraps library functions by name (the representation
 builders, sym_power, char_poly, the invariants).  A rename in the library
-would otherwise surface only in a traced benchmark run, so one traced
-krammer_fraction runs here, in a fresh interpreter: install() patches
-classes and modules for the life of the process.
+would otherwise surface only in a traced benchmark run, so a few traced
+invariant calls run here, in a fresh interpreter: install() patches
+classes and modules for the life of the process.  The counts also pin the
+per-n closure data: repeated calls on one strand count build nothing twice
+(build_repeats feeds the harness's reps.build.repeat_frac).
 """
 
 import subprocess
@@ -22,9 +24,13 @@ from tracer import Tracer
 
 tracer = Tracer()
 tracer.install()
-invariants.krammer_fraction(BraidWord.parse("1 1 1", 2))
+word = BraidWord.parse("1 1 1", 2)
+invariants.krammer_fraction(word)
+invariants.krammer_fraction(word)
+invariants.alexander(word)
 for name in ("invariants.krammer_fraction", "reps.build", "polymatrix.det"):
     print(name, tracer.calls[name])
+print("build_repeats", tracer.counts["build_repeats"])
 """
 
 
@@ -32,5 +38,6 @@ def test_tracer_installs_and_counts_one_krammer_fraction():
     done = subprocess.run([sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "bench")],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split("\n") == ["invariants.krammer_fraction 1", "reps.build 1",
-                                       "polymatrix.det 2", ""]
+    # two builds (lk, reduced Burau); five dets: three numerators, two sweep denominators
+    assert done.stdout.split("\n") == ["invariants.krammer_fraction 2", "reps.build 2",
+                                       "polymatrix.det 5", "build_repeats 0", ""]

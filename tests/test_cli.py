@@ -122,6 +122,29 @@ def test_numerals_are_bounded_ascii(capsys, argv, message):
     assert message in err and "Exceeds the limit" not in err
 
 
+# A --lambda exponent that parses can still yield word-image exponents past
+# Python's int printing limit; such an entry is refused before any building.
+@pytest.mark.parametrize("exponent, word, digits", [
+    ("9" * 4300, "1 1", 4300),
+    ("9" * 4299, " ".join(["1"] * 12), 4299),
+    (str(cli.MAX_LAMBDA_EXPONENT + 1), "1 1", 4296),
+], ids=("4300-digits", "4299-digits-12-letters", "bound-plus-one"))
+def test_lambda_exponent_is_bounded(capsys, monkeypatch, exponent, word, digits):
+    monkeypatch.setattr(cli, "reps", None)
+    code, out, err = run_exit(capsys, "rep", "--rep", "qpascal",
+                              "--lambda=t^%s,1" % exponent, "--word", word)
+    assert (code, out) == (2, "")
+    assert err == ("braidrep: --lambda entry lambda_0 has an exponent of %d digits, too large "
+                   "to print in the image of a word of up to 10000 letters\n" % digits)
+
+
+def test_lambda_exponent_at_the_bound_still_prints(capsys):
+    e = cli.MAX_LAMBDA_EXPONENT
+    code, out, _ = run(capsys, "rep", "--rep", "qpascal", "--lambda=t^%d,1" % e, "--word", "1 1")
+    assert code == 0
+    assert out.startswith("[t^%d, t^%d + 1]\n" % (2 * e, e))
+
+
 def test_rep_lie_power(capsys):
     code, out, _ = run(capsys, "rep", "--rep", "lie", "--power", "1")
     assert code == 0

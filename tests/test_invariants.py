@@ -216,3 +216,41 @@ def test_result_types_expose_their_parts():
     assert split.collapsed is None
     assert "/" in str(split.fraction)
     assert str(split) == str(split.fraction)
+
+
+def _counted(fn, counts, name):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_markov1_builds_each_representation_once(monkeypatch):
+    inv._closure_data.cache_clear()
+    counts = {"lk": 0, "burau_reduced": 0}
+    monkeypatch.setattr(inv, "lk", _counted(inv.lk, counts, "lk"))
+    monkeypatch.setattr(inv, "burau_reduced", _counted(inv.burau_reduced, counts, "burau_reduced"))
+    # the CLI's default conjugators on 3 strands
+    conjugators = [W(3, [i]) for i in (1, -1, 2, -2)]
+    assert inv.markov1_test(W.parse("1 1 2", 3), conjugators).passed
+    assert counts == {"lk": 1, "burau_reduced": 1}
+
+
+def _values(invariant, word):
+    if invariant is inv.alexander:
+        r = inv.alexander(word)
+        return r.raw_fraction, r.normalized
+    r = inv.krammer_fraction(word)
+    return r.fraction, r.collapsed
+
+
+def test_stored_closure_data_gives_the_values_of_a_fresh_build():
+    words = {3: ["1 -2 1 -2", "1 1 2", "-1 -1 2 -1"], 4: ["1 2 3 -2", "1 -2 3 3 -1"]}
+    plan = [(invariant, W.parse(text, n))
+            for n in (3, 4, 3) for text in words[n]
+            for invariant in (inv.alexander, inv.krammer_fraction)]
+    inv._closure_data.cache_clear()
+    stored = [_values(invariant, word) for invariant, word in plan]
+    for (invariant, word), value in zip(plan, stored):
+        inv._closure_data.cache_clear()
+        assert _values(invariant, word) == value, (invariant.__name__, str(word))

@@ -8,7 +8,7 @@ from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, parse_poly,
                               q_binomial)
 from braidrep.polymatrix import (PolyMatrix, char_poly, char_poly_from_roots,
                                  sym_basis, sym_power)
-from oracles import change_of_basis_blocks, inverse_qpascal_sigma2
+from oracles import change_of_basis_blocks, inverse_qpascal_sigma2, table_burau_reduced
 
 
 def mat(rows):
@@ -44,17 +44,16 @@ def test_reduced_burau_conjugated_form():
     assert r.gen_images[2] == mat([["1", "0", "0"], ["0", "1", "0"], ["0", "1", "-t"]])
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", range(2, 17))
 def test_reduced_burau_is_the_first_quantized_power(n):
-    # The hand tables stay although they are the p = 1 case of the quantized
-    # power: building them as products of factors is about 20 times slower,
-    # and alexander rebuilds the conjugated form on every call.
     conjugated = reps.burau_reduced(n, "conjugated").gen_images
     assert conjugated == reps._quantized_sym_gens(n, 1)
     d = PolyMatrix.diagonal([(-T) ** -j for j in range(n - 1)])
     d_inv = PolyMatrix.diagonal([(-T) ** j for j in range(n - 1)])
     standard = reps.burau_reduced(n, "standard").gen_images
     assert standard == [d * g.transpose() * d_inv for g in conjugated]
+    assert conjugated == table_burau_reduced(n, "conjugated")
+    assert standard == table_burau_reduced(n, "standard")
 
 
 def test_reduced_burau_two_strands():
@@ -488,7 +487,7 @@ def test_quantized_symmetric_power(n, p):
     gens = reps._quantized_sym_gens(n, p)
     assert check_braid_relations(reps.Representation(n, gens, "symq")).passed
     assert all(g.det().is_unit() for g in gens)
-    classical = reps.burau_reduced(n, "conjugated").gen_images
+    classical = table_burau_reduced(n, "conjugated")
     assert [g.substitute(T, ONE) for g in gens] == [sym_power(c, p) for c in classical]
 
 

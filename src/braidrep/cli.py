@@ -6,7 +6,9 @@ the two-variable fraction of a braid closure, `verify` runs one of the named
 identity suites.  Output is text, JSON (top-level {"schema": 1}), or LaTeX.
 
 Exit codes: 0 on success / all checks passing, 1 when a verification or an
-invariant computation fails, 2 for usage errors.
+invariant computation fails (an arithmetic error included, such as inverting
+a generator image that is singular over the Laurent ring), 2 for usage
+errors.
 """
 
 import argparse
@@ -280,7 +282,7 @@ def main(argv=None):
         parser.exit(2, "braidrep: %s\n" % e)
     except ValueError as e:
         parser.exit(2, "braidrep: %s\n" % e)
-    except InvariantError as e:
+    except (InvariantError, ArithmeticError) as e:
         print("braidrep: %s" % e, file=sys.stderr)
         return 1
 

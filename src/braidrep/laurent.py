@@ -17,11 +17,15 @@ whitespace between tokens), in time linear in the text.
 
 PolyFraction keeps num/den pairs in a value-preserving canonical form and
 compares by cross multiplication.  No multivariate gcd is computed anywhere;
-exactness comes from long division alone.
+exactness comes from long division alone.  exact_div divides in place on a
+remainder keyed by packed integer monomials, taking each leading term from a
+heap, so a step costs the divisor's size times a logarithm, not a rescan of
+the remainder.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from fractions import Fraction
@@ -357,6 +361,20 @@ def exact_div(a, b):
     ordinary-polynomial parts.  For a single divisor the leading-term test is
     decisive: leading terms are multiplicative, so any failure certifies
     non-divisibility.
+
+    The remainder is a dict updated in place, keyed by one packed integer
+    per monomial, (et + eq) * S + et with S = 1 + the largest total degree
+    of the shifted dividend.  For exponents et, eq >= 0 with et + eq < S the
+    key is injective, orders monomials as the term order does, and adds under
+    multiplication.  Every remainder term stays in that box: d * b has the
+    leading term it cancels as its own leading term, so no term of it has a
+    larger total degree, and d and b have no negative exponents.  A max-heap
+    of keys (stale keys skipped when popped) gives each leading term, so a
+    step costs O(|b| log |remainder|) instead of a rescan of the remainder
+    (Monagan and Pearce, "Polynomial division using dynamic arrays, heaps,
+    and packed exponent vectors", CASC 2007).  The keys change how the
+    leading term is found, not which term it is, so the leading-term test
+    sees the same terms in the same order and stays decisive.
     """
     a = LaurentPoly.coerce(a)
     b = LaurentPoly.coerce(b)
@@ -364,23 +382,45 @@ def exact_div(a, b):
         raise ZeroDivisionError("exact_div by zero polynomial")
     if a.is_zero():
         return ZERO
-    sa = a.min_exponents()
-    sb = b.min_exponents()
-    A = a.times_term(1, -sa[0], -sa[1])
-    B = b.times_term(1, -sb[0], -sb[1])
-    bm, bc = B.leading()
+    ta, qa = a.min_exponents()
+    tb, qb = b.min_exponents()
+    S = 1 + max(et + eq for et, eq in a._terms) - ta - qa
+    R = {(et - ta + eq - qa) * S + et - ta: c for (et, eq), c in a._terms.items()}
+    B = [((et - tb + eq - qb) * S + et - tb, c) for (et, eq), c in b._terms.items()]
+    (bt, bq), bc = b.leading()
+    bt -= tb
+    bq -= qb
+    bk = (bt + bq) * S + bt
+    heap = [-k for k in R]
+    heapq.heapify(heap)
     quo = {}
-    R = A
-    while not R.is_zero():
-        rm, rc = R.leading()
-        d = (rm[0] - bm[0], rm[1] - bm[1])
-        if d[0] < 0 or d[1] < 0 or rc % bc:
+    while R:
+        rk = -heapq.heappop(heap)
+        rc = R.get(rk)
+        if rc is None:
+            continue
+        deg, rt = divmod(rk, S)
+        dt, dq = rt - bt, deg - rt - bq
+        if dt < 0 or dq < 0 or rc % bc:
             return None
         k = rc // bc
-        quo[d] = k
-        R = R - B.times_term(k, *d)
-    q = LaurentPoly(quo)
-    return q.times_term(1, sa[0] - sb[0], sa[1] - sb[1])
+        quo[(dt + ta - tb, dq + qa - qb)] = k
+        dk = rk - bk
+        for key, c in B:
+            key += dk
+            old = R.get(key)
+            if old is None:
+                R[key] = -k * c
+                heapq.heappush(heap, -key)
+            else:
+                old -= k * c
+                if old:
+                    R[key] = old
+                else:
+                    del R[key]
+    q = LaurentPoly.__new__(LaurentPoly)
+    q._terms = quo
+    return q
 
 
 # ----------------------------------------------------------------------

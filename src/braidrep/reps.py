@@ -3,8 +3,9 @@
 Constructors here all follow the same conventions: generator images are
 square matrices whose columns are the images of basis vectors, words act by
 left-to-right matrix products, and every generator image is invertible over
-the Laurent ring.  A representation stores only the generator images; the
-image of an inverse letter sigma_i^-1 is computed exactly when a word uses it.
+the Laurent ring.  A representation stores the generator images; the image
+of an inverse letter sigma_i^-1 is computed the first time a word uses it,
+then kept.
 
 Symmetric powers are quantized by one rule: the p-th power of a
 transvection I + s*e_ij carries the Gaussian binomial [a choose b]_q s^b
@@ -41,9 +42,14 @@ from .polymatrix import (
 
 
 class Representation:
-    """A braid group representation given by its exact generator images only."""
+    """A braid group representation given by its exact generator images.
 
-    __slots__ = ("strands", "dim", "label", "gen_images")
+    The image of an inverse letter is computed the first time a word uses
+    it, then kept.  Inverting every generator up front would cost far more
+    than most requests (lk(16) has 120 x 120 images).
+    """
+
+    __slots__ = ("strands", "dim", "label", "gen_images", "_inverses")
 
     def __init__(self, strands, gen_images, label):
         strands = int(strands)
@@ -59,14 +65,22 @@ class Representation:
         self.dim = gen_images[0].rows
         self.label = label
         self.gen_images = list(gen_images)
+        self._inverses = {}
 
     def sigma(self, i):
-        """Image of sigma_i, 1-based.  A negative i inverts sigma_|i| on each
-        call (ArithmeticError if it is not invertible over the Laurent ring)."""
+        """Image of sigma_i, 1-based.  A negative i gives the inverse of
+        sigma_|i|, computed the first time it is asked for, then kept
+        (ArithmeticError, and nothing kept, if it is not invertible over the
+        Laurent ring)."""
         if i == 0 or abs(i) > self.strands - 1:
             raise ValueError("generator index %d out of range for %d strands"
                              % (i, self.strands))
-        return self.gen_images[i - 1] if i > 0 else self.gen_images[-i - 1].inverse()
+        if i > 0:
+            return self.gen_images[i - 1]
+        inv = self._inverses.get(i)
+        if inv is None:
+            inv = self._inverses[i] = self.gen_images[-i - 1].inverse()
+        return inv
 
     def image(self, word):
         return image_of_word(self, word)
@@ -77,16 +91,15 @@ class Representation:
 
 def image_of_word(rep, word):
     """Image of a braid word (BraidWord or text) under the representation;
-    each distinct inverse letter of the word is inverted once per call."""
+    an inverse letter is inverted the first time a word uses it, then kept."""
     if isinstance(word, str):
         word = BraidWord.parse(word, rep.strands)
     if word.strands != rep.strands:
         raise ValueError("word on %d strands fed to a representation on %d"
                          % (word.strands, rep.strands))
-    inverses = {x: rep.sigma(x) for x in set(word) if x < 0}
     out = PolyMatrix.identity(rep.dim)
     for x in word:
-        out = out * (rep.gen_images[x - 1] if x > 0 else inverses[x])
+        out = out * rep.sigma(x)
     return out
 
 

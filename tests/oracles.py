@@ -146,6 +146,31 @@ def change_of_basis_blocks(n):
     return c, e_inv
 
 
+def longdiv_exact_div(a, b):
+    """Exact quotient a/b, or None, by long division that copies the remainder
+    and rescans it for its leading term at every step."""
+    if b.is_zero():
+        raise ZeroDivisionError("exact_div by zero polynomial")
+    if a.is_zero():
+        return ZERO
+    sa = a.min_exponents()
+    sb = b.min_exponents()
+    A = a.times_term(1, -sa[0], -sa[1])
+    B = b.times_term(1, -sb[0], -sb[1])
+    bm, bc = B.leading()
+    quo = {}
+    R = A
+    while not R.is_zero():
+        rm, rc = R.leading()
+        d = (rm[0] - bm[0], rm[1] - bm[1])
+        if d[0] < 0 or d[1] < 0 or rc % bc:
+            return None
+        k = rc // bc
+        quo[d] = k
+        R = R - B.times_term(k, *d)
+    return LaurentPoly(quo).times_term(1, sa[0] - sb[0], sa[1] - sb[1])
+
+
 def inverse_qpascal_sigma2(n):
     """The lower triangular q-Pascal generator as the sharp of the
     Cayley-Hamilton inverse of qpascal_sigma1(n) taken at q^-1."""

@@ -314,6 +314,23 @@ def test_failed_check_exits_one(capsys, monkeypatch):
     assert "FAIL broken case" in out
 
 
+@pytest.mark.parametrize("owner, name, exc, argv", [
+    (cli, "krammer_fraction", ZeroDivisionError("exact_div by zero polynomial"),
+     ("invariant", "--strands", "3", "--invariant", "krammer", "--word", "1 1 1")),
+    (cli.reps, "lk", ArithmeticError("matrix is singular over the Laurent ring"),
+     ("rep", "--strands", "3", "--rep", "lk", "--word", "1 -2")),
+], ids=("ZeroDivisionError", "ArithmeticError"))
+def test_arithmetic_error_exits_one_with_a_message(capsys, monkeypatch, owner, name, exc, argv):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(owner, name, fail)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "braidrep: %s\n" % exc
+
+
 def test_over_long_word_is_usage_error(capsys):
     code, out, err = run_exit(capsys, "rep", "--rep", "lie", "--strands", "3",
                               "--word", "s1^100000000")

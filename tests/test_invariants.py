@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -125,6 +126,16 @@ def test_krammer_fraction_three_strand_trefoil():
     assert k.fraction == PolyFraction(parse_poly("t^12*q^4 - 1"),
                                       parse_poly("t^6*q^2 - 1"))
     assert k.collapsed == parse_poly("t^6*q^2 + 1")
+
+
+def test_krammer_fraction_of_a_heavy_four_strand_word():
+    # a seeded 24-letter word whose Bareiss determinant runs thousands of
+    # exact divisions; the digest pins the value the long-division kernel gave
+    k = inv.krammer_fraction(W.parse("1 3 2 2 3 2 -3 2 3 2 -1 -3 1 -1 -3 -3 2 -3 -3 -3 2 3 -2 2", 4))
+    assert (len(k.fraction.num), len(k.fraction.den)) == (123, 4)
+    assert k.collapsed is None
+    assert hashlib.sha256(str(k).encode()).hexdigest() == (
+        "f135a7502a85ffe508e68c2056be148d95efe5e135f05dd1f3c62bc811765a00")
 
 
 def test_krammer_fraction_of_identity_words():

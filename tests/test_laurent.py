@@ -12,7 +12,7 @@ from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, PolyFraction,
                               exact_div, parse_poly, q_binomial, q_factorial,
                               q_natural, q_pochhammer)
 from conftest import laurent_polys, nonzero_polys
-from oracles import factorial_bracket_binomial, token_parse_poly
+from oracles import factorial_bracket_binomial, longdiv_exact_div, token_parse_poly
 
 
 def test_basic_arithmetic():
@@ -269,6 +269,46 @@ def test_exact_div_against_sympy_oracle():
             assert got is None, (a, b)
         outcomes.append(got is None)
     assert 20 <= sum(outcomes) <= 130
+
+
+def test_exact_div_matches_long_division():
+    # Half the pairs divide (a = p*b), half are perturbed.  Leading terms that
+    # are pure powers of t or q sit on the edge of the packed-key box.
+    rng = random.Random(1018)
+
+    def coeff():
+        if rng.random() < 0.15:
+            return rng.choice((-1, 1)) * rng.randint(2 ** 64, 2 ** 70)
+        return rng.choice((-1, 1)) * rng.randint(1, 6)
+
+    def poly(max_terms):
+        p = LaurentPoly({(rng.randint(-3, 3), rng.randint(-3, 3)): coeff()
+                         for _ in range(rng.randint(1, max_terms))})
+        if rng.random() < 0.3:
+            # leading term t^D or q^D after shifting to non-negative exponents
+            (mt, mq), (xt, xq) = p.min_exponents(), p.max_exponents()
+            top = xt - mt + xq - mq + rng.randint(1, 2)
+            p = p + LaurentPoly.monomial(coeff(), *rng.choice(((mt + top, mq), (mt, mq + top))))
+        return p
+
+    def divisor():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return LaurentPoly.const(coeff())
+        if kind == 1:
+            return LaurentPoly.monomial(coeff(), rng.randint(-3, 3), rng.randint(-3, 3))
+        return poly(4)
+
+    nones = 0
+    for k in range(3200):
+        b = divisor()
+        a = poly(4) * b
+        if k % 2:
+            a = a + poly(2)
+        got = exact_div(a, b)
+        assert got == longdiv_exact_div(a, b), (a, b)
+        nones += got is None
+    assert 1000 <= nones <= 1600
 
 
 @given(laurent_polys(max_terms=3), nonzero_polys())

@@ -118,6 +118,11 @@ def test_inverses_are_computed_only_for_inverse_letters(monkeypatch):
     # sigma_2^-1 twice and sigma_1^-1 once: one inversion per distinct letter
     reps.image_of_word(rep, "1 -2 -2 -1 3")
     assert len(calls) == 2
+    # the representation keeps the inverses it computed
+    assert reps.image_of_word(rep, "-1 -2 2 -2") == reps.image_of_word(rep, "-1 -2")
+    assert len(calls) == 2
+    assert rep.sigma(-1) * rep.sigma(1) == PolyMatrix.identity(rep.dim)
+    assert len(calls) == 2
 
 
 def test_singular_generator_fails_only_when_inverted():
@@ -128,6 +133,9 @@ def test_singular_generator_fails_only_when_inverted():
         rep.sigma(-1)
     with pytest.raises(ArithmeticError, match="singular over the Laurent ring"):
         rep.image("1 -1")
+    # a failed inversion is not kept: each request raises again
+    with pytest.raises(ArithmeticError, match="singular over the Laurent ring"):
+        rep.sigma(-1)
 
 
 def test_burau_determinant_is_minus_t():

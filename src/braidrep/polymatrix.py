@@ -1,10 +1,12 @@
 """Dense matrices over the Laurent ring, with fraction-free exact linear algebra.
 
-Everything here is exact: determinants use the Bareiss algorithm (interior
-divisions are exact by the Sylvester identity), characteristic polynomials
-use Berkowitz's division-free algorithm, inverses apply Cayley-Hamilton to
-them with no elimination, and the multilinear functors (tensor, symmetric
-and exterior powers) act on the unnormalized product bases described below.
+Everything here is exact.  Determinants use the Bareiss algorithm (interior
+divisions are exact by the Sylvester identity), pivoting at each step on the
+nonzero entry with the fewest terms.  Products visit only the nonzero entries
+of their right factor.  Characteristic polynomials use Berkowitz's
+division-free algorithm, inverses apply Cayley-Hamilton to them with no
+elimination, and the multilinear functors (tensor, symmetric and exterior
+powers) act on the unnormalized product bases described below.
 The symmetric and exterior powers are both read off one expansion of a
 product of linear forms, in commuting or anticommuting variables.
 
@@ -47,6 +49,16 @@ class PolyMatrix:
         self.rows = len(data)
         self.cols = width
         self.data = [[LaurentPoly.coerce(e) for e in r] for r in data]
+
+    @classmethod
+    def _wrap(cls, data):
+        """A matrix on rows the arithmetic built: nonempty, rectangular, and
+        already LaurentPoly entries, so they are neither checked nor coerced."""
+        m = cls.__new__(cls)
+        m.rows = len(data)
+        m.cols = len(data[0])
+        m.data = data
+        return m
 
     # ------------------------------------------------------------------
     # constructors
@@ -96,23 +108,23 @@ class PolyMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix addition")
-        return PolyMatrix([[self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-                           for i in range(self.rows)])
+        return PolyMatrix._wrap([[self.data[i][j] + other.data[i][j] for j in range(self.cols)]
+                                 for i in range(self.rows)])
 
     def __sub__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix subtraction")
-        return PolyMatrix([[self.data[i][j] - other.data[i][j] for j in range(self.cols)]
-                           for i in range(self.rows)])
+        return PolyMatrix._wrap([[self.data[i][j] - other.data[i][j] for j in range(self.cols)]
+                                 for i in range(self.rows)])
 
     def __neg__(self):
-        return PolyMatrix([[-e for e in r] for r in self.data])
+        return PolyMatrix._wrap([[-e for e in r] for r in self.data])
 
     def scale(self, s):
         s = LaurentPoly.coerce(s)
-        return PolyMatrix([[e * s for e in r] for r in self.data])
+        return PolyMatrix._wrap([[e * s for e in r] for r in self.data])
 
     def __mul__(self, other):
         if isinstance(other, (int, LaurentPoly)):
@@ -122,8 +134,19 @@ class PolyMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product (%dx%d by %dx%d)"
                              % (self.rows, self.cols, other.rows, other.cols))
-        cols = list(zip(*other.data))
-        return PolyMatrix([[_dot(arow, col) for col in cols] for arow in self.data])
+        cols = [[(i, e) for i, e in enumerate(col) if e] for col in zip(*other.data)]
+        out = []
+        for arow in self.data:
+            row = []
+            for col in cols:
+                acc = ZERO
+                for i, y in col:
+                    x = arow[i]
+                    if x:
+                        acc = acc + x * y
+                row.append(acc)
+            out.append(row)
+        return PolyMatrix._wrap(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, LaurentPoly)):
@@ -197,29 +220,62 @@ class PolyMatrix:
     # exact elimination
 
     def det(self):
-        """Determinant by fraction-free Bareiss elimination."""
+        """Determinant by fraction-free Bareiss elimination with full pivoting.
+
+        Step k pivots on the nonzero entry of the trailing block with the
+        fewest terms (the first in row-major order on a tie), swapped to
+        (k, k) by a row swap and a column swap, each flipping the sign.
+        Every later entry is a minor built on the pivots, and each pivot is
+        the next step's exact divisor, so a sparse pivot keeps the
+        intermediate entries small (Markowitz's rule, Management Sci. 3,
+        1957, read in the Laurent ring).  Pivoting on P A Q permutes rows
+        and columns that no earlier step has used, so the Sylvester identity
+        behind the exact divisions holds as in the unpivoted algorithm
+        (E. H. Bareiss, Math. Comp. 22, 1968).  Step 0 divides by 1 and
+        skips the division; a trailing block with an all-zero row or column
+        gives 0 at once.
+        """
         self._require_square("determinant")
         n = self.rows
         m = [row[:] for row in self.data]
         sign = 1
         prev = ONE
         for k in range(n - 1):
-            if m[k][k].is_zero():
-                pivot = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
-                if pivot is None:
+            best = pi = pj = None
+            col_used = [False] * n
+            for i in range(k, n):
+                row = m[i]
+                row_used = False
+                for j in range(k, n):
+                    size = len(row[j])
+                    if size:
+                        row_used = col_used[j] = True
+                        if best is None or size < best:
+                            best, pi, pj = size, i, j
+                if not row_used:
                     return ZERO
-                m[k], m[pivot] = m[pivot], m[k]
+            if not all(col_used[k:]):
+                return ZERO
+            if pi != k:
+                m[k], m[pi] = m[pi], m[k]
                 sign = -sign
-            for i in range(k + 1, n):
+            if pj != k:
+                for row in m[k:]:
+                    row[k], row[pj] = row[pj], row[k]
+                sign = -sign
+            pivot_row = m[k]
+            pivot = pivot_row[k]
+            for row in m[k + 1:]:
+                lead = row[k]
                 for j in range(k + 1, n):
-                    num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                    q = exact_div(num, prev)
-                    if q is None:
-                        raise ArithmeticError("Bareiss interior division failed; "
-                                              "this indicates corrupted input")
-                    m[i][j] = q
-                m[i][k] = ZERO
-            prev = m[k][k]
+                    num = pivot * row[j] - lead * pivot_row[j]
+                    if k:
+                        num = exact_div(num, prev)
+                        if num is None:
+                            raise ArithmeticError("Bareiss interior division failed; "
+                                                  "this indicates corrupted input")
+                    row[j] = num
+            prev = pivot
         d = m[n - 1][n - 1]
         return d if sign == 1 else -d
 

@@ -1,8 +1,24 @@
-"""Shared hypothesis strategies for the exact-arithmetic property tests."""
+"""Shared hypothesis strategies for the exact-arithmetic property tests, and
+a fixture that records the divisions a determinant makes."""
 
+import pytest
 from hypothesis import strategies as st
 
-from braidrep.laurent import LaurentPoly
+from braidrep import polymatrix
+from braidrep.laurent import LaurentPoly, exact_div
+
+
+@pytest.fixture
+def divisors(monkeypatch):
+    """The divisor of every exact division PolyMatrix.det makes, in order."""
+    seen = []
+
+    def counting_exact_div(a, b):
+        seen.append(b)
+        return exact_div(a, b)
+
+    monkeypatch.setattr(polymatrix, "exact_div", counting_exact_div)
+    return seen
 
 
 def term_tuples(max_coeff=9, span=3):

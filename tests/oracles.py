@@ -171,6 +171,33 @@ def longdiv_exact_div(a, b):
     return LaurentPoly(quo).times_term(1, sa[0] - sb[0], sa[1] - sb[1])
 
 
+def diagonal_bareiss_det(a):
+    """Determinant by Bareiss elimination that pivots on the diagonal entry,
+    swapping in the first lower row with a nonzero entry in the pivot column
+    only when that entry is zero, and divides by 1 at the first step."""
+    n = a.rows
+    m = [row[:] for row in a.data]
+    sign = 1
+    prev = ONE
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            pivot = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
+            if pivot is None:
+                return ZERO
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                q = exact_div(m[k][k] * m[i][j] - m[i][k] * m[k][j], prev)
+                if q is None:
+                    raise ArithmeticError("Bareiss interior division failed")
+                m[i][j] = q
+            m[i][k] = ZERO
+        prev = m[k][k]
+    d = m[n - 1][n - 1]
+    return d if sign == 1 else -d
+
+
 def inverse_qpascal_sigma2(n):
     """The lower triangular q-Pascal generator as the sharp of the
     Cayley-Hamilton inverse of qpascal_sigma1(n) taken at q^-1."""

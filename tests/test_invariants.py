@@ -13,6 +13,7 @@ from braidrep.reps import image_of_word, lk
 W = BraidWord
 
 TREFOIL = W.parse("1 1 1", 2)
+W4 = W.parse("1 3 2 2 3 2 -3 2 3 2 -1 -3 1 -1 -3 -3 2 -3 -3 -3 2 3 -2 2", 4)
 
 
 def test_alexander_of_the_trefoil():
@@ -129,13 +130,33 @@ def test_krammer_fraction_three_strand_trefoil():
 
 
 def test_krammer_fraction_of_a_heavy_four_strand_word():
-    # a seeded 24-letter word whose Bareiss determinant runs thousands of
-    # exact divisions; the digest pins the value the long-division kernel gave
-    k = inv.krammer_fraction(W.parse("1 3 2 2 3 2 -3 2 3 2 -1 -3 1 -1 -3 -3 2 -3 -3 -3 2 3 -2 2", 4))
+    # a seeded 24-letter word with a 123-term numerator; the digest pins the
+    # value the long-division kernel gave
+    k = inv.krammer_fraction(W4)
     assert (len(k.fraction.num), len(k.fraction.den)) == (123, 4)
     assert k.collapsed is None
     assert hashlib.sha256(str(k).encode()).hexdigest() == (
         "f135a7502a85ffe508e68c2056be148d95efe5e135f05dd1f3c62bc811765a00")
+
+
+def test_krammer_fraction_of_an_eight_strand_word():
+    # a 28x28 determinant; the digest pins the value the unpivoted Bareiss
+    # elimination (oracles.diagonal_bareiss_det) gave, about 50 times slower
+    k = inv.krammer_fraction(W.parse("1 -2 3 -4 5 -6 7 1 -2 3", 8))
+    assert (len(k.fraction.num), len(k.fraction.den)) == (395, 8)
+    assert hashlib.sha256(str(k).encode()).hexdigest() == (
+        "e741ad78c0da8180e5ce100162762850edcf58fcce23acad0cdf88f2de4c4497")
+
+
+def test_numerator_det_of_a_heavy_four_strand_word_divides_little(divisors):
+    # 6x6 Bareiss: no division at the first step, and none by 1 at all; the
+    # unpivoted elimination made 55 divisions, 25 of them by 1
+    rep, _den = inv._closure_data("krammer", 4)
+    m = image_of_word(rep, W4) - PolyMatrix.identity(rep.dim)
+    divisors.clear()
+    m.det()
+    assert 0 < len(divisors) <= 30
+    assert not any(b.is_one() for b in divisors)
 
 
 def test_krammer_fraction_of_identity_words():

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import random
 
 import pytest
@@ -11,7 +13,8 @@ from braidrep.polymatrix import (PolyMatrix, char_poly, char_poly_from_roots,
                                  tensor_product)
 from braidrep import reps
 from braidrep.reps import lk
-from oracles import cofactor_char_poly, minor_ext_power, permutation_sym_power
+from oracles import (cofactor_char_poly, diagonal_bareiss_det, minor_ext_power,
+                     permutation_sym_power)
 
 
 def m22(a, b, c, d):
@@ -181,6 +184,79 @@ def test_det_against_sympy_oracle():
         got = a.det()
         want = sympy.expand(s.det())
         assert sympy.expand(sympy.sympify(str(got).replace("^", "**")) - want) == 0
+
+
+def random_singular_matrix(rng, n, kind):
+    """A random Laurent matrix with a zero row, a zero column, or one row a
+    Laurent combination of two others (rank deficient)."""
+    a = random_poly_matrix(rng, n, lo=-2)
+    r = rng.randrange(n)
+    if kind == "zero row":
+        a.data[r] = [ZERO] * n
+    elif kind == "zero column":
+        for row in a.data:
+            row[r] = ZERO
+    else:
+        i, j = rng.sample([x for x in range(n) if x != r], 2)
+        u = LaurentPoly.monomial(rng.choice([1, -2, 3]), rng.randint(-2, 2), rng.randint(-2, 2))
+        v = T - Q ** -1
+        a.data[r] = [u * x + v * y for x, y in zip(a.data[i], a.data[j])]
+    return a
+
+
+def test_det_matches_diagonal_bareiss_oracle():
+    rng = random.Random(20261018)
+    kinds = collections.Counter()
+    for trial in range(140):
+        n = 1 + trial % 7
+        kind = rng.choice(["random", "random", "zero row", "zero column", "rank deficient"])
+        if kind == "rank deficient" and n < 3:
+            kind = "random"
+        if kind == "random":
+            a = random_poly_matrix(rng, n, lo=-2)
+        else:
+            a = random_singular_matrix(rng, n, kind)
+        got = a.det()
+        assert got == diagonal_bareiss_det(a)
+        if kind != "random":
+            assert got == ZERO
+        kinds[kind, got.is_zero()] += 1
+    assert kinds[("random", False)] >= 20
+    assert min(kinds[(k, True)] for k in ("zero row", "zero column", "rank deficient")) >= 10
+
+
+def test_det_of_scaled_permutation_matrices():
+    rng = random.Random(4)
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+        units = [LaurentPoly.monomial(rng.choice([1, -1]), rng.randint(-3, 3), rng.randint(-3, 3))
+                 for _ in range(4)]
+        a = PolyMatrix.zeros(4)
+        for i, u in enumerate(units):
+            a.data[i][perm[i]] = u
+        want = units[0] * units[1] * units[2] * units[3]
+        assert a.det() == (-want if inversions % 2 else want)
+
+
+def test_det_pivots_on_the_first_fewest_term_entry(divisors):
+    # a 3x3 divides once, by the first pivot: of the two one-term entries,
+    # the first in row-major order
+    a = PolyMatrix([[ONE + T + Q, T + Q, ONE - T],
+                    [T - Q, ONE + Q, Q],
+                    [ONE + T, T, Q - ONE]])
+    assert a.det() == diagonal_bareiss_det(a)
+    assert divisors == [Q]
+
+
+def test_det_with_a_zero_line_in_the_trailing_block_divides_nothing(divisors):
+    rng = random.Random(11)
+    for kind in ("zero row", "zero column"):
+        assert random_singular_matrix(rng, 5, kind).det() == ZERO
+    # rank one: the block left after the first step is all zero
+    col = [T, ONE, Q ** -1, 2 * ONE]
+    row = [ONE, -T, Q, T * Q]
+    assert PolyMatrix([[x * y for y in row] for x in col]).det() == ZERO
+    assert divisors == []
 
 
 def test_transpose_sharp_substitute():

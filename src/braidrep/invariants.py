@@ -16,8 +16,7 @@ import functools
 from fractions import Fraction
 
 from .braid import BraidWord, CheckReport
-from .laurent import LaurentPoly, PolyFraction, Q, T
-from .polymatrix import PolyMatrix
+from .laurent import ONE, LaurentPoly, PolyFraction, Q, T
 from .reps import Representation, burau_reduced, image_of_word, lk
 
 
@@ -81,15 +80,21 @@ def _closure_data(invariant, n):
         rep = burau_reduced(n, "conjugated")
     else:
         rep = Representation(n, [-g for g in lk(n, "new").gen_images], "lk*sign")
-    den = (image_of_word(rep, _generator_sweep(n)) - PolyMatrix.identity(rep.dim)).det()
-    return rep, den
+    return rep, _det_minus_identity(rep, _generator_sweep(n))
+
+
+def _det_minus_identity(rep, word):
+    """det(rho(word) - I), subtracting 1 on the diagonal of the fresh image."""
+    m = image_of_word(rep, word)
+    for i, row in enumerate(m.data):
+        row[i] = row[i] - ONE
+    return m.det()
 
 
 def _det_ratio(invariant, word):
     """Canonical fraction det(rho(word) - I) / det(rho(sweep) - I)."""
     rep, den = _closure_data(invariant, word.strands)
-    num = (image_of_word(rep, word) - PolyMatrix.identity(rep.dim)).det()
-    return PolyFraction(num, den)
+    return PolyFraction(_det_minus_identity(rep, word), den)
 
 
 def alexander(word):
@@ -131,21 +136,17 @@ def markov1_test(word, conjugators):
     return report
 
 
-def _substitute_fraction(fr, t_image, q_image):
-    fn = fr.num.substitute(t_image, q_image)
-    fd = fr.den.substitute(t_image, q_image)
-    return fn, fd
-
-
 def specialize(result, t_value=None, q_value=None):
     """Evaluate a fraction at exact rational points of t and/or q.
 
     Accepts a KrammerResult (or a bare PolyFraction); an omitted variable is
-    left symbolic.  Raises ZeroDivisionError naming the vanishing denominator
-    factor if the substitution kills it.
+    left symbolic.  Numerator and denominator are each substituted in one
+    pass (LaurentPoly.substitute) and divided once.  Raises
+    ZeroDivisionError naming the vanishing denominator factor if the
+    substitution kills it, and naming the variable if t = 0 or q = 0 is a
+    pole of the numerator (a negative power of that variable).
     """
-    fr = getattr(result, "fraction", result)
-    fr = PolyFraction.coerce(fr)
+    fr = PolyFraction.coerce(getattr(result, "fraction", result))
 
     def image(value, default):
         if value is None:
@@ -155,8 +156,9 @@ def specialize(result, t_value=None, q_value=None):
 
     t_image = image(t_value, T)
     q_image = image(q_value, Q)
-    fn, fd = _substitute_fraction(fr, t_image, q_image)
-    if fd == PolyFraction.coerce(0):
+    fn = fr.num.substitute(t_image, q_image)
+    fd = fr.den.substitute(t_image, q_image)
+    if fd.num.is_zero():
         raise ZeroDivisionError("denominator factor %s vanishes at t=%s, q=%s"
                                 % (fr.den, t_value if t_value is not None else "t",
                                    q_value if q_value is not None else "q"))

@@ -21,6 +21,10 @@ exactness comes from long division alone.  exact_div divides in place on a
 remainder keyed by packed integer monomials, taking each leading term from a
 heap, so a step costs the divisor's size times a logarithm, not a rescan of
 the remainder.
+
+LaurentPoly.substitute puts fractions in for t and q in one pass over
+polynomials: the terms are summed as one numerator over one common
+denominator, and a single PolyFraction is built from the pair at the end.
 """
 
 from __future__ import annotations
@@ -225,13 +229,62 @@ class LaurentPoly:
     # substitution and evaluation
 
     def substitute(self, t_image, q_image):
-        """Substitute fractions (or polys) for t and q; returns a PolyFraction."""
+        """Substitute fractions (or polys) for t and q; returns a PolyFraction.
+
+        With t -> Nt/Dt, q -> Nq/Dq, and a0..a1, b0..b1 the ranges of the
+        exponents of t and q, the value is
+
+            (sum of c * Nt^(a-a0) Dt^(a1-a) Nq^(b-b0) Dq^(b1-b))
+                * Nt^a0 Dt^-a1 Nq^b0 Dq^-b1.
+
+        The sum is a polynomial, accumulated in one dict: the terms that share
+        a power of t are summed first, then multiplied by that power's factor.
+        Each outer power goes to the numerator, or to the denominator when its
+        exponent is negative and its base is no unit, and one PolyFraction is
+        built at the end.  Powers are taken at the exponents that occur only,
+        each from the one before by binary powering of the gap, so t^(10**12)
+        costs about 40 products.  Raises ZeroDivisionError naming the variable
+        when its image is 0 and the polynomial has a negative power of it.
+        """
         t_image = PolyFraction.coerce(t_image)
         q_image = PolyFraction.coerce(q_image)
-        out = PolyFraction(ZERO)
-        for (a, b), c in self.sorted_terms():
-            out = out + (t_image ** a) * (q_image ** b) * c
-        return out
+        nt, dt, nq, dq = t_image.num, t_image.den, q_image.num, q_image.den
+        if not self._terms:
+            return PolyFraction(ZERO)
+        rows = {}
+        for (a, b), c in self._terms.items():
+            rows.setdefault(a, []).append((b, c))
+        t_exps = sorted(rows)
+        q_exps = sorted({b for a, b in self._terms})
+        outer, den = ONE, ONE
+        for var, base, e in (("t", nt, t_exps[0]), ("t", dt, -t_exps[-1]),
+                             ("q", nq, q_exps[0]), ("q", dq, -q_exps[-1])):
+            if e == 0 or base.is_one():
+                continue
+            if e > 0 or base.is_unit():
+                outer = outer * base ** e
+            elif base.is_zero():
+                raise ZeroDivisionError("%s has a pole at %s = 0" % (self, var))
+            else:
+                den = den * base ** -e
+        t_pow = _power_table(nt, dt, t_exps)
+        q_pow = _power_table(nq, dq, q_exps)
+        acc = {}
+        for a in t_exps:
+            inner = {}
+            for b, c in rows[a]:
+                for m, k in q_pow[b]._terms.items():
+                    inner[m] = inner.get(m, 0) + c * k
+            for (a1, b1), k1 in t_pow[a]._terms.items():
+                for (a2, b2), k2 in inner.items():
+                    if k2:
+                        m = (a1 + a2, b1 + b2)
+                        acc[m] = acc.get(m, 0) + k1 * k2
+        num = LaurentPoly.__new__(LaurentPoly)
+        num._terms = {m: c for m, c in acc.items() if c}
+        if not outer.is_one():
+            num = num * outer
+        return PolyFraction(num, den)
 
     def eval_rational(self, t_value, q_value):
         """Evaluate at exact rational points (fractions.Fraction arithmetic)."""
@@ -267,6 +320,25 @@ ZERO = LaurentPoly.const(0)
 ONE = LaurentPoly.const(1)
 T = LaurentPoly.monomial(1, et=1)
 Q = LaurentPoly.monomial(1, eq=1)
+
+
+def _stepped_powers(base, exps):
+    """[base^(e - exps[0]) for e in exps] for ascending exps, each power the
+    one before times base to the gap."""
+    if base.is_one():
+        return [ONE] * len(exps)
+    out = [ONE]
+    for prev, e in zip(exps, exps[1:]):
+        out.append(out[-1] * base ** (e - prev))
+    return out
+
+
+def _power_table(num, den, exps):
+    """{e: num^(e - lo) * den^(hi - e)} over the ascending distinct exponents
+    exps, lo and hi their ends."""
+    ups = _stepped_powers(num, exps)
+    downs = _stepped_powers(den, [-e for e in reversed(exps)])[::-1]
+    return {e: up if down.is_one() else up * down for e, up, down in zip(exps, ups, downs)}
 
 
 def _render_term(mono, c, latex=False):
@@ -446,6 +518,9 @@ class PolyFraction:
             raise ZeroDivisionError("PolyFraction with zero denominator")
         if num.is_zero():
             self.num, self.den = ZERO, ONE
+            return
+        if den.is_one():
+            self.num, self.den = num, ONE
             return
         q = exact_div(num, den)
         if q is not None:

@@ -91,14 +91,21 @@ class Representation:
 
 def image_of_word(rep, word):
     """Image of a braid word (BraidWord or text) under the representation;
-    an inverse letter is inverted the first time a word uses it, then kept."""
+    an inverse letter is inverted the first time a word uses it, then kept.
+
+    The product starts from a row copy of the first letter's image, not from
+    the identity, so the result is always a fresh matrix that the caller may
+    write into without touching the kept generator images."""
     if isinstance(word, str):
         word = BraidWord.parse(word, rep.strands)
     if word.strands != rep.strands:
         raise ValueError("word on %d strands fed to a representation on %d"
                          % (word.strands, rep.strands))
-    out = PolyMatrix.identity(rep.dim)
-    for x in word:
+    letters = word.letters
+    if not letters:
+        return PolyMatrix.identity(rep.dim)
+    out = PolyMatrix(rep.sigma(letters[0]).data)  # the constructor copies the rows
+    for x in letters[1:]:
         out = out * rep.sigma(x)
     return out
 

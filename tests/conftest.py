@@ -1,24 +1,36 @@
 """Shared hypothesis strategies for the exact-arithmetic property tests, and
-a fixture that records the divisions a determinant makes."""
+fixtures that record the divisions a determinant or the fraction arithmetic
+makes."""
 
 import pytest
 from hypothesis import strategies as st
 
-from braidrep import polymatrix
+from braidrep import laurent, polymatrix
 from braidrep.laurent import LaurentPoly, exact_div
 
 
-@pytest.fixture
-def divisors(monkeypatch):
-    """The divisor of every exact division PolyMatrix.det makes, in order."""
+def _record_divisors(monkeypatch, module):
     seen = []
 
     def counting_exact_div(a, b):
         seen.append(b)
         return exact_div(a, b)
 
-    monkeypatch.setattr(polymatrix, "exact_div", counting_exact_div)
+    monkeypatch.setattr(module, "exact_div", counting_exact_div)
     return seen
+
+
+@pytest.fixture
+def divisors(monkeypatch):
+    """The divisor of every exact division PolyMatrix.det makes, in order."""
+    return _record_divisors(monkeypatch, polymatrix)
+
+
+@pytest.fixture
+def fraction_divisors(monkeypatch):
+    """The divisor of every exact division a PolyFraction canonical form
+    tries, in order."""
+    return _record_divisors(monkeypatch, laurent)
 
 
 def term_tuples(max_coeff=9, span=3):

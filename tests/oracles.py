@@ -7,7 +7,8 @@ compute the same results by a different construction.
 import itertools
 import re
 
-from braidrep.laurent import ONE, Q, T, ZERO, LaurentPoly, exact_div, q_factorial
+from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, PolyFraction, exact_div,
+                              q_factorial)
 from braidrep.polymatrix import PolyMatrix, ext_basis, sym_basis
 from braidrep.reps import qpascal_sigma1
 
@@ -169,6 +170,18 @@ def longdiv_exact_div(a, b):
         quo[d] = k
         R = R - B.times_term(k, *d)
     return LaurentPoly(quo).times_term(1, sa[0] - sb[0], sa[1] - sb[1])
+
+
+def termwise_substitute(p, t_image, q_image):
+    """p with fractions (or polys) put in for t and q, summed term by term in
+    fraction arithmetic: every power, product and sum is a canonical
+    PolyFraction."""
+    t_image = PolyFraction.coerce(t_image)
+    q_image = PolyFraction.coerce(q_image)
+    out = PolyFraction(ZERO)
+    for (a, b), c in p.sorted_terms():
+        out = out + (t_image ** a) * (q_image ** b) * c
+    return out
 
 
 def diagonal_bareiss_det(a):

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -196,6 +198,53 @@ def test_specialize_reports_vanishing_denominator():
     with pytest.raises(ZeroDivisionError) as e:
         inv.specialize(PolyFraction(ONE, T - ONE), t_value=1)
     assert "vanishes" in str(e.value)
+
+
+def test_specialize_names_the_pole_of_each_variable():
+    with pytest.raises(ZeroDivisionError, match="pole at t = 0"):
+        inv.specialize(PolyFraction(T ** -1 + Q), t_value=0)
+    with pytest.raises(ZeroDivisionError, match="pole at q = 0"):
+        inv.specialize(T + Q ** -2, q_value=0)
+    assert inv.specialize(PolyFraction(T ** 2 + Q, 2 * ONE), t_value=0, q_value=4) == 2
+
+
+def test_specialize_of_a_krammer_fraction_divides_at_most_four_times(fraction_divisors):
+    # at most one division for a rational image, one per substitution and one
+    # at the end; the term-by-term route (oracles.termwise_substitute) made
+    # 189 to 195 divisions here
+    rng = random.Random(7)
+    word = W(4, [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(8)])
+    k = inv.krammer_fraction(word)
+    assert (len(k.fraction.num), len(k.fraction.den)) == (11, 4)
+    for tv, qv in ((None, 1), (1, None), (2, None), (None, Fraction(-3, 7))):
+        fraction_divisors.clear()
+        inv.specialize(k, t_value=tv, q_value=qv)
+        assert len(fraction_divisors) <= 4, (tv, qv, len(fraction_divisors))
+
+
+def test_markov2_probe_reports_are_pinned():
+    # digest of the reports the term-by-term substitution gave
+    rng = random.Random(12)
+    h = hashlib.sha256()
+    for n in (2, 3, 4):
+        for _ in range(4):
+            length = rng.randint(1, 4)
+            word = W(n, [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)])
+            h.update(json.dumps(inv.markov2_probe(word).to_json(), sort_keys=True).encode())
+    assert h.hexdigest() == "db7570f96c92b609027e2208a51a34da1a030ed579e743b6471f4123e62150e8"
+
+
+@pytest.mark.parametrize("invariant", ("alexander", "krammer"))
+def test_short_words_leave_the_kept_generator_images_alone(invariant):
+    # a word image starts from a copy of its first letter's image, and
+    # det(image - I) writes into it; the kept images must not change
+    fresh, _den = inv._closure_data.__wrapped__(invariant, 3)
+    compute = inv.alexander if invariant == "alexander" else inv.krammer_fraction
+    for text in ("1", "-2", "", "2", "-2 -1"):
+        compute(W.parse(text, 3))
+    rep, _den = inv._closure_data(invariant, 3)
+    assert rep.gen_images == fresh.gen_images
+    assert rep._inverses == {-i: g.inverse() for i, g in enumerate(fresh.gen_images, 1)}
 
 
 def test_markov_conjugation_fixture():

@@ -12,7 +12,8 @@ from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, PolyFraction,
                               exact_div, parse_poly, q_binomial, q_factorial,
                               q_natural, q_pochhammer)
 from conftest import laurent_polys, nonzero_polys
-from oracles import factorial_bracket_binomial, longdiv_exact_div, token_parse_poly
+from oracles import (factorial_bracket_binomial, longdiv_exact_div, termwise_substitute,
+                     token_parse_poly)
 
 
 def test_basic_arithmetic():
@@ -183,6 +184,54 @@ def test_eval_is_a_ring_map(a, b, tv, qv):
 @given(laurent_polys())
 def test_identity_substitution(p):
     assert p.substitute(T, Q) == PolyFraction(p)
+
+
+def test_substitute_matches_termwise_route():
+    # Rational constants (0 included), units, polynomials and a fraction as
+    # images.  A value with a monomial denominator has one canonical form, so
+    # the text must agree there; that covers every caller in the package.
+    # Elsewhere the two routes may keep different common factors, and only
+    # the values must agree.  An image 0 meeting a negative power is a pole
+    # on both routes.
+    rng = random.Random(1219)
+    images = [PolyFraction(LaurentPoly.const(-3), LaurentPoly.const(7)),
+              PolyFraction(ONE, 2 * ONE), ZERO, 5 * ONE, T ** -1, -Q, T * Q,
+              ONE + T, T ** 2 * Q, PolyFraction(T, ONE + Q), T, Q]
+
+    def coeff():
+        if rng.random() < 0.1:
+            return rng.choice((-1, 1)) * rng.randint(2 ** 64, 2 ** 70)
+        return rng.choice((-1, 1)) * rng.randint(1, 6)
+
+    kinds = {"text": 0, "value": 0, "pole": 0}
+    for _ in range(300):
+        p = LaurentPoly({(rng.randint(-3, 3), rng.randint(-3, 3)): coeff()
+                         for _ in range(rng.randint(0, 6))})
+        t_image, q_image = rng.choice(images), rng.choice(images)
+        try:
+            want = termwise_substitute(p, t_image, q_image)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError, match="pole at [tq] = 0"):
+                p.substitute(t_image, q_image)
+            kinds["pole"] += 1
+            continue
+        got = p.substitute(t_image, q_image)
+        if want.den.is_monomial():
+            assert str(got) == str(want), (p, t_image, q_image)
+            kinds["text"] += 1
+        else:
+            assert got == want, (p, t_image, q_image)
+            kinds["value"] += 1
+    assert kinds["text"] >= 150 and kinds["value"] >= 30 and kinds["pole"] >= 20, kinds
+
+
+def test_substitute_steps_over_sparse_exponents():
+    # powers are taken at the exponents that occur, not over the whole range
+    big = T ** (10 ** 12)
+    start = time.perf_counter()
+    assert (big + ONE).substitute(-1, Q) == 2
+    assert (big - big ** -1).substitute(T ** -1, Q) == big ** -1 - big
+    assert time.perf_counter() - start < 1
 
 
 def test_fraction_canonical_form():

@@ -8,6 +8,11 @@ Both are determinant ratios:
 
     num = det(image(word) - I),   den = det(image(sigma_1 ... sigma_(n-1)) - I)
 
+The sign character multiplies the image of a word of length L by
+s = (-1)^L, so the Krammer determinants are taken on lk itself as
+s^dim det(lk(word) - s I).  The generator images keep their unit-vector
+columns, which a matrix product passes through without arithmetic.
+
 The representation and den depend only on the invariant and the strand
 count, so a process builds them once per pair; a call computes only num.
 """
@@ -16,8 +21,8 @@ import functools
 from fractions import Fraction
 
 from .braid import BraidWord, CheckReport
-from .laurent import ONE, LaurentPoly, PolyFraction, Q, T
-from .reps import Representation, burau_reduced, image_of_word, lk
+from .laurent import LaurentPoly, PolyFraction, Q, T
+from .reps import burau_reduced, image_of_word, lk
 
 
 class InvariantError(Exception):
@@ -75,26 +80,34 @@ def _normalize_alexander(p):
 @functools.lru_cache(maxsize=None)
 def _closure_data(invariant, n):
     """The representation behind an invariant on n strands and its sweep
-    denominator det(rho(sigma_1 ... sigma_(n-1)) - I), built once per pair."""
-    if invariant == "alexander":
-        rep = burau_reduced(n, "conjugated")
-    else:
-        rep = Representation(n, [-g for g in lk(n, "new").gen_images], "lk*sign")
-    return rep, _det_minus_identity(rep, _generator_sweep(n))
+    denominator det(rho(sigma_1 ... sigma_(n-1)) - I), built once per pair.
+    For the Krammer invariant the representation is lk(n) itself; the sign
+    character is applied per word by _closure_det."""
+    rep = burau_reduced(n, "conjugated") if invariant == "alexander" else lk(n, "new")
+    return rep, _closure_det(invariant, rep, _generator_sweep(n))
 
 
-def _det_minus_identity(rep, word):
-    """det(rho(word) - I), subtracting 1 on the diagonal of the fresh image."""
+def _closure_det(invariant, rep, word):
+    """det(rho(word) - I), subtracting on the diagonal of the fresh image.
+
+    For the Krammer invariant rho is lk tensored with the sign character,
+    which scales the image of a word of length L by s = (-1)^L.  So
+    det(s lk(w) - I) = s^dim det(lk(w) - s I): the sign is applied once per
+    word, and the generator images keep their unit-vector columns.
+    """
+    s = -1 if invariant == "krammer" and len(word.letters) % 2 else 1
     m = image_of_word(rep, word)
+    shift = LaurentPoly.const(-s)
     for i, row in enumerate(m.data):
-        row[i] = row[i] - ONE
-    return m.det()
+        row[i] = row[i] + shift
+    d = m.det()
+    return -d if s < 0 and rep.dim % 2 else d
 
 
 def _det_ratio(invariant, word):
     """Canonical fraction det(rho(word) - I) / det(rho(sweep) - I)."""
     rep, den = _closure_data(invariant, word.strands)
-    return PolyFraction(_det_minus_identity(rep, word), den)
+    return PolyFraction(_closure_det(invariant, rep, word), den)
 
 
 def alexander(word):
@@ -115,8 +128,9 @@ def krammer_fraction(word):
     """Two-variable determinant ratio of the closure, as a canonical fraction.
 
     Uses the two-row representation tensored with the sign character, that
-    is lk with negated generator images.  collapsed carries the polynomial
-    value when the denominator divides exactly.
+    is lk with negated generator images, applied once per word (see
+    _closure_det).  collapsed carries the polynomial value when the
+    denominator divides exactly.
     """
     fraction = _det_ratio("krammer", word)
     return KrammerResult(fraction, fraction.num if fraction.is_polynomial() else None)

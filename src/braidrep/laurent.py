@@ -15,12 +15,19 @@ redundant.  parse_poly reads the same grammar, one regular-expression match
 per term (a sign, a coefficient or factor, then "*"-joined factors, with
 whitespace between tokens), in time linear in the text.
 
+Every product goes through one multiply-accumulate kernel, sum_of_products:
+a sum of products, one polynomial product included, builds its result in one
+dict, a one-term factor shifts the other operand's exponents, and a factor of
+exactly 1 hands back the other operand itself.  Polynomials are never written
+after construction, so sharing one between results is safe.
+
 PolyFraction keeps num/den pairs in a value-preserving canonical form and
 compares by cross multiplication.  No multivariate gcd is computed anywhere;
-exactness comes from long division alone.  exact_div divides in place on a
-remainder keyed by packed integer monomials, taking each leading term from a
-heap, so a step costs the divisor's size times a logarithm, not a rescan of
-the remainder.
+exactness comes from long division alone.  exact_div divides by a one-term
+divisor by dividing the coefficients and shifting the exponents; otherwise it
+divides in place on a remainder keyed by packed integer monomials, taking
+each leading term from a heap, so a step costs the divisor's size times a
+logarithm, not a rescan of the remainder.
 
 LaurentPoly.substitute puts fractions in for t and q in one pass over
 polynomials: the terms are summed as one numerator over one common
@@ -33,6 +40,7 @@ import heapq
 import math
 import re
 from fractions import Fraction
+from operator import index
 
 
 def _order_key(mono):
@@ -41,7 +49,15 @@ def _order_key(mono):
 
 
 class LaurentPoly:
-    """Sparse integer Laurent polynomial in t and q."""
+    """Sparse integer Laurent polynomial in t and q.
+
+    Coefficients and exponents must be integers (anything operator.index
+    accepts, so bools too); anything else raises TypeError rather than being
+    truncated.  Nothing writes a polynomial's _terms after construction, so
+    a value can be shared: sum_of_products returns an operand itself when it
+    is multiplied by exactly 1, and matrices share entries with the
+    generator images they were multiplied from.
+    """
 
     __slots__ = ("_terms",)
 
@@ -49,9 +65,10 @@ class LaurentPoly:
         data = {}
         if terms:
             for (et, eq), c in terms.items() if hasattr(terms, "items") else terms:
+                mono = (index(et), index(eq))
+                c = index(c)
                 if c:
-                    mono = (int(et), int(eq))
-                    c0 = data.get(mono, 0) + int(c)
+                    c0 = data.get(mono, 0) + c
                     if c0:
                         data[mono] = c0
                     elif mono in data:
@@ -60,8 +77,10 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, c, et=0, eq=0):
+        mono = (index(et), index(eq))
+        c = index(c)
         p = cls.__new__(cls)
-        p._terms = {(et, eq): int(c)} if c else {}
+        p._terms = {mono: c} if c else {}
         return p
 
     @classmethod
@@ -172,18 +191,7 @@ class LaurentPoly:
             other = LaurentPoly.coerce(other)
         except TypeError:
             return NotImplemented
-        data = {}
-        for (a1, b1), k1 in self._terms.items():
-            for (a2, b2), k2 in other._terms.items():
-                m = (a1 + a2, b1 + b2)
-                c0 = data.get(m, 0) + k1 * k2
-                if c0:
-                    data[m] = c0
-                elif m in data:
-                    del data[m]
-        p = LaurentPoly.__new__(LaurentPoly)
-        p._terms = data
-        return p
+        return sum_of_products(((self, other),))
 
     __rmul__ = __mul__
 
@@ -320,6 +328,54 @@ ZERO = LaurentPoly.const(0)
 ONE = LaurentPoly.const(1)
 T = LaurentPoly.monomial(1, et=1)
 Q = LaurentPoly.monomial(1, eq=1)
+_ONE_TERMS = ONE._terms
+
+
+def sum_of_products(pairs):
+    """Sum of x * y over a sequence of (x, y) pairs of LaurentPoly.
+
+    Every product accumulates into one dict, and zero coefficients are
+    stripped once, at the end.  A pair with a zero operand is skipped, and a
+    one-term factor multiplies the other operand by shifting its exponents,
+    with no convolution.  A single pair whose factor is exactly 1 returns the
+    other operand itself, so a matrix column that is a unit vector e_i gives
+    back the row's entry.  Polynomial products, matrix products, the Bareiss
+    update and the Berkowitz sums all call this kernel.
+    """
+    if not pairs:
+        return ZERO
+    if len(pairs) == 1:
+        (x, y), = pairs
+        if x._terms == _ONE_TERMS:
+            return y
+        if y._terms == _ONE_TERMS:
+            return x
+    data = {}
+    for x, y in pairs:
+        xt = x._terms
+        yt = y._terms
+        if not (xt and yt):
+            continue
+        if len(xt) > len(yt):
+            xt, yt = yt, xt
+        if len(xt) == 1:
+            ((a, b), k), = xt.items()
+            if data:
+                get = data.get
+                for (c, d), v in yt.items():
+                    m = (a + c, b + d)
+                    data[m] = get(m, 0) + k * v
+            else:
+                data = {(a + c, b + d): k * v for (c, d), v in yt.items()}
+            continue
+        get = data.get
+        for (a, b), k in xt.items():
+            for (c, d), v in yt.items():
+                m = (a + c, b + d)
+                data[m] = get(m, 0) + k * v
+    p = LaurentPoly.__new__(LaurentPoly)
+    p._terms = {m: c for m, c in data.items() if c}
+    return p
 
 
 def _stepped_powers(base, exps):
@@ -428,8 +484,11 @@ def parse_poly(text):
 def exact_div(a, b):
     """Exact quotient a/b in the Laurent ring, or None when b does not divide a.
 
-    Monomial content is stripped from both operands first (a unit factor,
-    restored on the quotient), then single-divisor long division runs on the
+    A one-term divisor c*t^i*q^j divides a exactly when c divides every
+    coefficient of a; the quotient then divides the coefficients by c and
+    shifts the exponents by (-i, -j), with no heap.  Otherwise monomial
+    content is stripped from both operands first (a unit factor, restored on
+    the quotient), then single-divisor long division runs on the
     ordinary-polynomial parts.  For a single divisor the leading-term test is
     decisive: leading terms are multiplicative, so any failure certifies
     non-divisibility.
@@ -454,6 +513,13 @@ def exact_div(a, b):
         raise ZeroDivisionError("exact_div by zero polynomial")
     if a.is_zero():
         return ZERO
+    if len(b._terms) == 1:
+        ((tb, qb), bc), = b._terms.items()
+        if any(c % bc for c in a._terms.values()):
+            return None
+        q = LaurentPoly.__new__(LaurentPoly)
+        q._terms = {(et - tb, eq - qb): c // bc for (et, eq), c in a._terms.items()}
+        return q
     ta, qa = a.min_exponents()
     tb, qb = b.min_exponents()
     S = 1 + max(et + eq for et, eq in a._terms) - ta - qa

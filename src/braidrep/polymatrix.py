@@ -2,13 +2,19 @@
 
 Everything here is exact.  Determinants use the Bareiss algorithm (interior
 divisions are exact by the Sylvester identity), pivoting at each step on the
-nonzero entry with the fewest terms.  Products visit only the nonzero entries
-of their right factor.  Characteristic polynomials use Berkowitz's
+nonzero entry with the fewest terms.  Products pair only nonzero entries of
+both factors.  Characteristic polynomials use Berkowitz's
 division-free algorithm, inverses apply Cayley-Hamilton to them with no
 elimination, and the multilinear functors (tensor, symmetric and exterior
 powers) act on the unnormalized product bases described below.
 The symmetric and exterior powers are both read off one expansion of a
 product of linear forms, in commuting or anticommuting variables.
+
+A product entry, a Bareiss update pivot*a - lead*b and a Berkowitz sum are
+each one call of laurent.sum_of_products, which builds the entry in one
+dict.  A product column that is a unit vector e_i hands back the left
+factor's entries in column i themselves, so right-multiplying by a braid
+generator costs only the columns the generator changes.
 
 Basis conventions, used consistently by the representation constructors:
 
@@ -24,17 +30,14 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from collections import defaultdict
 
-from .laurent import LaurentPoly, ONE, ZERO, exact_div
+from .laurent import LaurentPoly, ONE, ZERO, exact_div, sum_of_products
 
 
-def _dot(xs, ys):
-    """sum of xs[i] * ys[i] over the shorter length, skipping zero factors."""
-    acc = ZERO
-    for x, y in zip(xs, ys):
-        if not (x.is_zero() or y.is_zero()):
-            acc = acc + x * y
-    return acc
+def _nonzero(entries):
+    """(index, entry) for the nonzero entries, in order."""
+    return [(j, x) for j, x in enumerate(entries) if x]
 
 
 class PolyMatrix:
@@ -134,17 +137,19 @@ class PolyMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product (%dx%d by %dx%d)"
                              % (self.rows, self.cols, other.rows, other.cols))
-        cols = [[(i, e) for i, e in enumerate(col) if e] for col in zip(*other.data)]
+        # row by row: each nonzero a_ri pairs with the nonzero entries of
+        # row i of the right factor, and an entry no pair reaches stays ZERO
+        brows = [_nonzero(brow) for brow in other.data]
         out = []
         for arow in self.data:
-            row = []
-            for col in cols:
-                acc = ZERO
-                for i, y in col:
-                    x = arow[i]
-                    if x:
-                        acc = acc + x * y
-                row.append(acc)
+            reached = defaultdict(list)
+            for x, brow in zip(arow, brows):
+                if x:
+                    for j, y in brow:
+                        reached[j].append((x, y))
+            row = [ZERO] * other.cols
+            for j, pairs in reached.items():
+                row[j] = sum_of_products(pairs)
             out.append(row)
         return PolyMatrix._wrap(out)
 
@@ -266,9 +271,9 @@ class PolyMatrix:
             pivot_row = m[k]
             pivot = pivot_row[k]
             for row in m[k + 1:]:
-                lead = row[k]
+                neg_lead = -row[k]
                 for j in range(k + 1, n):
-                    num = pivot * row[j] - lead * pivot_row[j]
+                    num = sum_of_products(((pivot, row[j]), (neg_lead, pivot_row[j])))
                     if k:
                         num = exact_div(num, prev)
                         if num is None:
@@ -443,21 +448,22 @@ def char_poly(a):
     for the new diagonal entry a_kk, row R and column C, the new coefficient
     vector (highest degree first) is the lower triangular Toeplitz matrix
     with first column 1, -a_kk, -R C, -R M C, -R M^2 C, ... applied to the
-    old one.
+    old one.  R and the rows of M are kept as their nonzero entries, so a
+    product with C costs what their nonzero entries do.
     """
     a._require_square("char_poly")
     n = a.rows
     d = a.data
     poly = [ONE]
     for k in range(n - 1, -1, -1):
-        block = [d[i][k + 1:] for i in range(k + 1, n)]
-        row = d[k][k + 1:]
+        block = [_nonzero(d[i][k + 1:]) for i in range(k + 1, n)]
+        row = _nonzero(d[k][k + 1:])
         col = [d[i][k] for i in range(k + 1, n)]
         toeplitz = [ONE, -d[k][k]]
         for _ in block:
-            toeplitz.append(-_dot(row, col))
-            col = [_dot(r, col) for r in block]
-        poly = [_dot(toeplitz[i::-1], poly) for i in range(len(toeplitz))]
+            toeplitz.append(-sum_of_products([(x, col[j]) for j, x in row]))
+            col = [sum_of_products([(x, col[j]) for j, x in r]) for r in block]
+        poly = [sum_of_products(list(zip(toeplitz[i::-1], poly))) for i in range(len(toeplitz))]
     return poly[::-1]
 
 

@@ -7,10 +7,43 @@ compute the same results by a different construction.
 import itertools
 import re
 
+from braidrep.braid import BraidWord
 from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, PolyFraction, exact_div,
                               q_factorial)
 from braidrep.polymatrix import PolyMatrix, ext_basis, sym_basis
-from braidrep.reps import qpascal_sigma1
+from braidrep.reps import Representation, image_of_word, lk, qpascal_sigma1
+
+
+def convolve(pairs):
+    """Sum of x * y over the (x, y) pairs: each product by the schoolbook
+    convolution into a polynomial of its own, deleting a coefficient that
+    sums to 0, then added to the total one product at a time."""
+    acc = ZERO
+    for x, y in pairs:
+        data = {}
+        for (a1, b1), k1 in x._terms.items():
+            for (a2, b2), k2 in y._terms.items():
+                m = (a1 + a2, b1 + b2)
+                c0 = data.get(m, 0) + k1 * k2
+                if c0:
+                    data[m] = c0
+                elif m in data:
+                    del data[m]
+        acc = acc + LaurentPoly(data)
+    return acc
+
+
+def sign_twisted_krammer_fraction(word):
+    """The Krammer fraction from lk tensored with the sign character built as
+    a representation of its own, every generator image of lk negated:
+    det(rho(word) - I) / det(rho(sigma_1 ... sigma_(n-1)) - I)."""
+    n = word.strands
+    rep = Representation(n, [-g for g in lk(n, "new").gen_images], "lk*sign")
+
+    def closure_det(w):
+        return (image_of_word(rep, w) - PolyMatrix.identity(rep.dim)).det()
+
+    return PolyFraction(closure_det(word), closure_det(BraidWord(n, list(range(1, n)))))
 
 
 def table_burau_reduced(n, form):

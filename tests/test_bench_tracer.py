@@ -6,7 +6,9 @@ would otherwise surface only in a traced benchmark run, so a few traced
 invariant calls run here, in a fresh interpreter: install() patches
 classes and modules for the life of the process.  The counts also pin the
 per-n closure data: repeated calls on one strand count build nothing twice
-(build_repeats feeds the harness's reps.build.repeat_frac).
+(build_repeats feeds the harness's reps.build.repeat_frac).  The tracer
+counts divisions by wrapping laurent.exact_div, so the division count
+pins that every division, the one-term path included, goes through it.
 """
 
 import subprocess
@@ -28,7 +30,8 @@ word = BraidWord.parse("1 1 1", 2)
 invariants.krammer_fraction(word)
 invariants.krammer_fraction(word)
 invariants.alexander(word)
-for name in ("invariants.krammer_fraction", "reps.build", "polymatrix.det"):
+invariants.krammer_fraction(BraidWord.parse("1 2 -1 2", 3))
+for name in ("invariants.krammer_fraction", "reps.build", "polymatrix.det", "laurent.exact_div"):
     print(name, tracer.calls[name])
 print("build_repeats", tracer.counts["build_repeats"])
 """
@@ -38,6 +41,9 @@ def test_tracer_installs_and_counts_one_krammer_fraction():
     done = subprocess.run([sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "bench")],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    # two builds (lk, reduced Burau); five dets: three numerators, two sweep denominators
-    assert done.stdout.split("\n") == ["invariants.krammer_fraction 2", "reps.build 2",
-                                       "polymatrix.det 5", "build_repeats 0", ""]
+    # three builds (lk(2), reduced Burau, lk(3)); seven dets: four numerators,
+    # three sweep denominators.  Six divisions: one Bareiss step in each 3 x 3
+    # det (one of them by the one-term divisor -1) and one per canonical fraction
+    assert done.stdout.split("\n") == ["invariants.krammer_fraction 3", "reps.build 3",
+                                       "polymatrix.det 7", "laurent.exact_div 6",
+                                       "build_repeats 0", ""]

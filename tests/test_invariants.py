@@ -11,6 +11,7 @@ from braidrep.laurent import ONE, PolyFraction, Q, T, ZERO, parse_poly
 from braidrep.polymatrix import PolyMatrix, generalized_char_poly
 from braidrep import reps
 from braidrep.reps import image_of_word, lk
+from oracles import sign_twisted_krammer_fraction
 
 W = BraidWord
 
@@ -237,14 +238,32 @@ def test_markov2_probe_reports_are_pinned():
 @pytest.mark.parametrize("invariant", ("alexander", "krammer"))
 def test_short_words_leave_the_kept_generator_images_alone(invariant):
     # a word image starts from a copy of its first letter's image, and
-    # det(image - I) writes into it; the kept images must not change
+    # det(image - I) writes into it; the kept images must not change.
+    # "2 1 2 -1 -2 -1" is the identity braid, and a product hands back an
+    # entry itself where a column is a unit vector, so the last image
+    # holds entries of the kept images themselves
     fresh, _den = inv._closure_data.__wrapped__(invariant, 3)
     compute = inv.alexander if invariant == "alexander" else inv.krammer_fraction
-    for text in ("1", "-2", "", "2", "-2 -1"):
+    aliased = "2 1 2 -1 -2 -1 2 1"
+    for text in ("1", "-2", "", "2", "-2 -1", aliased):
         compute(W.parse(text, 3))
     rep, _den = inv._closure_data(invariant, 3)
+    kept = {id(e) for g in rep.gen_images + list(rep._inverses.values()) for r in g.data for e in r}
+    assert any(id(e) in kept for r in image_of_word(rep, W.parse(aliased, 3)).data for e in r)
     assert rep.gen_images == fresh.gen_images
     assert rep._inverses == {-i: g.inverse() for i, g in enumerate(fresh.gen_images, 1)}
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_krammer_sign_applied_per_word_matches_the_negated_representation(n):
+    # the sign character scales the image of a word of length L by (-1)^L,
+    # applied once per word; the oracle negates every generator image
+    rng = random.Random(1300 + n)
+    for length in range(7 if n < 5 else 5):
+        word = W(n, [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)])
+        want = sign_twisted_krammer_fraction(word)
+        assert str(inv.krammer_fraction(word).fraction) == str(want), str(word)
+        assert inv._det_ratio("krammer", word).den == want.den
 
 
 def test_markov_conjugation_fixture():

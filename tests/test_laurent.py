@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, PolyFraction,
                               exact_div, parse_poly, q_binomial, q_factorial,
-                              q_natural, q_pochhammer)
+                              q_natural, q_pochhammer, sum_of_products)
 from conftest import laurent_polys, nonzero_polys
-from oracles import (factorial_bracket_binomial, longdiv_exact_div, termwise_substitute,
-                     token_parse_poly)
+from oracles import (convolve, factorial_bracket_binomial, longdiv_exact_div,
+                     termwise_substitute, token_parse_poly)
 
 
 def test_basic_arithmetic():
@@ -134,6 +134,26 @@ def test_parse_rejects_long_hostile_text_in_linear_time(text):
     with pytest.raises(ValueError, match="position"):
         parse_poly(text)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LaurentPoly({(0, 0): 0.5}),
+    lambda: LaurentPoly({(0, 0): Fraction(3, 2)}),
+    lambda: LaurentPoly({(1.7, 0): 1}),
+    lambda: LaurentPoly.monomial(2.5, 1),
+    lambda: LaurentPoly.monomial(0, 1.5),
+], ids=["float-coefficient", "fraction-coefficient", "float-exponent", "float-monomial",
+        "float-exponent-of-zero"])
+def test_non_integral_input_is_rejected(make):
+    # these used to be truncated, to 0, 1, t, 2*t and 0
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_integral_input_is_accepted():
+    assert LaurentPoly({(True, 0): 2, (0, 1): True}) == 2 * T + Q
+    assert LaurentPoly.monomial(True, False, 1) == Q
+    assert LaurentPoly({(2, 0): 0, (0, 0): -1}) == -ONE
 
 
 def test_json_terms_round_trip():
@@ -358,6 +378,89 @@ def test_exact_div_matches_long_division():
         assert got == longdiv_exact_div(a, b), (a, b)
         nones += got is None
     assert 1000 <= nones <= 1600
+
+
+def test_sum_of_products_matches_the_convolution():
+    # Factors: 0, 1, -1, one-term +-c*t^a*q^b with negative exponents, and
+    # polynomials on a small box.  A quarter of the lists carry a pair
+    # (u + v, u - v), whose cross terms cancel within the pair, and a third
+    # a pair that cancels an earlier one, wholly or in part.
+    rng = random.Random(1313)
+
+    def poly(max_terms):
+        return LaurentPoly({(rng.randint(-2, 2), rng.randint(-2, 2)):
+                            rng.choice((-1, 1)) * rng.randint(1, 4)
+                            for _ in range(rng.randint(1, max_terms))})
+
+    def term():
+        return LaurentPoly.monomial(rng.choice((-1, 1)) * rng.randint(1, 7),
+                                    rng.randint(-4, 4), rng.randint(-4, 4))
+
+    def factor():
+        kind = rng.randrange(6)
+        if kind == 0:
+            return ZERO
+        if kind == 1:
+            return rng.choice((ONE, -ONE))
+        if kind == 2:
+            return term()
+        return poly(5)
+
+    seen = {"empty": 0, "zero": 0, "alias": 0, "cancel_within": 0, "cancel_across": 0}
+    for k in range(600):
+        pairs = [(factor(), factor()) for _ in range(rng.randrange(5))]
+        if k % 4 == 1:
+            u, v = term(), term()
+            pairs.append((u + v, u - v))
+        if pairs and k % 3 == 0:
+            x, y = rng.choice(pairs)
+            pairs.append((-x, y if rng.random() < 0.5 else y + poly(2)))
+        got = sum_of_products(pairs)
+        assert got == convolve(pairs), pairs
+        assert all(got._terms.values()), pairs
+        seen["empty"] += not pairs
+        seen["zero"] += got.is_zero() and any(x and y for x, y in pairs)
+        seen["alias"] += len(pairs) == 1 and (got is pairs[0][0] or got is pairs[0][1])
+        # a monomial some product reaches that the result lacks has cancelled
+        seen["cancel_within"] += any(
+            {(a + c, b + d) for a, b in x._terms for c, d in y._terms} - (x * y)._terms.keys()
+            for x, y in pairs)
+        seen["cancel_across"] += bool((convolve(pairs[:1])._terms.keys()
+                                       & convolve(pairs[1:])._terms.keys()) - got._terms.keys())
+    assert min(seen.values()) >= 10, seen
+
+
+def test_sum_of_products_hands_back_an_operand_times_one():
+    p = parse_poly("3*t^-2*q - 1")
+    assert sum_of_products([(ONE, p)]) is p
+    assert sum_of_products([(p, ONE)]) is p
+    assert p * 1 is p
+    assert sum_of_products([(-ONE, p)]) == -p
+    assert sum_of_products([]) == ZERO
+
+
+def test_exact_div_by_one_term_matches_long_division():
+    rng = random.Random(1314)
+    fixed = [LaurentPoly.const(-2), LaurentPoly.monomial(3, -1, 2)]
+
+    def poly():
+        return LaurentPoly({(rng.randint(-3, 3), rng.randint(-3, 3)):
+                            rng.choice((-1, 1)) * rng.randint(1, 9)
+                            for _ in range(rng.randint(1, 5))})
+
+    nones = 0
+    for k in range(400):
+        b = fixed[k % 2] if k % 4 < 2 else LaurentPoly.monomial(
+            rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(-3, 3), rng.randint(-3, 3))
+        a = ZERO if k % 50 == 0 else poly() * b if k % 3 else poly()
+        got = exact_div(a, b)
+        assert got == longdiv_exact_div(a, b), (a, b)
+        nones += got is None
+    assert 60 <= nones <= 140, nones
+    assert exact_div(ZERO, fixed[1]) == ZERO
+    assert exact_div(parse_poly("4*t - 6"), fixed[0]) == parse_poly("-2*t + 3")
+    assert exact_div(parse_poly("4*t - 3"), fixed[0]) is None
+    assert exact_div(parse_poly("6*q^2 + 3*t^-1"), fixed[1]) == parse_poly("2*t + q^-2")
 
 
 @given(laurent_polys(max_terms=3), nonzero_polys())

@@ -35,7 +35,7 @@ MAX_SIZE = 16
 MAX_LAMBDA_EXPONENT = (10 ** MAX_NUMERAL_DIGITS - 1) // MAX_WORD_LETTERS - math.comb(MAX_SIZE, 2)
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -278,8 +278,6 @@ def main(argv=None):
             parser.exit(2, "braidrep: --%s must be at most %d\n" % (name, MAX_SIZE))
     try:
         return args.func(args)
-    except UsageError as e:
-        parser.exit(2, "braidrep: %s\n" % e)
     except ValueError as e:
         parser.exit(2, "braidrep: %s\n" % e)
     except (InvariantError, ArithmeticError) as e:

@@ -18,10 +18,9 @@ count, so a process builds them once per pair; a call computes only num.
 """
 
 import functools
-from fractions import Fraction
 
 from .braid import BraidWord, CheckReport
-from .laurent import LaurentPoly, PolyFraction, Q, T
+from .laurent import LaurentPoly, PolyFraction, Q, T, exact_rational
 from .reps import burau_reduced, image_of_word, lk
 
 
@@ -165,7 +164,7 @@ def specialize(result, t_value=None, q_value=None):
     def image(value, default):
         if value is None:
             return default
-        r = Fraction(value)
+        r = exact_rational(value)
         return PolyFraction(LaurentPoly.const(r.numerator), LaurentPoly.const(r.denominator))
 
     t_image = image(t_value, T)
@@ -196,11 +195,16 @@ def markov2_probe(word):
     f2 = krammer_fraction(stabilized).fraction
     report.note("fraction on %d strands: %s" % (n, f1))
     report.note("fraction on %d strands: %s" % (n + 1, f2))
-    for tv, qv, label in ((None, 1, "q=1"), (1, None, "t=1")):
-        try:
-            report.note("stabilized value at %s: %s" % (label, specialize(f2, t_value=tv, q_value=qv)))
-        except ZeroDivisionError:
-            report.note("stabilized value at %s: denominator vanishes" % label)
+
+    def note_values_at_one(what, fraction):
+        for tv, qv, label in ((None, 1, "q=1"), (1, None, "t=1")):
+            try:
+                value = specialize(fraction, t_value=tv, q_value=qv)
+            except ZeroDivisionError:
+                value = "denominator vanishes"
+            report.note("%s at %s: %s" % (what, label, value))
+
+    note_values_at_one("stabilized value", f2)
     if f1 == PolyFraction.coerce(0):
         report.note("original fraction vanishes; no ratio to report")
         return report
@@ -208,11 +212,5 @@ def markov2_probe(word):
     report.note("stabilized/original ratio: %s" % (ratio,))
     if ratio.is_polynomial():
         report.note("ratio is a polynomial factor: %s" % (ratio.num,))
-    for tv, qv, label in ((None, 1, "q=1"), (1, None, "t=1")):
-        try:
-            r = specialize(ratio, t_value=tv, q_value=qv)
-        except ZeroDivisionError:
-            report.note("ratio at %s: denominator vanishes" % label)
-            continue
-        report.note("ratio at %s: %s" % (label, r))
+    note_values_at_one("ratio", ratio)
     return report

@@ -211,14 +211,7 @@ class LaurentPoly:
                 raise ValueError("negative power of a non-unit Laurent polynomial")
             (et, eq), c = self.leading()
             return LaurentPoly.monomial(c if n % 2 else 1, et * n, eq * n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, ONE)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -296,8 +289,8 @@ class LaurentPoly:
 
     def eval_rational(self, t_value, q_value):
         """Evaluate at exact rational points (fractions.Fraction arithmetic)."""
-        tv = Fraction(t_value)
-        qv = Fraction(q_value)
+        tv = exact_rational(t_value)
+        qv = exact_rational(q_value)
         out = Fraction(0)
         for (a, b), c in self._terms.items():
             out += Fraction(c) * tv ** a * qv ** b
@@ -321,7 +314,7 @@ class LaurentPoly:
 
     @classmethod
     def from_json_terms(cls, items):
-        return cls({(int(d["et"]), int(d["eq"])): int(d["c"]) for d in items})
+        return cls(((d["et"], d["eq"]), d["c"]) for d in items)
 
 
 ZERO = LaurentPoly.const(0)
@@ -376,6 +369,27 @@ def sum_of_products(pairs):
     p = LaurentPoly.__new__(LaurentPoly)
     p._terms = {m: c for m, c in data.items() if c}
     return p
+
+
+def binary_power(base, n, one):
+    """base ** n for an int n >= 0 by repeated squaring, starting from one;
+    base is anything with a product (a polynomial, fraction or matrix)."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
+def exact_rational(value):
+    """An int or Fraction as a Fraction.  A float raises TypeError: it holds a
+    binary value, not the decimal it prints as (0.1 is not 1/10)."""
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError("need an exact rational value (int or Fraction), got %r" % (value,))
 
 
 def _stepped_powers(base, exps):
@@ -649,14 +663,7 @@ class PolyFraction:
             if self.num.is_zero():
                 raise ZeroDivisionError("negative power of zero fraction")
             return PolyFraction(self.den, self.num) ** (-n)
-        out = PolyFraction(ONE)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, PolyFraction(ONE))
 
     def __eq__(self, other):
         if isinstance(other, (int, LaurentPoly)):

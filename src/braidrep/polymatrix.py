@@ -32,7 +32,7 @@ import bisect
 import itertools
 from collections import defaultdict
 
-from .laurent import LaurentPoly, ONE, ZERO, exact_div, sum_of_products
+from .laurent import LaurentPoly, ONE, ZERO, binary_power, exact_div, sum_of_products
 
 
 def _nonzero(entries):
@@ -163,21 +163,10 @@ class PolyMatrix:
         n = int(n)
         if n < 0:
             return self.inverse() ** (-n)
-        out = PolyMatrix.identity(self.rows)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, PolyMatrix.identity(self.rows))
 
     def transpose(self):
         return PolyMatrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def map(self, fn):
-        """Entry-wise transform."""
-        return PolyMatrix([[fn(e) for e in r] for r in self.data])
 
     def substitute(self, t_image, q_image):
         """Entry-wise substitution; images must keep entries in the ring."""
@@ -217,9 +206,7 @@ class PolyMatrix:
     def sharp(self):
         """Conjugation by the antidiagonal: sharp(a)[k][m] = a[n-k][n-m]."""
         self._require_square("sharp")
-        n = self.rows - 1
-        return PolyMatrix([[self.data[n - i][n - j] for j in range(self.cols)]
-                           for i in range(self.rows)])
+        return self.conjugate_by_permutation(range(self.rows - 1, -1, -1))
 
     # ------------------------------------------------------------------
     # exact elimination
@@ -416,19 +403,19 @@ def ext_power(a, m):
 def exp_nilpotent(a):
     """exp of a nilpotent matrix: I + a + a^2/2! + ... + a^(n-1)/(n-1)!.
 
-    Each a^k/k! is the previous term times a, divided by the integer k, which
-    must divide every coefficient; and a^n must vanish, checked once as the
-    last term times a.  Otherwise this raises ArithmeticError.
+    Each a^k/k! is the previous term times a, each nonzero entry divided
+    exactly by the integer k; and a^n must vanish, checked once as the last
+    term times a.  Otherwise this raises ArithmeticError.
     """
     a._require_square("exp_nilpotent")
     n = a.rows
     out = term = PolyMatrix.identity(n)
     for k in range(1, n):
-        term = term * a
-        if any(e.content() % k for r in term.data for e in r):
+        rows = [[exact_div(e, k) if e else e for e in r] for r in (term * a).data]
+        if any(e is None for r in rows for e in r):
             raise ArithmeticError("a^%d is not divisible by %d!; "
                                   "exp does not stay in the ring" % (k, k))
-        term = term.map(lambda e: LaurentPoly({m: c // k for m, c in e._terms.items()}))
+        term = PolyMatrix._wrap(rows)
         out = out + term
     if any(not e.is_zero() for r in (term * a).data for e in r):
         raise ArithmeticError("matrix is not nilpotent: a^%d != 0" % (n,))

@@ -9,14 +9,13 @@ then kept.
 
 Symmetric powers are quantized by one rule: the p-th power of a
 transvection I + s*e_ij carries the Gaussian binomial [a choose b]_q s^b
-where the classical power carries the binomial, and a diagonal scales the
-slots holding the active index r times by q^C(r,2).  The first power is
-the only definition of reduced Burau (burau_reduced reads both of its
-forms off it), sym2_quantized is the second power, and the q-Pascal
-matrices are the same rule on the 2 x 2 shears: sigma_1 is the quantized
-upper shear, sigma_2 the quantized lower shear conjugated by
-diag(q^C(r,2)).  Every factored generator is built as the product of its
-factors; nothing is inverted or substituted at build time.
+where the classical power carries the binomial, and diagonals put w_r
+q^C(r,2) on the slots holding the active index r times.  With w_r = (-t)^r
+the first power is the only definition of reduced Burau (burau_reduced
+reads both of its forms off it) and the second is sym2_quantized; the sharp
+q-Pascal form is the rule on 3 strands with w_r = lambda_(p-r).  Every
+factored generator is built as the product of its factors; nothing is
+inverted or substituted at build time.
 
 The symmetric-square basis e^s_(k,r) (k <= r) is ordered colexicographically,
 and the two-index basis F_(j,k) (j < k) of the 2-row representation is
@@ -134,9 +133,9 @@ def burau_reduced(n, form="standard"):
     """Reduced Burau on n strands, dimension n-1.
 
     Two equivalent forms are provided.  "conjugated" is the first power of
-    the quantization rule (_quantized_sym_gens(n, 1)); its symmetric square
-    feeds the quantization, and the stability and exterior-square identities
-    are stated for it.  "standard" is D sigma^T D^-1 with D = diag((-t)^-j):
+    the quantization rule (_quantized_sym_gens(n, [1, -t])); its symmetric
+    square feeds the quantization, and the stability and exterior-square
+    identities are stated for it.  "standard" is D sigma^T D^-1 with D = diag((-t)^-j):
     entry (i, j) is (-t)^(j-i) times entry (j, i) of the conjugated image.
     """
     n = int(n)
@@ -144,7 +143,7 @@ def burau_reduced(n, form="standard"):
         raise ValueError("need at least 2 strands")
     if form not in ("standard", "conjugated"):
         raise ValueError("unknown reduced Burau form %r" % (form,))
-    gens = _quantized_sym_gens(n, 1)
+    gens = _quantized_sym_gens(n, [ONE, -T])
     if form == "standard":
         m = n - 1
         gens = [PolyMatrix([[(-T) ** (j - i) * g[j, i] for j in range(m)] for i in range(m)])
@@ -246,17 +245,19 @@ def _slot_q(m, k, p):
     return PolyMatrix.diagonal([Q ** math.comb(tup.count(k), 2) for tup in sym_basis(m, p)])
 
 
-def _quantized_sym_gens(n, p):
-    """Generator images of the quantized p-th symmetric power of the
-    conjugated reduced Burau representation on n strands: sigma_k is
-    S^p_q(I + e_(k,k-1)) diag((-t)^r) S^p_q(I - e_(k,k+1)) diag(q^C(r,2)),
-    with r the multiplicity of index k and each transvection only where its
-    second index exists.  The first power is the conjugated form itself."""
+def _quantized_sym_gens(n, weights):
+    """Generator images of the quantized p-th symmetric power, p =
+    len(weights) - 1, on n strands: sigma_k is S^p_q(I + e_(k,k-1)) diag(w_r)
+    S^p_q(I - e_(k,k+1)) diag(q^C(r,2)), with r the multiplicity of index k,
+    w = weights, and each transvection only where its second index exists.
+    The weights (-t)^r quantize the conjugated reduced Burau representation,
+    and on 3 strands the weights lambda_(p-r) give the sharp q-Pascal form."""
     m = n - 1
+    p = len(weights) - 1
     basis = sym_basis(m, p)
     gens = []
     for k in range(1, n):
-        g = PolyMatrix.diagonal([(-T) ** tup.count(k - 1) for tup in basis])
+        g = PolyMatrix.diagonal([weights[tup.count(k - 1)] for tup in basis])
         if k > 1:
             g = _transvection_q(m, k - 1, k - 2, 1, p) * g
         if k < n - 1:
@@ -277,7 +278,7 @@ def sym2_quantized(n):
     n = int(n)
     if n < 3:
         raise ValueError("the quantized symmetric square needs n >= 3")
-    return Representation(n, _quantized_sym_gens(n, 2), "sym2q(n=%d)" % n)
+    return Representation(n, _quantized_sym_gens(n, [ONE, -T, T ** 2]), "sym2q(n=%d)" % n)
 
 
 def change_of_basis(n):
@@ -482,22 +483,18 @@ def qpascal_rep(lambdas, form="standard"):
     """3-strand representation of dimension len(lambdas) built from q-Pascal
     matrices and a balanced unit-monomial diagonal.
 
-    form="standard" returns the pair (sigma_1, sigma_2) images; form="sharp"
-    returns the #-conjugated pair, whose sigma_1 image is the sharp of the
-    standard sigma_2 image and vice versa.
+    form="sharp" is the quantization rule on 3 strands with the diagonal
+    weights lambda_(p-r), p = len(lambdas) - 1 (_quantized_sym_gens).
+    form="standard" returns the #-conjugated pair, whose sigma_1 image is
+    the sharp of the sharp-form sigma_2 image and vice versa.
     """
     entries = validate_lambda(lambdas)
-    n = len(entries) - 1
-    lam = PolyMatrix.diagonal(entries)
-    s1 = _transvection_q(2, 0, 1, 1, n) * _slot_q(2, 0, n) * lam
-    s2 = lam.sharp() * _transvection_q(2, 1, 0, -1, n) * _slot_q(2, 1, n)
+    gens = _quantized_sym_gens(3, entries[::-1])
     if form == "standard":
-        gens = [s1, s2]
-    elif form == "sharp":
-        gens = [s2.sharp(), s1.sharp()]
-    else:
+        gens = [g.sharp() for g in reversed(gens)]
+    elif form != "sharp":
         raise ValueError("unknown form %r" % (form,))
-    return Representation(3, gens, "qpascal(dim=%d,%s)" % (n + 1, form))
+    return Representation(3, gens, "qpascal(dim=%d,%s)" % (len(entries), form))
 
 
 def verify_humphry(max_power=7):

@@ -11,7 +11,8 @@ from braidrep.braid import BraidWord
 from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, PolyFraction, exact_div,
                               q_factorial)
 from braidrep.polymatrix import PolyMatrix, ext_basis, sym_basis
-from braidrep.reps import Representation, image_of_word, lk, qpascal_sigma1
+from braidrep.reps import (Representation, _slot_q, _transvection_q, image_of_word, lk,
+                           qpascal_sigma1, validate_lambda)
 
 
 def convolve(pairs):
@@ -242,6 +243,20 @@ def diagonal_bareiss_det(a):
         prev = m[k][k]
     d = m[n - 1][n - 1]
     return d if sign == 1 else -d
+
+
+def two_product_qpascal(lambdas, form):
+    """Generator images of the q-Pascal representation as two hand-written
+    products with lambda = diag(lambdas): sigma_1 = S^p_q([[1, 1], [0, 1]])
+    diag(q^C(r,2)) lambda on index 0, sigma_2 = sharp(lambda)
+    S^p_q([[1, 0], [-1, 1]]) diag(q^C(r,2)) on index 1.  The sharp form is
+    the pair of their sharps, swapped."""
+    entries = validate_lambda(lambdas)
+    p = len(entries) - 1
+    lam = PolyMatrix.diagonal(entries)
+    s1 = _transvection_q(2, 0, 1, 1, p) * _slot_q(2, 0, p) * lam
+    s2 = lam.sharp() * _transvection_q(2, 1, 0, -1, p) * _slot_q(2, 1, p)
+    return [s1, s2] if form == "standard" else [s2.sharp(), s1.sharp()]
 
 
 def inverse_qpascal_sigma2(n):

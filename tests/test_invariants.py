@@ -195,6 +195,18 @@ def test_specialize_accepts_rationals_and_fractions():
     assert inv.specialize(f, t_value=2, q_value=3) == PolyFraction.coerce(3)
 
 
+@pytest.mark.parametrize("value", (0.1, 0.5))
+def test_specialize_rejects_floats(value):
+    k = inv.krammer_fraction(W.parse("1 1 1", 2))
+    with pytest.raises(TypeError, match="exact rational"):
+        inv.specialize(k, q_value=value)
+    with pytest.raises(TypeError, match="exact rational"):
+        inv.specialize(k, t_value=value)
+    # the exact values the floats stand for
+    assert str(inv.specialize(k, q_value=Fraction(1, 10))) == "(t^4 - 10*t^2 + 100) / (100)"
+    assert str(inv.specialize(k, t_value=Fraction(1, 2))) == "(q^2 - 4*q + 16) / (16)"
+
+
 def test_specialize_reports_vanishing_denominator():
     with pytest.raises(ZeroDivisionError) as e:
         inv.specialize(PolyFraction(ONE, T - ONE), t_value=1)

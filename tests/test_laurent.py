@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import random
 import re
 import time
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, PolyFraction,
                               exact_div, parse_poly, q_binomial, q_factorial,
                               q_natural, q_pochhammer, sum_of_products)
+from braidrep.polymatrix import PolyMatrix
 from conftest import laurent_polys, nonzero_polys
 from oracles import (convolve, factorial_bracket_binomial, longdiv_exact_div,
                      termwise_substitute, token_parse_poly)
@@ -142,10 +145,13 @@ def test_parse_rejects_long_hostile_text_in_linear_time(text):
     lambda: LaurentPoly({(1.7, 0): 1}),
     lambda: LaurentPoly.monomial(2.5, 1),
     lambda: LaurentPoly.monomial(0, 1.5),
+    lambda: LaurentPoly.from_json_terms([{"c": 1.5, "et": 0.9, "eq": 0}]),
+    lambda: PolyMatrix.from_json({"rows": 1, "cols": 1,
+                                  "entries": [[[{"c": 2.7, "et": 1, "eq": 0}]]]}),
 ], ids=["float-coefficient", "fraction-coefficient", "float-exponent", "float-monomial",
-        "float-exponent-of-zero"])
+        "float-exponent-of-zero", "float-json-terms", "float-json-matrix"])
 def test_non_integral_input_is_rejected(make):
-    # these used to be truncated, to 0, 1, t, 2*t and 0
+    # these used to be truncated, to 0, 1, t, 2*t, 0, 1 and [2*t]
     with pytest.raises(TypeError):
         make()
 
@@ -551,3 +557,24 @@ def test_latex_rendering():
     assert (T + Q).to_latex() == "t + q"
     f = PolyFraction(T, ONE + Q)
     assert "\\frac" in f.to_latex()
+
+
+def test_only_laurent_reads_the_term_format():
+    # the {(et, eq): c} dict behind a polynomial is laurent's own format
+    readers = []
+    for path in sorted(pathlib.Path(__file__).parent.parent.joinpath("src", "braidrep").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "_terms":
+                readers.append("%s:%d" % (path.name, node.lineno))
+    assert readers and all(r.startswith("laurent.py:") for r in readers), readers
+
+
+@pytest.mark.parametrize("value", (0.1, 0.5))
+def test_evaluation_rejects_floats(value):
+    p = T - 2 * Q
+    with pytest.raises(TypeError, match="exact rational"):
+        p.eval_rational(value, 1)
+    with pytest.raises(TypeError, match="exact rational"):
+        PolyFraction(p, T + ONE).eval_rational(1, value)
+    assert p.eval_rational(Fraction(1, 2), -3) == Fraction(13, 2)
+

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidrep.laurent import ONE, Q, T, ZERO, LaurentPoly, parse_poly
+from braidrep.laurent import ONE, Q, T, ZERO, LaurentPoly, PolyFraction, parse_poly
 from braidrep.polymatrix import (PolyMatrix, char_poly, char_poly_from_roots,
                                  exp_nilpotent, ext_basis, ext_power,
                                  generalized_char_poly, sym_basis, sym_power,
@@ -74,6 +74,27 @@ def test_power_and_inverse():
     b = m22(-T, 0, -1, 1)
     assert b * b ** -1 == PolyMatrix.identity(2)
     assert b ** -2 == (b ** -1) ** 2
+
+
+def test_powers_are_repeated_products():
+    # one repeated-squaring loop serves polynomials, fractions and matrices;
+    # a negative power is the power of the inverse
+    p = T - 2 * Q + 3
+    f = PolyFraction(T - 2 * Q, ONE + T * Q)
+    s1 = lk(3).gen_images[0]
+    cases = [(p, p, ONE),
+             (f, f, PolyFraction(ONE)),
+             (s1, s1, PolyMatrix.identity(3)),
+             (-T * Q ** 2, LaurentPoly.monomial(-1, -1, -2), ONE),
+             (f, PolyFraction(ONE + T * Q, T - 2 * Q), PolyFraction(ONE)),
+             (s1, s1.inverse(), PolyMatrix.identity(3))]
+    for x, step, one in cases:
+        sign = 1 if step is x else -1
+        assert sign == 1 or x * step == one
+        acc = one
+        for n in range(10):
+            assert x ** (sign * n) == acc, (x, sign * n)
+            acc = acc * step
 
 
 def test_inverse_needs_unit_determinant():
@@ -265,6 +286,8 @@ def test_transpose_sharp_substitute():
     s = a.sharp()
     assert s[0, 0] == ONE and s[1, 1] == T
     assert s[1, 0] == a[0, 1]
+    with pytest.raises(ValueError, match=r"^sharp needs a square matrix, got 2x3$"):
+        PolyMatrix.zeros(2, 3).sharp()
     sub = a.substitute(Q, T)
     assert sub[0, 0] == Q and sub[0, 1] == T
 
@@ -353,7 +376,8 @@ def test_exp_rejects_inexact_division():
     x = PolyMatrix([[ZERO, ONE, ONE],
                     [ZERO, ZERO, ONE],
                     [ZERO, ZERO, ZERO]])
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError,
+                       match=r"^a\^2 is not divisible by 2!; exp does not stay in the ring$"):
         exp_nilpotent(x)
 
 

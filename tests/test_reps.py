@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -8,12 +9,32 @@ from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, parse_poly,
                               q_binomial)
 from braidrep.polymatrix import (PolyMatrix, char_poly, char_poly_from_roots,
                                  sym_basis, sym_power)
-from oracles import change_of_basis_blocks, inverse_qpascal_sigma2, table_burau_reduced
+from oracles import (change_of_basis_blocks, inverse_qpascal_sigma2, table_burau_reduced,
+                     two_product_qpascal)
 
 
 def mat(rows):
     return PolyMatrix([[parse_poly(e) if isinstance(e, str) else LaurentPoly.coerce(e)
                         for e in r] for r in rows])
+
+
+def burau_weights(p):
+    """Diagonal weights (-t)^r, r = 0..p, of the quantized p-th symmetric
+    power of the conjugated reduced Burau representation."""
+    return [(-T) ** r for r in range(p + 1)]
+
+
+def balanced_lambdas(rng, p):
+    """p + 1 random unit monomials with lambda_r * lambda_(p-r) constant."""
+    c = (2 * rng.randint(-3, 3), 2 * rng.randint(-3, 3))
+    sign = 1 if p % 2 == 0 else rng.choice((1, -1))
+    lam = [None] * (p + 1)
+    for r in range(p // 2 + 1):
+        a, b = (c[0] // 2, c[1] // 2) if 2 * r == p else (rng.randint(-4, 4), rng.randint(-4, 4))
+        s = rng.choice((1, -1))
+        lam[r] = LaurentPoly.monomial(s, a, b)
+        lam[p - r] = LaurentPoly.monomial(s * sign, c[0] - a, c[1] - b)
+    return lam
 
 
 # ----------------------------------------------------------------------
@@ -47,7 +68,7 @@ def test_reduced_burau_conjugated_form():
 @pytest.mark.parametrize("n", range(2, 17))
 def test_reduced_burau_is_the_first_quantized_power(n):
     conjugated = reps.burau_reduced(n, "conjugated").gen_images
-    assert conjugated == reps._quantized_sym_gens(n, 1)
+    assert conjugated == reps._quantized_sym_gens(n, burau_weights(1))
     d = PolyMatrix.diagonal([(-T) ** -j for j in range(n - 1)])
     d_inv = PolyMatrix.diagonal([(-T) ** j for j in range(n - 1)])
     standard = reps.burau_reduced(n, "standard").gen_images
@@ -492,7 +513,7 @@ def test_transvection_q_at_q1_is_the_symmetric_power():
 @pytest.mark.parametrize("p", (1, 2, 3, 4))
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_quantized_symmetric_power(n, p):
-    gens = reps._quantized_sym_gens(n, p)
+    gens = reps._quantized_sym_gens(n, burau_weights(p))
     assert check_braid_relations(reps.Representation(n, gens, "symq")).passed
     assert all(g.det().is_unit() for g in gens)
     classical = table_burau_reduced(n, "conjugated")
@@ -501,7 +522,7 @@ def test_quantized_symmetric_power(n, p):
 
 def _slot_mutant(n, p):
     # scale the slots that hold the active index by q^(r-1) instead of q^C(r,2)
-    gens = reps._quantized_sym_gens(n, p)
+    gens = reps._quantized_sym_gens(n, burau_weights(p))
     basis = sym_basis(n - 1, p)
     out = []
     for k, g in enumerate(gens):
@@ -514,7 +535,7 @@ def _slot_mutant(n, p):
 @pytest.mark.parametrize("n", (3, 4))
 def test_slot_exponent_mutant_breaks_the_braid_relations(n):
     # r - 1 and C(r, 2) agree for r <= 2, so the mutant differs only from p = 3 on
-    assert _slot_mutant(n, 2) == reps._quantized_sym_gens(n, 2)
+    assert _slot_mutant(n, 2) == reps._quantized_sym_gens(n, burau_weights(2))
     for p in (3, 4):
         mutant = reps.Representation(n, _slot_mutant(n, p), "mutant")
         assert not check_braid_relations(mutant).passed, p
@@ -524,7 +545,16 @@ def test_slot_exponent_mutant_breaks_the_braid_relations(n):
 def test_qpascal_family_is_the_three_strand_quantized_power(p):
     lam = [(-T) ** (p - r) for r in range(p + 1)]
     sharp = reps.qpascal_rep(lam, form="sharp")
-    assert sharp.gen_images == reps._quantized_sym_gens(3, p)
+    assert sharp.gen_images == reps._quantized_sym_gens(3, burau_weights(p))
+
+
+def test_qpascal_rule_matches_the_two_product_construction():
+    rng = random.Random(14)
+    for trial in range(48):
+        lam = balanced_lambdas(rng, 1 + trial % 8)
+        for form in ("standard", "sharp"):
+            built = [str(g) for g in reps.qpascal_rep(lam, form).gen_images]
+            assert built == [str(g) for g in two_product_qpascal(lam, form)], (lam, form)
 
 
 LAMBDA_SPECS = (
@@ -647,3 +677,61 @@ def test_trefoil_with_tail_word_image():
         parse_poly("-t^4*q + t^3*q + t^3 - t^2*q - t^2"),
         parse_poly("t^5*q - t^4*q + t^3*q")]
     assert a.data[2] == [parse_poly("1"), parse_poly("-t*q - t"), parse_poly("t^2*q")]
+
+
+# ----------------------------------------------------------------------
+# the mirror rule sigma_k^-1 = J bar(sigma_(n-k)) J^-1
+
+
+def _mirror_permutation(rep):
+    """J: pairs (j, k) -> (n+1-k, n+1-j) for lk, each multiset index
+    i -> m-1-i for sym2q (m = n - 1), the index reversal otherwise."""
+    n = rep.strands
+    if rep.label.startswith("lk("):
+        basis, image = reps.lk_basis(n), lambda jk: (n + 1 - jk[1], n + 1 - jk[0])
+    elif rep.label.startswith("sym2q("):
+        basis, image = sym_basis(n - 1, 2), lambda tup: tuple(sorted(n - 2 - i for i in tup))
+    else:
+        return list(range(rep.dim - 1, -1, -1))
+    index = {b: i for i, b in enumerate(basis)}
+    return [index[image(b)] for b in basis]
+
+
+def _mirror_rule_holds(rep):
+    """For each k whether sigma_k^-1 = J bar(sigma_(n-k)) J^-1, bar sending
+    t -> t^-1 and q -> q^-1."""
+    n = rep.strands
+    perm = _mirror_permutation(rep)
+    return [rep.sigma(-k) == rep.sigma(n - k).substitute(T ** -1, Q ** -1)
+            .conjugate_by_permutation(perm) for k in range(1, n)]
+
+
+MIRROR_CASES = {
+    "qpascal(%s)" % form: functools.partial(
+        reps.qpascal_rep, balanced_lambdas(random.Random(3), 4), form)
+    for form in ("standard", "sharp")}
+MIRROR_CASES["lie_rep(strands=4)"] = functools.partial(reps.lie_rep, strands=4)
+MIRROR_CASES["lie_rep(power=3)"] = functools.partial(reps.lie_rep, power=3)
+for _n in (3, 4, 5):
+    MIRROR_CASES["burau_unreduced(%d)" % _n] = functools.partial(reps.burau_unreduced, _n)
+    MIRROR_CASES["sym2_quantized(%d)" % _n] = functools.partial(reps.sym2_quantized, _n)
+    for _form in ("standard", "conjugated"):
+        MIRROR_CASES["burau_reduced(%d,%s)" % (_n, _form)] = functools.partial(
+            reps.burau_reduced, _n, _form)
+    for _notation in ("new", "bigelow"):
+        MIRROR_CASES["lk(%d,%s)" % (_n, _notation)] = functools.partial(reps.lk, _n, _notation)
+
+
+@pytest.mark.parametrize("build", MIRROR_CASES.values(), ids=MIRROR_CASES.keys())
+def test_inverse_letters_follow_the_mirror_rule(build):
+    assert all(_mirror_rule_holds(build()))
+
+
+def test_mirror_rule_fails_for_arbitrary_lie_data():
+    # exp(Y) diag((-t)^w) exp(-X) mirrors only when the module data does
+    x = PolyMatrix.zeros(3)
+    y = PolyMatrix.zeros(3)
+    x.data[0][1], x.data[1][2] = 2 * ONE, ONE
+    y.data[1][0], y.data[2][1] = ONE, 4 * ONE
+    rep = reps.braid_from_lie_rep([[2, 1, 0], [0, 1, 2]], [x], [y], 3)
+    assert not all(_mirror_rule_holds(rep))

@@ -9,6 +9,7 @@ canonical rendering is the signed-integer form.
 from __future__ import annotations
 
 import re
+from operator import index
 
 from .laurent import NUMERAL
 
@@ -21,10 +22,10 @@ class BraidWord:
     __slots__ = ("strands", "letters")
 
     def __init__(self, strands, letters=()):
-        strands = int(strands)
+        strands = index(strands)
         if strands < 2:
             raise ValueError("a braid group needs at least 2 strands")
-        letters = tuple(int(x) for x in letters)
+        letters = tuple(index(x) for x in letters)
         for pos, x in enumerate(letters):
             if x == 0 or abs(x) > strands - 1:
                 raise ValueError("letter %d at position %d is out of range for %d strands"

@@ -10,8 +10,10 @@ Both are determinant ratios:
 
 The sign character multiplies the image of a word of length L by
 s = (-1)^L, so the Krammer determinants are taken on lk itself as
-s^dim det(lk(word) - s I).  The generator images keep their unit-vector
-columns, which a matrix product passes through without arithmetic.
+s^dim det(lk(word) - s I).  The generator images stay as their
+constructors build them, so a word image rewrites only the lines (rows
+for the conjugated reduced Burau form, columns for lk) where each letter
+differs from the identity; reps.image_of_word passes the rest through.
 
 The representation and den depend only on the invariant and the strand
 count, so a process builds them once per pair; a call computes only num.
@@ -92,7 +94,7 @@ def _closure_det(invariant, rep, word):
     For the Krammer invariant rho is lk tensored with the sign character,
     which scales the image of a word of length L by s = (-1)^L.  So
     det(s lk(w) - I) = s^dim det(lk(w) - s I): the sign is applied once per
-    word, and the generator images keep their unit-vector columns.
+    word, and the generator images stay as lk builds them.
     """
     s = -1 if invariant == "krammer" and len(word.letters) % 2 else 1
     m = image_of_word(rep, word)

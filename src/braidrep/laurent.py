@@ -204,7 +204,7 @@ class LaurentPoly:
         return p
 
     def __pow__(self, n):
-        n = int(n)
+        n = index(n)
         if n < 0:
             # only units (single +-monomial terms) are invertible
             if not self.is_unit():
@@ -658,7 +658,7 @@ class PolyFraction:
         return PolyFraction(self.num * other.den, self.den * other.num)
 
     def __pow__(self, n):
-        n = int(n)
+        n = index(n)
         if n < 0:
             if self.num.is_zero():
                 raise ZeroDivisionError("negative power of zero fraction")
@@ -713,7 +713,7 @@ class PolyFraction:
 
 def q_natural(n, form="paren"):
     """(n)_q = 1 + q + ... + q^(n-1), or the balanced [n]_q for form="bracket"."""
-    n = int(n)
+    n = index(n)
     if n < 0:
         raise ValueError("q_natural needs n >= 0")
     if form == "paren":
@@ -727,7 +727,7 @@ def q_natural(n, form="paren"):
 def q_factorial(n, form="paren"):
     if form not in ("paren", "bracket"):
         raise ValueError("unknown form %r" % (form,))
-    n = int(n)
+    n = index(n)
     if n < 0:
         raise ValueError("q_factorial needs n >= 0")
     out = ONE
@@ -745,8 +745,8 @@ def q_binomial(n, k, form="paren"):
     """
     if form not in ("paren", "bracket"):
         raise ValueError("unknown form %r" % (form,))
-    n = int(n)
-    k = int(k)
+    n = index(n)
+    k = index(k)
     if n < 0:
         raise ValueError("q_binomial needs n >= 0")
     if k < 0 or k > n:
@@ -766,7 +766,7 @@ def q_binomial(n, k, form="paren"):
 
 def q_pochhammer(a, n):
     """(a; q)_n = prod_{k=0}^{n-1} (1 - a q^k)."""
-    n = int(n)
+    n = index(n)
     if n < 0:
         raise ValueError("q_pochhammer needs n >= 0")
     a = LaurentPoly.coerce(a)

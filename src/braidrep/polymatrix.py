@@ -13,8 +13,9 @@ product of linear forms, in commuting or anticommuting variables.
 A product entry, a Bareiss update pivot*a - lead*b and a Berkowitz sum are
 each one call of laurent.sum_of_products, which builds the entry in one
 dict.  A product column that is a unit vector e_i hands back the left
-factor's entries in column i themselves, so right-multiplying by a braid
-generator costs only the columns the generator changes.
+factor's entries in column i themselves.  Braid word images do not go
+through the product: reps.image_of_word rewrites only the rows or columns
+each letter changes.
 
 Basis conventions, used consistently by the representation constructors:
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from collections import defaultdict
+from operator import index
 
 from .laurent import LaurentPoly, ONE, ZERO, binary_power, exact_div, sum_of_products
 
@@ -160,7 +162,7 @@ class PolyMatrix:
 
     def __pow__(self, n):
         self._require_square("matrix power")
-        n = int(n)
+        n = index(n)
         if n < 0:
             return self.inverse() ** (-n)
         return binary_power(self, n, PolyMatrix.identity(self.rows))

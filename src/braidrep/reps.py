@@ -1,11 +1,13 @@
 """Braid group representations over Z[t,t^-1,q,q^-1].
 
 Constructors here all follow the same conventions: generator images are
-square matrices whose columns are the images of basis vectors, words act by
-left-to-right matrix products, and every generator image is invertible over
-the Laurent ring.  A representation stores the generator images; the image
-of an inverse letter sigma_i^-1 is computed the first time a word uses it,
-then kept.
+square matrices whose columns are the images of basis vectors, the image of
+a word is the product of its letters' images from left to right, and every
+generator image is invertible over the Laurent ring.  A representation
+stores the generator images; the image of an inverse letter sigma_i^-1 is
+computed the first time a word uses it, then kept.  A word image applies
+each letter only to the rows or columns where its image differs from the
+identity (image_of_word), never as a whole-matrix product.
 
 Symmetric powers are quantized by one rule: the p-th power of a
 transvection I + s*e_ij carries the Gaussian binomial [a choose b]_q s^b
@@ -26,9 +28,10 @@ change of basis w_(i,j) <-> F_(i,j+1) is position-for-position.
 from __future__ import annotations
 
 import math
+import operator
 
 from .braid import BraidWord, CheckReport, check_braid_relations
-from .laurent import LaurentPoly, ONE, Q, T, q_binomial
+from .laurent import LaurentPoly, ONE, Q, T, q_binomial, sum_of_products
 from .polymatrix import (
     PolyMatrix,
     char_poly,
@@ -45,13 +48,17 @@ class Representation:
 
     The image of an inverse letter is computed the first time a word uses
     it, then kept.  Inverting every generator up front would cost far more
-    than most requests (lk(16) has 120 x 120 images).
+    than most requests (lk(16) has 120 x 120 images).  Next to the kept
+    inverses sit the lines (rows or columns) where each letter's image
+    differs from the identity, which are all a word image applies; the
+    first word image picks rows or columns (see image_of_word).
     """
 
-    __slots__ = ("strands", "dim", "label", "gen_images", "_inverses")
+    __slots__ = ("strands", "dim", "label", "gen_images", "_inverses", "_by_rows", "_where",
+                 "_lines")
 
     def __init__(self, strands, gen_images, label):
-        strands = int(strands)
+        strands = operator.index(strands)
         if strands < 2:
             raise ValueError("need at least 2 strands")
         if len(gen_images) != strands - 1:
@@ -65,6 +72,8 @@ class Representation:
         self.label = label
         self.gen_images = list(gen_images)
         self._inverses = {}
+        self._by_rows = self._where = None
+        self._lines = {}
 
     def sigma(self, i):
         """Image of sigma_i, 1-based.  A negative i gives the inverse of
@@ -81,6 +90,42 @@ class Representation:
             inv = self._inverses[i] = self.gen_images[-i - 1].inverse()
         return inv
 
+    def _orient(self):
+        """Whether word images go by rows: the generators differ from the
+        identity in fewer rows than columns, a tie going to columns.  Decided
+        once, keeping for each generator the indices of its changed lines."""
+        if self._by_rows is None:
+            changed = []
+            for g in self.gen_images:
+                rows, cols = set(), set()
+                for i, row in enumerate(g.data):
+                    for j, e in enumerate(row):
+                        if (e != ONE) if i == j else e:
+                            rows.add(i)
+                            cols.add(j)
+                changed.append((sorted(rows), sorted(cols)))
+            self._by_rows = sum(len(r) for r, _ in changed) < sum(len(c) for _, c in changed)
+            self._where = [r if self._by_rows else c for r, c in changed]
+        return self._by_rows
+
+    def _letter_lines(self, x):
+        """The lines where the image of letter x differs from the identity,
+        each as (index, nonzero entries as (k, entry)), read once _orient
+        has run and then kept.  An inverse letter differs from the identity
+        on the same lines as its generator (if g = I + E, then
+        g^-1 = I - E g^-1 = I - g^-1 E), so both are read at its indices."""
+        lines = self._lines.get(x)
+        if lines is None:
+            data = self.sigma(x).data
+            where = self._where[abs(x) - 1]
+            if self._by_rows:
+                lines = [(i, [(k, e) for k, e in enumerate(data[i]) if e]) for i in where]
+            else:
+                lines = [(j, [(k, row[j]) for k, row in enumerate(data) if row[j]])
+                         for j in where]
+            self._lines[x] = lines
+        return lines
+
     def image(self, word):
         return image_of_word(self, word)
 
@@ -92,9 +137,14 @@ def image_of_word(rep, word):
     """Image of a braid word (BraidWord or text) under the representation;
     an inverse letter is inverted the first time a word uses it, then kept.
 
-    The product starts from a row copy of the first letter's image, not from
-    the identity, so the result is always a fresh matrix that the caller may
-    write into without touching the kept generator images."""
+    Each letter rewrites only the lines where its image differs from the
+    identity; the other lines pass through untouched.  By rows, the letters
+    act from the left, so the word is walked right to left and a changed
+    row i becomes sum_k g_ik row_k; by columns they act from the right, left
+    to right, and a changed column j becomes sum_k g_kj column_k.  Every new
+    entry is one sum_of_products over its nonzero pairs.  The walk starts
+    from a row copy of the first letter's image, so the result is always a
+    fresh matrix that the caller may write into."""
     if isinstance(word, str):
         word = BraidWord.parse(word, rep.strands)
     if word.strands != rep.strands:
@@ -103,10 +153,28 @@ def image_of_word(rep, word):
     letters = word.letters
     if not letters:
         return PolyMatrix.identity(rep.dim)
-    out = PolyMatrix(rep.sigma(letters[0]).data)  # the constructor copies the rows
+    by_rows = rep._orient()
+    if by_rows:
+        letters = letters[::-1]
+    out = [row[:] for row in rep.sigma(letters[0]).data]
+    cols = range(rep.dim)
     for x in letters[1:]:
-        out = out * rep.sigma(x)
-    return out
+        lines = rep._letter_lines(x)
+        if by_rows:
+            new = []
+            for i, entries in lines:
+                src = [(g, out[k]) for k, g in entries]
+                new.append((i, [sum_of_products([(g, r[c]) for g, r in src if r[c]])
+                                for c in cols]))
+            for i, row in new:
+                out[i] = row
+        else:
+            for row in out:
+                new = [sum_of_products([(row[k], g) for k, g in entries if row[k]])
+                       for _, entries in lines]
+                for (j, _), e in zip(lines, new):
+                    row[j] = e
+    return PolyMatrix._wrap(out)
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +183,7 @@ def image_of_word(rep, word):
 
 def burau_unreduced(n):
     """Unreduced Burau: sigma_i acts by [[1-t, t], [1, 0]] on strands i, i+1."""
-    n = int(n)
+    n = operator.index(n)
     if n < 2:
         raise ValueError("need at least 2 strands")
     block = PolyMatrix([[1 - T, T], [1, 0]])
@@ -138,7 +206,7 @@ def burau_reduced(n, form="standard"):
     identities are stated for it.  "standard" is D sigma^T D^-1 with D = diag((-t)^-j):
     entry (i, j) is (-t)^(j-i) times entry (j, i) of the conjugated image.
     """
-    n = int(n)
+    n = operator.index(n)
     if n < 2:
         raise ValueError("need at least 2 strands")
     if form not in ("standard", "conjugated"):
@@ -168,7 +236,7 @@ def lk(n, notation="new"):
     t -> -q, q -> t applied to the "bigelow" matrices.  Both share one case
     table; the notation only picks its five coefficients.
     """
-    n = int(n)
+    n = operator.index(n)
     if n < 2:
         raise ValueError("need at least 2 strands")
     if notation not in ("new", "bigelow"):
@@ -275,7 +343,7 @@ def sym2_quantized(n):
     diagonal q^C(r,2) on the multiplicity r of the active index: q on the
     doubled slot e^s_(k,k).  Needs n >= 3.
     """
-    n = int(n)
+    n = operator.index(n)
     if n < 3:
         raise ValueError("the quantized symmetric square needs n >= 3")
     return Representation(n, _quantized_sym_gens(n, [ONE, -T, T ** 2]), "sym2q(n=%d)" % n)
@@ -293,7 +361,7 @@ def change_of_basis(n):
     its second is an empty sum and is dropped, so each column of C touches
     at most four basis vectors.
     """
-    n = int(n)
+    n = operator.index(n)
     if n < 3:
         raise ValueError("the change of basis needs n >= 3")
     pairs = [(a + 1, b + 1) for a, b in sym_basis(n - 1, 2)]
@@ -333,7 +401,7 @@ def verify_spectrum(n):
     lk(n)(sigma_1):      (x - q t^2) (x + t)^(n-2) (x - 1)^((n-1)(n-2)/2)
     S^2 rho_n(sigma_1):  (x - t^2)   (x + t)^(n-2) (x - 1)^((n-1)(n-2)/2)
     """
-    n = int(n)
+    n = operator.index(n)
     if n < 3:
         raise ValueError("spectrum check needs n >= 3")
     ones = (n - 1) * (n - 2) // 2
@@ -369,7 +437,7 @@ def verify_stability(n):
     group is reached.  For sigma_1 the shifted identity genuinely fails, which
     is recorded as an expected failure.
     """
-    n = int(n)
+    n = operator.index(n)
     if n < 3:
         raise ValueError("stability check needs n >= 3")
     small = burau_reduced(n, "conjugated")
@@ -439,7 +507,7 @@ def qpascal_sigma1(n):
     Entry (k, m), 0-based, is C_(n-k)^(n-m)(q): the quantized n-th symmetric
     power of the 2 x 2 shear [[1, 1], [0, 1]].
     """
-    n = int(n)
+    n = operator.index(n)
     if n < 1:
         raise ValueError("qpascal_sigma1 needs n >= 1")
     return _transvection_q(2, 0, 1, 1, n)
@@ -450,7 +518,7 @@ def qpascal_sigma2(n):
     D = qpascal_dmatrix(n): the quantized n-th symmetric power of the lower
     shear, conjugated.  It equals the sharp of the inverse of qpascal_sigma1
     taken at q^-1."""
-    n = int(n)
+    n = operator.index(n)
     if n < 1:
         raise ValueError("qpascal_sigma2 needs n >= 1")
     d_inv = PolyMatrix.diagonal([Q ** -math.comb(r, 2) for r in range(n + 1)])
@@ -459,7 +527,7 @@ def qpascal_sigma2(n):
 
 def qpascal_dmatrix(n):
     """diag(q^(r(r-1)/2)) for r = 0..n."""
-    return _slot_q(2, 1, int(n))
+    return _slot_q(2, 1, operator.index(n))
 
 
 def validate_lambda(entries):
@@ -506,7 +574,7 @@ def verify_humphry(max_power=7):
     side, against the sharp of the inverse Pascal matrix.  Raises ValueError
     for max_power < 1, which would check nothing.
     """
-    max_power = int(max_power)
+    max_power = operator.index(max_power)
     if max_power < 1:
         raise ValueError("verify_humphry needs max_power >= 1, got %d" % max_power)
     report = CheckReport("humphry(max_power=%d)" % max_power)
@@ -546,7 +614,7 @@ def _as_diagonal_ints(mat, what):
                 elif not e.is_zero():
                     raise ValueError("%s must be diagonal" % what)
         return diag
-    return [int(v) for v in mat]
+    return [operator.index(v) for v in mat]
 
 
 def braid_from_lie_rep(e_diagonals, x_images, y_images, strands):
@@ -561,7 +629,7 @@ def braid_from_lie_rep(e_diagonals, x_images, y_images, strands):
         sigma_k = exp(Y_(k-1)) exp(s E_k) exp(-X_k)   (1 < k < strands-1)
         sigma_(m) = exp(Y_(m-1)) exp(s E_m)           (m = strands-1)
     """
-    strands = int(strands)
+    strands = operator.index(strands)
     if strands < 2:
         raise ValueError("need at least 2 strands")
     m = strands - 1
@@ -587,7 +655,7 @@ def braid_from_lie_rep(e_diagonals, x_images, y_images, strands):
 def natural_lie_data(strands):
     """Weight and shear data of the natural module; reproduces the conjugated
     reduced Burau representation."""
-    m = int(strands) - 1
+    m = operator.index(strands) - 1
     if m < 1:
         raise ValueError("need at least 2 strands")
     es = []
@@ -609,7 +677,7 @@ def sl2_symmetric_power_data(power):
     """Module data of the m-th symmetric power of the 2-dimensional module:
     weights (m..0) and (0..m), raising superdiagonal (m..1), lowering
     subdiagonal (1..m).  Feeds a 3-strand representation of dimension m+1."""
-    m = int(power)
+    m = operator.index(power)
     if m < 1:
         raise ValueError("symmetric power needs m >= 1")
     e1 = [m - i for i in range(m + 1)]

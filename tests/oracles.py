@@ -47,6 +47,20 @@ def sign_twisted_krammer_fraction(word):
     return PolyFraction(closure_det(word), closure_det(BraidWord(n, list(range(1, n)))))
 
 
+def product_image_of_word(rep, word):
+    """Image of a braid word as the product of whole generator images taken
+    left to right, starting from a row copy of the first letter's image."""
+    if isinstance(word, str):
+        word = BraidWord.parse(word, rep.strands)
+    letters = word.letters
+    if not letters:
+        return PolyMatrix.identity(rep.dim)
+    out = PolyMatrix(rep.sigma(letters[0]).data)
+    for x in letters[1:]:
+        out = out * rep.sigma(x)
+    return out
+
+
 def table_burau_reduced(n, form):
     """Generator images of reduced Burau on n strands written entry by entry:
     sigma_i differs from the identity only in column i (standard form) or in

@@ -5,12 +5,12 @@ import pytest
 
 from braidrep import reps
 from braidrep.braid import BraidWord, check_braid_relations
-from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, parse_poly,
-                              q_binomial)
+from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, PolyFraction, parse_poly,
+                              q_binomial, q_natural)
 from braidrep.polymatrix import (PolyMatrix, char_poly, char_poly_from_roots,
                                  sym_basis, sym_power)
-from oracles import (change_of_basis_blocks, inverse_qpascal_sigma2, table_burau_reduced,
-                     two_product_qpascal)
+from oracles import (change_of_basis_blocks, inverse_qpascal_sigma2, product_image_of_word,
+                     table_burau_reduced, two_product_qpascal)
 
 
 def mat(rows):
@@ -157,6 +157,120 @@ def test_singular_generator_fails_only_when_inverted():
     # a failed inversion is not kept: each request raises again
     with pytest.raises(ArithmeticError, match="singular over the Laurent ring"):
         rep.sigma(-1)
+
+
+# every constructor and form on n strands; the 3-strand families take n as
+# their size instead
+CONSTRUCTORS = {
+    "burau_unreduced": reps.burau_unreduced,
+    "burau_reduced(standard)": functools.partial(reps.burau_reduced, form="standard"),
+    "burau_reduced(conjugated)": functools.partial(reps.burau_reduced, form="conjugated"),
+    "sym2_quantized": reps.sym2_quantized,
+    "lk(new)": functools.partial(reps.lk, notation="new"),
+    "lk(bigelow)": functools.partial(reps.lk, notation="bigelow"),
+    "qpascal(standard)": lambda n: reps.qpascal_rep(balanced_lambdas(random.Random(n), n)),
+    "qpascal(sharp)": lambda n: reps.qpascal_rep(balanced_lambdas(random.Random(n), n), "sharp"),
+    "lie_rep(strands)": lambda n: reps.lie_rep(strands=n),
+    "lie_rep(power)": lambda n: reps.lie_rep(power=n),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+def test_word_image_matches_the_whole_matrix_product(name):
+    rep = CONSTRUCTORS[name](4)
+    rng = random.Random(15)
+    gens = range(1, rep.strands)
+    words = [[]] + [[s * i] for i in gens for s in (1, -1)]
+    words += [[rng.choice((-1, 1)) * rng.choice(gens) for _ in range(rng.randint(2, 9))]
+              for _ in range(8)]
+    for letters in words:
+        w = BraidWord(rep.strands, letters)
+        assert reps.image_of_word(rep, w) == product_image_of_word(rep, w), w
+
+
+@pytest.mark.parametrize("name", ("burau_reduced(conjugated)", "lk(new)"))
+def test_word_image_is_fresh(name):
+    # one constructor goes by rows, the other by columns
+    rep = CONSTRUCTORS[name](4)
+    for text in ("2", "-2", "1 -2", "-2 3 1 2"):
+        gens = [PolyMatrix(rep.sigma(x).data) for x in (1, -2, 3)]
+        first = reps.image_of_word(rep, text)
+        second = reps.image_of_word(rep, text)
+        for row in first.data:
+            row[:] = [Q ** 7] * len(row)
+        assert [rep.sigma(x) for x in (1, -2, 3)] == gens
+        assert second == reps.image_of_word(rep, text) == product_image_of_word(rep, text)
+
+
+def changed_lines(g):
+    """The rows and the columns where g differs from the identity."""
+    rows, cols = set(), set()
+    for i in range(g.rows):
+        for j in range(g.cols):
+            if g[i, j] != (ONE if i == j else ZERO):
+                rows.add(i)
+                cols.add(j)
+    return rows, cols
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+def test_inverse_letters_change_the_lines_of_their_generator(name, n):
+    # word images apply a letter only on the lines its generator changes
+    rep = CONSTRUCTORS[name](n)
+    for i in range(1, rep.strands):
+        assert changed_lines(rep.sigma(-i)) == changed_lines(rep.sigma(i)), i
+
+
+@pytest.mark.parametrize("build, per_letter", (
+    (lambda: reps.burau_reduced(7, "conjugated"), 6),
+    (lambda: reps.lk(4), 5 * 6),
+), ids=("burau_reduced(7,conjugated)", "lk(4)"))
+def test_word_image_applies_only_the_changed_lines(monkeypatch, build, per_letter):
+    rep = build()
+    rng = random.Random(20)
+    letters = [rng.choice((-1, 1)) * rng.randint(1, rep.strands - 1) for _ in range(20)]
+    for i in range(1, rep.strands):
+        rep.sigma(-i)
+    kernel = reps.sum_of_products
+    calls = []
+
+    def counted(pairs):
+        calls.append(pairs)
+        return kernel(pairs)
+
+    def whole_product(*args):
+        raise AssertionError("image_of_word multiplied whole matrices")
+
+    monkeypatch.setattr(reps, "sum_of_products", counted)
+    monkeypatch.setattr(PolyMatrix, "__mul__", whole_product)
+    image = reps.image_of_word(rep, BraidWord(rep.strands, letters))
+    monkeypatch.undo()
+    assert 0 < len(calls) <= per_letter * (len(letters) - 1)
+    assert image == product_image_of_word(rep, BraidWord(rep.strands, letters))
+
+
+@pytest.mark.parametrize("call, good, bad", (
+    (lambda v: BraidWord(3, [1, v]), True, 2.5),
+    (lambda v: BraidWord(v, [1]), 3, 3.0),
+    (lambda v: T ** v, 2, 2.5),
+    (lambda v: PolyFraction(T) ** v, True, 1.9),
+    (lambda v: PolyMatrix([[T]]) ** v, 2, 2.7),
+    (lambda v: q_natural(v), 2, 2.9),
+    (lambda v: q_binomial(3, v), True, 1.2),
+    (lambda v: q_binomial(v, 1), 3, 3.7),
+    (lambda v: reps.lk(v), 3, 3.5),
+    (lambda v: reps.burau_reduced(v), 3, 3.9),
+    (lambda v: reps.braid_from_lie_rep([[v]], [], [], 2), True, 1.5),
+    (lambda v: reps.Representation(v, [PolyMatrix([[T]])], "one"), 2, 2.0),
+), ids=("braid-letter", "braid-strands", "poly-power", "fraction-power", "matrix-power",
+        "q_natural", "q_binomial-k", "q_binomial-n", "lk", "burau_reduced", "lie-weight",
+        "Representation"))
+def test_sizes_must_be_integers(call, good, bad):
+    # ints and bools are accepted; a float raises instead of being truncated
+    call(good)
+    with pytest.raises(TypeError):
+        call(bad)
 
 
 def test_burau_determinant_is_minus_t():

@@ -146,7 +146,9 @@ def cmd_invariant(args):
         print(str(headline))
     if fraction.num.is_zero():
         print("braidrep: note: det(rho(word) - I) = 0, so the value is 0: the image "
-              "of the word has eigenvalue 1 (as for a split closure)", file=sys.stderr)
+              "of the word has eigenvalue 1, and not only for a split closure (the "
+              "figure-eight knot 1 -2 1 -2 is conjugate to its inverse, and its "
+              "Krammer value is 0)", file=sys.stderr)
     return 0
 
 

@@ -21,10 +21,20 @@ dict, a one-term factor shifts the other operand's exponents, and a factor of
 exactly 1 hands back the other operand itself.  Polynomials are never written
 after construction, so sharing one between results is safe.
 
+Large operands become integers (Kronecker substitution): a polynomial packs
+to one int with a byte-aligned slot per monomial of its exponent box, so a
+product of two polynomials is one integer product, and a division one
+integer divmod.  sum_of_products takes each pair whose operands both have at
+least PACK_PAIR_TERMS terms this way, and exact_div each dividend of at least
+PACK_DIVIDEND_TERMS terms; slots wide enough to hold every coefficient make
+the result exact, not approximate.  Packing is refused when the box is
+sparse, so an exponent of 10**12 costs what its terms cost, not its span.
+
 PolyFraction keeps num/den pairs in a value-preserving canonical form and
 compares by cross multiplication.  No multivariate gcd is computed anywhere;
-exactness comes from long division alone.  exact_div divides by a one-term
-divisor by dividing the coefficients and shifting the exponents; otherwise it
+exactness comes from exact division alone.  exact_div divides by a one-term
+divisor by dividing the coefficients and shifting the exponents; a large
+dividend is divided as a packed integer where that decides; otherwise it
 divides in place on a remainder keyed by packed integer monomials, taking
 each leading term from a heap, so a step costs the divisor's size times a
 logarithm, not a rescan of the remainder.
@@ -332,8 +342,12 @@ def sum_of_products(pairs):
     one-term factor multiplies the other operand by shifting its exponents,
     with no convolution.  A single pair whose factor is exactly 1 returns the
     other operand itself, so a matrix column that is a unit vector e_i gives
-    back the row's entry.  Polynomial products, matrix products, the Bareiss
-    update and the Berkowitz sums all call this kernel.
+    back the row's entry.  The pairs whose operands both have at least
+    PACK_PAIR_TERMS terms are multiplied as packed integers, their products
+    summed as one integer and read back into the same dict once (see
+    _add_packed_products); the other pairs stay on the dict loop.
+    Polynomial products, matrix products, the Bareiss update and the
+    Berkowitz sums all call this kernel.
     """
     if not pairs:
         return ZERO
@@ -344,6 +358,7 @@ def sum_of_products(pairs):
         if y._terms == _ONE_TERMS:
             return x
     data = {}
+    large = []
     for x, y in pairs:
         xt = x._terms
         yt = y._terms
@@ -351,7 +366,8 @@ def sum_of_products(pairs):
             continue
         if len(xt) > len(yt):
             xt, yt = yt, xt
-        if len(xt) == 1:
+        size = len(xt)
+        if size == 1:
             ((a, b), k), = xt.items()
             if data:
                 get = data.get
@@ -361,11 +377,16 @@ def sum_of_products(pairs):
             else:
                 data = {(a + c, b + d): k * v for (c, d), v in yt.items()}
             continue
+        if size >= PACK_PAIR_TERMS:
+            large.append((xt, yt))
+            continue
         get = data.get
         for (a, b), k in xt.items():
             for (c, d), v in yt.items():
                 m = (a + c, b + d)
                 data[m] = get(m, 0) + k * v
+    if large:
+        _add_packed_products(large, data)
     p = LaurentPoly.__new__(LaurentPoly)
     p._terms = {m: c for m, c in data.items() if c}
     return p
@@ -500,7 +521,11 @@ def exact_div(a, b):
 
     A one-term divisor c*t^i*q^j divides a exactly when c divides every
     coefficient of a; the quotient then divides the coefficients by c and
-    shifts the exponents by (-i, -j), with no heap.  Otherwise monomial
+    shifts the exponents by (-i, -j), with no heap.  A dividend of at least
+    PACK_DIVIDEND_TERMS terms is packed into an integer with the divisor
+    (see _packed_div): spans that cannot match or a nonzero integer
+    remainder prove that b does not divide a, and a zero remainder gives the
+    quotient when its digits pass a box and a size check.  Otherwise monomial
     content is stripped from both operands first (a unit factor, restored on
     the quotient), then single-divisor long division runs on the
     ordinary-polynomial parts.  For a single divisor the leading-term test is
@@ -534,6 +559,10 @@ def exact_div(a, b):
         q = LaurentPoly.__new__(LaurentPoly)
         q._terms = {(et - tb, eq - qb): c // bc for (et, eq), c in a._terms.items()}
         return q
+    if len(a._terms) >= PACK_DIVIDEND_TERMS:
+        decided, q = _packed_div(a._terms, b._terms)
+        if decided:
+            return q
     ta, qa = a.min_exponents()
     tb, qb = b.min_exponents()
     S = 1 + max(et + eq for et, eq in a._terms) - ta - qa
@@ -573,6 +602,154 @@ def exact_div(a, b):
     q = LaurentPoly.__new__(LaurentPoly)
     q._terms = quo
     return q
+
+
+# ----------------------------------------------------------------------
+# Kronecker substitution: polynomials as integers
+
+
+# A pair goes through one integer product when both operands have at least
+# PACK_PAIR_TERMS terms; a dividend with at least PACK_DIVIDEND_TERMS terms is
+# divided as an integer first.  A packed integer holds one slot per monomial
+# of a box, so packing is refused when the box has more than PACK_DENSITY
+# slots per term product: a sparse operand spread over a huge exponent span
+# stays on the dict loop or the heap.  A packed division makes its slots
+# PACK_HEADROOM_BITS wider than the operands' coefficients, so that a
+# quotient whose coefficients outgrow them still reads back.
+PACK_PAIR_TERMS = 12
+PACK_DIVIDEND_TERMS = 128
+PACK_DENSITY = 2
+PACK_HEADROOM_BITS = 16
+
+
+def _shape(terms):
+    """(min et, max et, min eq, max eq, sum |c|, max |c|) of a nonzero term dict."""
+    ets, eqs = zip(*terms)
+    mags = [abs(c) for c in terms.values()]
+    return min(ets), max(ets), min(eqs), max(eqs), sum(mags), max(mags)
+
+
+# A polynomial packs to the integer sum of c * z^((et - t0) * stride + eq - q0)
+# over its terms, z = 2^(8 * width): one width-byte slot per monomial of the
+# box [t0, t0 + rows) x [q0, q0 + stride).  Packing is a ring map, exact for
+# any coefficients.  Reading back is exact when every slot's coefficient c has
+# |c| < z / 2: adding z / 2 to every slot then makes every digit of the sum
+# nonnegative, so the bytes of one to_bytes call are the slots.
+
+
+def _half_slots(width, slots):
+    """The bytes of z / 2 in each of slots width-byte slots, little-endian."""
+    return (bytes(width - 1) + b"\x80") * slots
+
+
+def _pack(terms, t0, q0, stride, width, rows):
+    """The packed integer of a term dict on rows t-rows from (t0, q0)."""
+    half = 1 << (8 * width - 1)
+    offset = _half_slots(width, rows * stride)
+    buf = bytearray(offset)
+    corner = t0 * stride + q0
+    for (a, b), c in terms.items():
+        i = (a * stride + b - corner) * width
+        buf[i:i + width] = (c + half).to_bytes(width, "little")
+    return int.from_bytes(buf, "little") - int.from_bytes(offset, "little")
+
+
+def _unpack_into(data, value, t0, q0, stride, width, rows):
+    """Add each nonzero slot of value into data at its monomial; raises
+    OverflowError when value does not fit the box."""
+    half = 1 << (8 * width - 1)
+    offset = _half_slots(width, rows * stride)
+    raw = (value + int.from_bytes(offset, "little")).to_bytes(len(offset), "little")
+    zero = offset[:width]
+    get = data.get
+    i = 0
+    for et in range(t0, t0 + rows):
+        for eq in range(q0, q0 + stride):
+            s = raw[i:i + width]
+            if s != zero:
+                m = (et, eq)
+                data[m] = get(m, 0) + int.from_bytes(s, "little") - half
+            i += width
+
+
+def _add_packed_products(pairs, data):
+    """Add x * y for the (x, y) term dicts of pairs into data, each product
+    one integer product (Kronecker substitution: D. Harvey, J. Symb. Comput.
+    44, 2009).
+
+    The pairs' products lie in one box [t0, t1] x [q0, q1], and stride =
+    q1 - q0 + 1 keeps a q-range from wrapping into the next t-row, so the
+    slot of a product term is the sum of its factors' slots.  Each operand
+    is packed from its own corner; each integer product is shifted to its
+    pair's corner and summed, and the sum is read back once.  No coefficient
+    of the sum exceeds the sum over the pairs of min(|x|_1 |y|_inf,
+    |x|_inf |y|_1), and the slots are the fewest whole bytes that hold twice
+    that.  When the box has more than PACK_DENSITY slots per term product,
+    the pairs are convolved on the dict loop instead.
+    """
+    shapes = [(_shape(xt), _shape(yt)) for xt, yt in pairs]
+    t0 = min(sx[0] + sy[0] for sx, sy in shapes)
+    t1 = max(sx[1] + sy[1] for sx, sy in shapes)
+    q0 = min(sx[2] + sy[2] for sx, sy in shapes)
+    stride = max(sx[3] + sy[3] for sx, sy in shapes) - q0 + 1
+    if (t1 - t0 + 1) * stride > PACK_DENSITY * sum(len(xt) * len(yt) for xt, yt in pairs):
+        get = data.get
+        for xt, yt in pairs:
+            for (a, b), k in xt.items():
+                for (c, d), v in yt.items():
+                    m = (a + c, b + d)
+                    data[m] = get(m, 0) + k * v
+        return
+    width = sum(min(sx[4] * sy[5], sx[5] * sy[4]) for sx, sy in shapes).bit_length() // 8 + 1
+    total = 0
+    for (xt, yt), (sx, sy) in zip(pairs, shapes):
+        x = _pack(xt, sx[0], sx[2], stride, width, sx[1] - sx[0] + 1)
+        y = _pack(yt, sy[0], sy[2], stride, width, sy[1] - sy[0] + 1)
+        total += x * y << 8 * width * ((sx[0] + sy[0] - t0) * stride + sx[2] + sy[2] - q0)
+    _unpack_into(data, total, t0, q0, stride, width, t1 - t0 + 1)
+
+
+def _packed_div(at, bt):
+    """(True, a / b or None) when packing decides whether b divides a, for
+    the term dicts at and bt of a and b; (False, None) when it cannot.
+
+    Exponent spans add under multiplication, so a span of a smaller than
+    that of b in either variable proves that b does not divide a, and
+    otherwise fixes the quotient's box.  Both are packed from their own
+    corners with the stride of a's q-span.  Packing is a ring map, so if b
+    divides a, the packed b divides the packed a: a nonzero integer
+    remainder proves that b does not.  A zero remainder is read back as a
+    polynomial d.  It is the quotient when it lies in the quotient's box and
+    |d|_1 |b|_inf < z / 2: then d * b and a both lie in a's box with
+    coefficients below z / 2, where packing is one to one, and they pack to
+    the same integer.  Otherwise the caller divides.
+    """
+    ta0, ta1, qa0, qa1, _, a_max = _shape(at)
+    tb0, tb1, qb0, qb1, _, b_max = _shape(bt)
+    rows = ta1 - ta0 - tb1 + tb0 + 1
+    cols = qa1 - qa0 - qb1 + qb0 + 1
+    if rows < 1 or cols < 1:
+        return True, None
+    stride = qa1 - qa0 + 1
+    if (ta1 - ta0 + 1) * stride > PACK_DENSITY * len(at) * len(bt):
+        return False, None
+    width = (max(a_max, b_max) << PACK_HEADROOM_BITS).bit_length() // 8 + 1
+    quo, rem = divmod(_pack(at, ta0, qa0, stride, width, ta1 - ta0 + 1),
+                      _pack(bt, tb0, qb0, stride, width, tb1 - tb0 + 1))
+    if rem:
+        return True, None
+    terms = {}
+    try:
+        _unpack_into(terms, quo, ta0 - tb0, qa0 - qb0, stride, width, rows)
+    except OverflowError:
+        return False, None
+    q_end = qa0 - qb0 + cols
+    if (any(eq >= q_end for _, eq in terms)
+            or sum(map(abs, terms.values())) * b_max >> 8 * width - 1):
+        return False, None
+    q = LaurentPoly.__new__(LaurentPoly)
+    q._terms = terms
+    return True, q
 
 
 # ----------------------------------------------------------------------

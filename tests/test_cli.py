@@ -173,7 +173,9 @@ def test_invariant_empty_word(capsys):
 
 
 DEGENERATE_NOTE = ("braidrep: note: det(rho(word) - I) = 0, so the value is 0: the image "
-                   "of the word has eigenvalue 1 (as for a split closure)\n")
+                   "of the word has eigenvalue 1, and not only for a split closure (the "
+                   "figure-eight knot 1 -2 1 -2 is conjugate to its inverse, and its "
+                   "Krammer value is 0)\n")
 
 
 @pytest.mark.parametrize("invariant", ("alexander", "krammer"))
@@ -193,6 +195,16 @@ def test_degenerate_zero_is_explained_on_stderr(capsys, invariant, fmt, shown):
         assert sorted(doc) == ["collapsed", "den", "invariant", "num", "schema"]
         assert doc["num"] == [] and doc["collapsed"] == []
     assert err == DEGENERATE_NOTE
+
+
+def test_figure_eight_krammer_zero_is_explained(capsys):
+    # a knot, not a split closure: the word is conjugate to its inverse
+    code, out, err = run(capsys, "invariant", "--strands", "3", "--invariant", "krammer",
+                         "--word", "1 -2 1 -2")
+    assert (code, out, err) == (0, "0\n", DEGENERATE_NOTE)
+    code, out, err = run(capsys, "invariant", "--strands", "3", "--invariant", "alexander",
+                         "--word", "1 -2 1 -2")
+    assert (code, out, err) == (0, "t^2 - 3*t + 1\n", "")
 
 
 @pytest.mark.parametrize("invariant", ("alexander", "krammer"))

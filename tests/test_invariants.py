@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from braidrep import invariants as inv
+from braidrep import laurent
 from braidrep.braid import BraidWord
 from braidrep.laurent import ONE, PolyFraction, Q, T, ZERO, parse_poly
 from braidrep.polymatrix import PolyMatrix, generalized_char_poly
@@ -166,6 +167,102 @@ def test_krammer_fraction_of_identity_words():
     kid = inv.krammer_fraction(W.identity(3))
     assert kid.fraction == PolyFraction.coerce(0)
     assert kid.collapsed == ZERO
+
+
+def _balanced_word(rng, length, n=3):
+    """A freely reduced n-strand word of the given length and exponent sum 0."""
+    while True:
+        letters = []
+        while len(letters) < length:
+            x = rng.choice((1, -1)) * rng.randint(1, n - 1)
+            if not letters or letters[-1] != -x:
+                letters.append(x)
+        word = W(n, letters)
+        if word.exponent_sum() == 0:
+            return word
+
+
+def _bar(p):
+    """p with t -> 1/t and q -> 1/q."""
+    return p.substitute(T ** -1, Q ** -1).num
+
+
+def _trace(m):
+    return sum((m.data[i][i] for i in range(m.rows)), ZERO)
+
+
+def test_three_strand_krammer_identities(monkeypatch):
+    # For a 3-strand word w of exponent sum 0 the sign character is 1 and
+    # det LK(w) = 1, so det(LK(w) - I) = tr LK(w) - tr LK(w)^-1 for the 3x3
+    # image; with tr LK(w^-1) = bar(tr LK(w)) that is tr - bar(tr), and it
+    # makes K(w^-1) = -K(w).  At q = 1, LK(w) is conjugate to S^2(Burau(w)),
+    # which has the eigenvalue det Burau(w) = 1, so det(LK(w) - I) vanishes
+    # there.  The words of 24 and 32 letters take products and divisions
+    # through the packed integers.
+    packed = {"products": 0, "divisions": 0}
+    products, divide = laurent._add_packed_products, laurent._packed_div
+
+    def count_products(pairs, data):
+        packed["products"] += 1
+        return products(pairs, data)
+
+    def count_divisions(at, bt):
+        packed["divisions"] += 1
+        return divide(at, bt)
+
+    monkeypatch.setattr(laurent, "_add_packed_products", count_products)
+    monkeypatch.setattr(laurent, "_packed_div", count_divisions)
+    rep = lk(3)
+    rng = random.Random(1603)
+    words = [_balanced_word(rng, length) for length in [2, 4, 6, 8, 10] * 8]
+    rng = random.Random(1604)
+    words += [_balanced_word(rng, length) for length in (24, 32)]
+    nonzero = []
+    for word in words:
+        img = image_of_word(rep, word)
+        tr = _trace(img)
+        num = (img - PolyMatrix.identity(3)).det()
+        assert img.det() == ONE, str(word)
+        assert num == tr - _bar(tr), str(word)
+        assert _trace(image_of_word(rep, word.inverse())) == _bar(tr), str(word)
+        k = inv.krammer_fraction(word).fraction
+        assert k == PolyFraction(num, inv._closure_data("krammer", 3)[1]), str(word)
+        assert inv.krammer_fraction(word.inverse()).fraction == -k, str(word)
+        assert num.substitute(T, ONE).num.is_zero(), str(word)
+        nonzero.append(len(word.letters) if num else 0)
+    # short words mostly give 0; the identities are tested on nonzero values too
+    assert nonzero[-2:] == [24, 32] and any(nonzero[:-2]), nonzero
+    assert packed["products"] and packed["divisions"], packed
+
+
+@pytest.mark.parametrize("n", (4, 5, 6))
+def test_krammer_of_the_inverse_word(n):
+    # For exponent sum 0, det LK(w) = 1, so det(LK(w)^-1 - I) =
+    # det LK(w)^-1 det(I - LK(w)) = (-1)^d det(LK(w) - I) with d = C(n, 2):
+    # K(w^-1) = -K(w) on 3 strands (test above) and 6, K(w^-1) = K(w) on 4
+    # and 5.  A word conjugate to its inverse is forced to 0 only when d is
+    # odd.
+    sign = -1 if n * (n - 1) // 2 % 2 else 1
+    rng = random.Random(1606 + n)
+    nonzero = 0
+    for length in (2, 4, 6, 8, 8):
+        word = _balanced_word(rng, length, n)
+        k = inv.krammer_fraction(word).fraction
+        assert inv.krammer_fraction(word.inverse()).fraction == sign * k, str(word)
+        nonzero += not k.num.is_zero()
+    assert nonzero, n
+
+
+def test_figure_eight_krammer_vanishes():
+    # 1 -2 1 -2 closes to the figure-eight knot, a knot, not a split link.
+    # The half twist 1 2 1 conjugates sigma_1 to sigma_2 and back, so it
+    # conjugates the word to its inverse 2 -1 2 -1, and K(w) = K(w^-1) =
+    # -K(w) = 0
+    word = W.parse("1 -2 1 -2", 3)
+    rep = lk(3)
+    assert (image_of_word(rep, word.conjugate(W.parse("1 2 1", 3)))
+            == image_of_word(rep, word.inverse()))
+    assert inv.krammer_fraction(word).fraction == PolyFraction.coerce(0)
 
 
 def test_trefoil_krammer_is_alexander_reparametrized():

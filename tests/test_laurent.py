@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidrep import laurent
 from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, PolyFraction,
                               exact_div, parse_poly, q_binomial, q_factorial,
                               q_natural, q_pochhammer, sum_of_products)
@@ -443,6 +444,161 @@ def test_sum_of_products_hands_back_an_operand_times_one():
     assert p * 1 is p
     assert sum_of_products([(-ONE, p)]) == -p
     assert sum_of_products([]) == ZERO
+
+
+def _sized_poly(rng, n, box, coeff):
+    """A polynomial of exactly n terms with exponents in [-box, box]."""
+    side = range(-box, box + 1)
+    return LaurentPoly({m: coeff() for m in rng.sample([(a, b) for a in side for b in side], n)})
+
+
+def _coeff(rng, huge):
+    if huge:
+        return rng.choice((-1, 1)) * rng.randint(2 ** 64, 2 ** 80)
+    return rng.choice((-1, 1)) * rng.randint(1, 9)
+
+
+def test_packed_products_match_the_convolution(monkeypatch):
+    # Pairs whose smaller operand has N - 1, N, N + 1 or 2N terms, N the
+    # packing threshold, on boxes around the origin (so negative exponents),
+    # a sixth of them with coefficients above 2^64; some calls add a small
+    # pair, and some a pair (-x, y) that cancels an earlier one.  Exactly the
+    # pairs of at least N terms go through the integers.
+    n = laurent.PACK_PAIR_TERMS
+    rng = random.Random(1601)
+    handed = []
+    pack = laurent._add_packed_products
+
+    def record(pairs, data):
+        handed.append(len(pairs))
+        return pack(pairs, data)
+
+    monkeypatch.setattr(laurent, "_add_packed_products", record)
+    seen = {"below": 0, "at": 0, "above": 0, "huge": 0, "mixed": 0, "zero": 0}
+    for k in range(240):
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            huge = rng.random() < 1 / 6
+            size = rng.choice((n - 1, n, n + 1, 2 * n))
+            pairs.append((_sized_poly(rng, size, rng.randint(3, 6), lambda: _coeff(rng, huge)),
+                          _sized_poly(rng, size + rng.randint(0, 9), rng.randint(3, 6),
+                                      lambda: _coeff(rng, False))))
+            seen["huge"] += huge and size >= n
+        if k % 3 == 0:
+            pairs.append((_sized_poly(rng, 3, 2, lambda: _coeff(rng, False)), rng.choice(pairs)[1]))
+        if k % 5 == 0:
+            x, y = rng.choice(pairs)
+            pairs.append((-x, y))
+        del handed[:]
+        got = sum_of_products(pairs)
+        assert got == convolve(pairs), pairs
+        assert all(got._terms.values()), pairs
+        large = sum(min(len(x), len(y)) >= n for x, y in pairs)
+        assert handed == ([large] if large else []), (handed, large)
+        sizes = {min(len(x), len(y)) for x, y in pairs}
+        seen["below"] += n - 1 in sizes
+        seen["at"] += n in sizes
+        seen["above"] += n + 1 in sizes
+        seen["mixed"] += bool(large) and min(sizes) < n
+        seen["zero"] += bool(large) and got.is_zero()
+    assert min(seen.values()) >= 5, seen
+
+
+def test_packed_division_matches_long_division(monkeypatch):
+    # Dividends of at least M terms, M the packing threshold: half are
+    # products p * b, half are perturbed, and half reach out to t^1000, a box
+    # too sparse to pack.
+    # A packed division decides (a quotient, or None from a nonzero integer
+    # remainder or from the spans) or leaves the division to the heap; the
+    # answer matches long division either way.
+    m = laurent.PACK_DIVIDEND_TERMS
+    rng = random.Random(1602)
+    outcomes = []
+    divide = laurent._packed_div
+
+    def record(at, bt):
+        decided, q = divide(at, bt)
+        outcomes.append("heap" if not decided else "none" if q is None else "quotient")
+        return decided, q
+
+    monkeypatch.setattr(laurent, "_packed_div", record)
+    for k in range(160):
+        huge = k % 8 == 0
+        b = _sized_poly(rng, rng.randint(2, 12), rng.randint(2, 3), lambda: _coeff(rng, huge))
+        a = ZERO
+        while len(a) < m:
+            a = _sized_poly(rng, rng.randint(m // 2, m), 8, lambda: _coeff(rng, False))
+            if k % 4 >= 2:
+                a = a + T ** 1000
+            a = a * b
+        if k % 2:
+            a = a + _sized_poly(rng, rng.randint(1, 3), 10, lambda: _coeff(rng, False))
+        got = exact_div(a, b)
+        assert got == longdiv_exact_div(a, b), (a, b)
+        assert got is not None or k % 2, (a, b)
+        assert (got is None) == (outcomes[-1] == "none") or outcomes[-1] == "heap", outcomes
+    # a dividend of smaller span than the divisor, and one that b does not divide
+    b = (T - Q) ** 9
+    assert exact_div(q_natural(200), b) is None
+    assert exact_div(b * q_natural(200) + T ** 3, b) is None
+    assert len(outcomes) == 162 and outcomes[-2:] == ["none", "none"]
+    assert min(outcomes.count(kind) for kind in ("quotient", "none", "heap")) >= 10, outcomes
+
+
+def test_packed_division_hands_a_large_quotient_to_the_heap():
+    # (t^8 - 1)^7 f / (t - 1)^7 with f = 1 + q + ... + q^15: a dividend of
+    # 128 terms with coefficients up to 35, and a quotient with coefficients
+    # up to 134 512 and |q|_1 = 8^7 * 16, too wide for the packed slots to
+    # prove
+    f = q_natural(16)
+    b = (T - ONE) ** 7
+    a = (T ** 8 - ONE) ** 7 * f
+    want = q_natural(8).substitute(Q, T).num ** 7 * f
+    assert len(a) >= laurent.PACK_DIVIDEND_TERMS
+    assert max(want.coeff(k) for k in range(50)) == 134512
+    assert laurent._packed_div(a._terms, b._terms) == (False, None)
+    assert exact_div(a, b) == want == longdiv_exact_div(a, b)
+    # the quotient (1 + t + t^2)^7 f has coefficients up to 393, larger than
+    # the dividend's, but the slots hold it, and packing decides
+    a = (T ** 3 - ONE) ** 7 * f
+    want = (ONE + T + T ** 2) ** 7 * f
+    assert max(want.coeff(k) for k in range(15)) == 393
+    assert laurent._packed_div(a._terms, b._terms) == (True, want) and exact_div(a, b) == want
+
+
+def test_packed_division_rejects_a_quotient_outside_its_box():
+    # a = (1 + q) h + t^3 q^9 + t^4 with h on [0, 14] x [0, 8]: a's q-span is
+    # 9, so the stride is 10, and t^3 q^9 (1 + q) = t^3 q^9 + t^3 q^10 packs
+    # like t^3 q^9 + t^4.  The packed 1 + q divides the packed a, and the
+    # digits read back are h + t^3 q^9, whose q^9 lies outside the quotient's
+    # q-range [0, 8].  But 1 + q does not divide a: at q = -1, a is t^4 - t^3.
+    rng = random.Random(1605)
+    h = LaurentPoly({(i, j): rng.randint(1, 9) for i in range(15) for j in range(9)})
+    b = ONE + Q
+    a = b * h + T ** 3 * Q ** 9 + T ** 4
+    assert len(a) >= laurent.PACK_DIVIDEND_TERMS
+    assert laurent._packed_div(a._terms, b._terms) == (False, None)
+    assert exact_div(a, b) is None is longdiv_exact_div(a, b)
+    assert exact_div(a - T ** 4 + T ** 3 * Q ** 10, b) == h + T ** 3 * Q ** 9
+
+
+@pytest.mark.parametrize("span", (10 ** 12, 10 ** 4000), ids=("1e12", "1e4000"))
+def test_sparse_operands_stay_off_the_packed_path(span):
+    # operands large enough to pack, spread over a huge exponent span: a
+    # packed integer would need a slot for every monomial of the box
+    n = laurent.PACK_PAIR_TERMS + 4
+    x = LaurentPoly({(i * span // n, -i): i + 1 for i in range(n)})
+    y = LaurentPoly({(-i, i * span // n): 2 * i - 7 for i in range(n)})
+    z = LaurentPoly({(i, i % 3): 1 for i in range(n)}) + T ** span
+    start = time.perf_counter()
+    xy = x * y
+    assert xy == convolve([(x, y)])
+    assert sum_of_products([(x, y), (z, z)]) == convolve([(x, y), (z, z)])
+    assert len(xy) >= laurent.PACK_DIVIDEND_TERMS
+    assert exact_div(xy, y) == x and exact_div(xy, x) == y
+    assert exact_div(xy + ONE, y) is None
+    assert exact_div(z * z, z) == z
+    assert time.perf_counter() - start < 1
 
 
 def test_exact_div_by_one_term_matches_long_division():

@@ -118,9 +118,6 @@ class LaurentPoly:
     def is_one(self):
         return self._terms == {(0, 0): 1}
 
-    def is_monomial(self):
-        return len(self._terms) == 1
-
     def is_unit(self):
         """True for +-(monomial), the units of the Laurent ring."""
         if len(self._terms) != 1:

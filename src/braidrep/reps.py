@@ -5,9 +5,13 @@ square matrices whose columns are the images of basis vectors, the image of
 a word is the product of its letters' images from left to right, and every
 generator image is invertible over the Laurent ring.  A representation
 stores the generator images; the image of an inverse letter sigma_i^-1 is
-computed the first time a word uses it, then kept.  A word image applies
-each letter only to the rows or columns where its image differs from the
-identity (image_of_word), never as a whole-matrix product.
+computed the first time a word uses it, then kept.  A word image is kept
+as a list of rows or of columns and applies each letter only to the lines
+where its image differs from the identity (image_of_word), never as a
+whole-matrix product.  A changed line with a single entry 1 is the old line
+it points at, shared rather than copied, and one with a single monomial
+entry is that line shifted; lines are replaced and never written, so
+sharing is safe, and the finished image copies every line.
 
 Symmetric powers are quantized by one rule: the p-th power of a
 transvection I + s*e_ij carries the Gaussian binomial [a choose b]_q s^b
@@ -30,7 +34,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .braid import BraidWord, CheckReport, check_braid_relations
+from .braid import BraidWord, CheckReport
 from .laurent import LaurentPoly, ONE, Q, T, q_binomial, sum_of_products
 from .polymatrix import (
     PolyMatrix,
@@ -50,8 +54,9 @@ class Representation:
     it, then kept.  Inverting every generator up front would cost far more
     than most requests (lk(16) has 120 x 120 images).  Next to the kept
     inverses sit the lines (rows or columns) where each letter's image
-    differs from the identity, which are all a word image applies; the
-    first word image picks rows or columns (see image_of_word).
+    differs from the identity, which are all a word image applies, each
+    classified once by its entries; the first word image picks rows or
+    columns (see image_of_word).
     """
 
     __slots__ = ("strands", "dim", "label", "gen_images", "_inverses", "_by_rows", "_where",
@@ -110,19 +115,27 @@ class Representation:
 
     def _letter_lines(self, x):
         """The lines where the image of letter x differs from the identity,
-        each as (index, nonzero entries as (k, entry)), read once _orient
-        has run and then kept.  An inverse letter differs from the identity
-        on the same lines as its generator (if g = I + E, then
-        g^-1 = I - E g^-1 = I - g^-1 E), so both are read at its indices."""
+        read once _orient has run and then kept.  Each is (index, entries,
+        k, term), entries its nonzero (k, entry) pairs.  If the only nonzero
+        entry is 1 at k, k is set and term is None; if it is a monomial
+        c*t^et*q^eq at k, term is (c, et, eq); otherwise both are None.
+        An inverse letter differs from the identity on the same lines as its
+        generator (if g = I + E, then g^-1 = I - E g^-1 = I - g^-1 E), so
+        both are read at its indices."""
         lines = self._lines.get(x)
         if lines is None:
             data = self.sigma(x).data
-            where = self._where[abs(x) - 1]
-            if self._by_rows:
-                lines = [(i, [(k, e) for k, e in enumerate(data[i]) if e]) for i in where]
-            else:
-                lines = [(j, [(k, row[j]) for k, row in enumerate(data) if row[j]])
-                         for j in where]
+            lines = []
+            for i in self._where[abs(x) - 1]:
+                line = data[i] if self._by_rows else [row[i] for row in data]
+                entries = [(k, e) for k, e in enumerate(line) if e]
+                k = term = None
+                if len(entries) == 1 and len(entries[0][1]) == 1:
+                    k, e = entries[0]
+                    if not e.is_one():
+                        (et, eq), c = e.leading()
+                        term = (c, et, eq)
+                lines.append((i, entries, k, term))
             self._lines[x] = lines
         return lines
 
@@ -137,14 +150,23 @@ def image_of_word(rep, word):
     """Image of a braid word (BraidWord or text) under the representation;
     an inverse letter is inverted the first time a word uses it, then kept.
 
-    Each letter rewrites only the lines where its image differs from the
-    identity; the other lines pass through untouched.  By rows, the letters
-    act from the left, so the word is walked right to left and a changed
-    row i becomes sum_k g_ik row_k; by columns they act from the right, left
-    to right, and a changed column j becomes sum_k g_kj column_k.  Every new
-    entry is one sum_of_products over its nonzero pairs.  The walk starts
-    from a row copy of the first letter's image, so the result is always a
-    fresh matrix that the caller may write into."""
+    The image is kept as a list of lines: its rows, or its columns, which
+    are transposed back once at the end.  Each letter replaces only the
+    lines where its image differs from the identity; the other lines pass
+    through untouched.  By rows, the letters act from the left, so the word
+    is walked right to left and a changed row i becomes sum_k g_ik row_k; by
+    columns they act from the right, left to right, and a changed column j
+    becomes sum_k g_kj column_k.  Either way a changed line is a
+    combination of old lines, and what it costs depends on its entries
+    (Representation._letter_lines): a single 1 at k makes it line k itself,
+    a single monomial at k makes it line k shifted by times_term, and
+    otherwise every new entry is one sum_of_products over its nonzero pairs.
+
+    Lines are shared, between each other and with the generator images,
+    because no line is ever written: a letter builds its new lines from the
+    old ones and then puts them in place.  The returned matrix copies every
+    line, so the caller may write into it, and writing one of its rows
+    changes no other row and no kept image."""
     if isinstance(word, str):
         word = BraidWord.parse(word, rep.strands)
     if word.strands != rep.strands:
@@ -156,25 +178,26 @@ def image_of_word(rep, word):
     by_rows = rep._orient()
     if by_rows:
         letters = letters[::-1]
-    out = [row[:] for row in rep.sigma(letters[0]).data]
-    cols = range(rep.dim)
+        lines = list(rep.sigma(letters[0]).data)
+    else:
+        lines = list(zip(*rep.sigma(letters[0]).data))
+    span = range(rep.dim)
     for x in letters[1:]:
-        lines = rep._letter_lines(x)
-        if by_rows:
-            new = []
-            for i, entries in lines:
-                src = [(g, out[k]) for k, g in entries]
-                new.append((i, [sum_of_products([(g, r[c]) for g, r in src if r[c]])
-                                for c in cols]))
-            for i, row in new:
-                out[i] = row
-        else:
-            for row in out:
-                new = [sum_of_products([(row[k], g) for k, g in entries if row[k]])
-                       for _, entries in lines]
-                for (j, _), e in zip(lines, new):
-                    row[j] = e
-    return PolyMatrix._wrap(out)
+        new = []
+        for i, entries, k, term in rep._letter_lines(x):
+            if k is None:
+                src = [(g, lines[j]) for j, g in entries]
+                line = [sum_of_products([(g, l[c]) for g, l in src if l[c]]) for c in span]
+            elif term is None:
+                line = lines[k]
+            else:
+                line = [e.times_term(*term) if e else e for e in lines[k]]
+            new.append((i, line))
+        for i, line in new:
+            lines[i] = line
+    if by_rows:
+        return PolyMatrix._wrap([list(line) for line in lines])
+    return PolyMatrix._wrap([list(row) for row in zip(*lines)])
 
 
 # ----------------------------------------------------------------------
@@ -270,22 +293,6 @@ def lk(n, notation="new"):
                 g.data[index[j, k]][col] = ONE
         gens.append(g)
     return Representation(n, gens, "lk(n=%d,%s)" % (n, notation))
-
-
-def bigelow_to_new_bridge(n):
-    """Machine check that the two parameter conventions agree.
-
-    Substituting t -> -q, q -> t into every "bigelow" generator image must
-    reproduce the "new" images exactly, generator by generator.
-    """
-    rep_new = lk(n, "new")
-    rep_old = lk(n, "bigelow")
-    report = CheckReport("lk-notation-bridge(n=%d)" % n)
-    for i, g in enumerate(rep_old.gen_images):
-        mapped = g.substitute(-Q, T)
-        report.add("sigma_%d: bigelow|t->-q,q->t equals new" % (i + 1),
-                   mapped == rep_new.gen_images[i])
-    return report
 
 
 # ----------------------------------------------------------------------

@@ -27,6 +27,20 @@ def divisors(monkeypatch):
 
 
 @pytest.fixture
+def bareiss_sizes(monkeypatch):
+    """The size of every block PolyMatrix.det hands to Bareiss, in order."""
+    seen = []
+    bareiss = polymatrix._bareiss_det
+
+    def counting_bareiss(m):
+        seen.append(len(m))
+        return bareiss(m)
+
+    monkeypatch.setattr(polymatrix, "_bareiss_det", counting_bareiss)
+    return seen
+
+
+@pytest.fixture
 def fraction_divisors(monkeypatch):
     """The divisor of every exact division a PolyFraction canonical form
     tries, in order."""

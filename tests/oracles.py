@@ -7,10 +7,10 @@ compute the same results by a different construction.
 import itertools
 import re
 
-from braidrep.braid import BraidWord
+from braidrep.braid import BraidWord, CheckReport
 from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, PolyFraction, exact_div,
                               q_factorial)
-from braidrep.polymatrix import PolyMatrix, ext_basis, sym_basis
+from braidrep.polymatrix import PolyMatrix, _bareiss_det, ext_basis, sym_basis
 from braidrep.reps import (Representation, _slot_q, _transvection_q, image_of_word, lk,
                            qpascal_sigma1, validate_lambda)
 
@@ -59,6 +59,53 @@ def product_image_of_word(rep, word):
     for x in letters[1:]:
         out = out * rep.sigma(x)
     return out
+
+
+def unsplit_det(a):
+    """Determinant by the library's pivoted Bareiss on the whole matrix, not
+    split into the strongly connected blocks of its nonzero pattern."""
+    return _bareiss_det([row[:] for row in a.data])
+
+
+def transpose(a):
+    return PolyMatrix([list(col) for col in zip(*a.data)])
+
+
+def matrix_from_json(obj):
+    """The matrix that PolyMatrix.to_json wrote, checked against its stated
+    dimensions."""
+    m = PolyMatrix([[LaurentPoly.from_json_terms(e) for e in r] for r in obj["entries"]])
+    if m.rows != obj["rows"] or m.cols != obj["cols"]:
+        raise ValueError("inconsistent matrix JSON dimensions")
+    return m
+
+
+def tensor_product(a, b):
+    """Kronecker product in row-major block order."""
+    return PolyMatrix([[x * y for x in arow for y in brow]
+                       for arow in a.data for brow in b.data])
+
+
+def generalized_char_poly(c, lambdas):
+    """det(C + diag(lambda_1..lambda_m)) by the determinant of the shifted
+    matrix."""
+    c._require_square("generalized_char_poly")
+    lambdas = [LaurentPoly.coerce(v) for v in lambdas]
+    if len(lambdas) != c.rows:
+        raise ValueError("need exactly %d diagonal entries" % (c.rows,))
+    return (c + PolyMatrix.diagonal(lambdas)).det()
+
+
+def bigelow_to_new_bridge(n):
+    """Check that the two parameter conventions of lk agree: substituting
+    t -> -q, q -> t into every "bigelow" generator image must reproduce the
+    "new" image exactly, generator by generator."""
+    rep_new = lk(n, "new")
+    report = CheckReport("lk-notation-bridge(n=%d)" % n)
+    for i, g in enumerate(lk(n, "bigelow").gen_images):
+        report.add("sigma_%d: bigelow|t->-q,q->t equals new" % (i + 1),
+                   g.substitute(-Q, T) == rep_new.gen_images[i])
+    return report
 
 
 def table_burau_reduced(n, form):

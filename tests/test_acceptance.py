@@ -21,9 +21,10 @@ from braidrep import reps
 from braidrep.braid import BraidWord, check_braid_relations
 from braidrep.laurent import (ONE, PolyFraction, Q, T, LaurentPoly, exact_div,
                               parse_poly)
-from braidrep.polymatrix import (PolyMatrix, char_poly, char_poly_from_roots,
-                                 ext_power, generalized_char_poly, sym_power)
-from oracles import change_of_basis_blocks, cofactor_char_poly
+from braidrep.polymatrix import (PolyMatrix, char_poly, char_poly_from_roots, ext_power,
+                                 sym_power)
+from oracles import (bigelow_to_new_bridge, change_of_basis_blocks, cofactor_char_poly,
+                     generalized_char_poly)
 
 W = BraidWord
 
@@ -301,6 +302,6 @@ def test_c11_notation_bridge():
     # the stated substitution for every generator, n = 3..5 (no sign
     # discrepancy anywhere, row 4 included)
     for n in (3, 4, 5):
-        report = reps.bigelow_to_new_bridge(n)
+        report = bigelow_to_new_bridge(n)
         assert report.passed, str(report)
         assert len(report.entries) == n - 1

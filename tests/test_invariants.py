@@ -9,10 +9,10 @@ from braidrep import invariants as inv
 from braidrep import laurent
 from braidrep.braid import BraidWord
 from braidrep.laurent import ONE, PolyFraction, Q, T, ZERO, parse_poly
-from braidrep.polymatrix import PolyMatrix, generalized_char_poly
+from braidrep.polymatrix import PolyMatrix
 from braidrep import reps
 from braidrep.reps import image_of_word, lk
-from oracles import sign_twisted_krammer_fraction
+from oracles import generalized_char_poly, sign_twisted_krammer_fraction
 
 W = BraidWord
 

@@ -14,10 +14,9 @@ from braidrep import laurent
 from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, PolyFraction,
                               exact_div, parse_poly, q_binomial, q_factorial,
                               q_natural, q_pochhammer, sum_of_products)
-from braidrep.polymatrix import PolyMatrix
 from conftest import laurent_polys, nonzero_polys
 from oracles import (convolve, factorial_bracket_binomial, longdiv_exact_div,
-                     termwise_substitute, token_parse_poly)
+                     matrix_from_json, termwise_substitute, token_parse_poly)
 
 
 def test_basic_arithmetic():
@@ -147,8 +146,8 @@ def test_parse_rejects_long_hostile_text_in_linear_time(text):
     lambda: LaurentPoly.monomial(2.5, 1),
     lambda: LaurentPoly.monomial(0, 1.5),
     lambda: LaurentPoly.from_json_terms([{"c": 1.5, "et": 0.9, "eq": 0}]),
-    lambda: PolyMatrix.from_json({"rows": 1, "cols": 1,
-                                  "entries": [[[{"c": 2.7, "et": 1, "eq": 0}]]]}),
+    lambda: matrix_from_json({"rows": 1, "cols": 1,
+                              "entries": [[[{"c": 2.7, "et": 1, "eq": 0}]]]}),
 ], ids=["float-coefficient", "fraction-coefficient", "float-exponent", "float-monomial",
         "float-exponent-of-zero", "float-json-terms", "float-json-matrix"])
 def test_non_integral_input_is_rejected(make):
@@ -243,7 +242,7 @@ def test_substitute_matches_termwise_route():
             kinds["pole"] += 1
             continue
         got = p.substitute(t_image, q_image)
-        if want.den.is_monomial():
+        if len(want.den) == 1:
             assert str(got) == str(want), (p, t_image, q_image)
             kinds["text"] += 1
         else:

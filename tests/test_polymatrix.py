@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from braidrep.laurent import ONE, Q, T, ZERO, LaurentPoly, PolyFraction, parse_poly
 from braidrep.polymatrix import (PolyMatrix, char_poly, char_poly_from_roots,
-                                 exp_nilpotent, ext_basis, ext_power,
-                                 generalized_char_poly, sym_basis, sym_power,
-                                 tensor_product)
+                                 exp_nilpotent, ext_basis, ext_power, sym_basis, sym_power)
 from braidrep import reps
 from braidrep.reps import lk
-from oracles import (cofactor_char_poly, diagonal_bareiss_det, minor_ext_power,
-                     permutation_sym_power)
+from braidrep import invariants as inv
+from braidrep import polymatrix
+from braidrep.braid import BraidWord
+from oracles import (cofactor_char_poly, diagonal_bareiss_det, generalized_char_poly,
+                     matrix_from_json, minor_ext_power, permutation_sym_power,
+                     tensor_product, transpose, unsplit_det)
 
 
 def m22(a, b, c, d):
@@ -280,9 +282,114 @@ def test_det_with_a_zero_line_in_the_trailing_block_divides_nothing(divisors):
     assert divisors == []
 
 
+def irreducible_block(rng, size, zero_diagonal=False):
+    """A random size x size block whose nonzero pattern is strongly connected:
+    the cycle 0 -> 1 -> ... -> size-1 -> 0 is nonzero, other entries are
+    random and may be 0, and the diagonal is all 0 if asked."""
+    rows = random_poly_matrix(rng, size, lo=-2).data
+    for i in range(size):
+        if size > 1:
+            rows[i][(i + 1) % size] = LaurentPoly.monomial(rng.choice((1, -2, 3)),
+                                                           rng.randint(-2, 2), rng.randint(-2, 2))
+        if zero_diagonal:
+            rows[i][i] = ZERO
+    return rows
+
+
+def hidden_blocks(rng, blocks, triangular):
+    """The blocks on the diagonal, random entries above them if triangular
+    (zeros otherwise), and the whole conjugated by a random permutation."""
+    d = sum(len(b) for b in blocks)
+    rows = [[ZERO] * d for _ in range(d)]
+    start = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[start + i][start:start + len(b)] = row
+            if triangular:
+                for j in range(start + len(b), d):
+                    rows[start + i][j] = random_poly_matrix(rng, 1, lo=-1)[0, 0]
+        start += len(b)
+    perm = list(range(d))
+    rng.shuffle(perm)
+    return PolyMatrix(rows).conjugate_by_permutation(perm)
+
+
+def test_det_splits_hidden_blocks_like_the_unsplit_bareiss(bareiss_sizes):
+    rng = random.Random(20261019)
+    seen = collections.Counter()
+    for trial in range(120):
+        sizes = [rng.choice((1, 1, 2, 3, 4)) for _ in range(rng.randint(1, 4))]
+        zero_diagonal = trial % 3 == 0
+        blocks = [irreducible_block(rng, s, zero_diagonal and s > 1) for s in sizes]
+        a = hidden_blocks(rng, blocks, triangular=trial % 2 == 1)
+        del bareiss_sizes[:]
+        got = a.det()
+        assert got == unsplit_det(a) == diagonal_bareiss_det(a)
+        if got:
+            # every block found is a hidden one, smallest first
+            assert bareiss_sizes == sorted(s for s in sizes if s > 1)
+            seen["nonzero", zero_diagonal] += 1
+        else:
+            seen["zero"] += 1
+    assert seen["nonzero", True] >= 20 and seen["nonzero", False] >= 40 and seen["zero"] >= 5
+
+
+def test_det_of_a_zero_one_by_one_block_runs_no_bareiss(bareiss_sizes, divisors):
+    rng = random.Random(7)
+    for triangular in (False, True):
+        blocks = [irreducible_block(rng, 4), [[ZERO]], irreducible_block(rng, 3)]
+        a = hidden_blocks(rng, blocks, triangular)
+        assert a.det() == ZERO
+        assert bareiss_sizes == [] and divisors == []
+        assert unsplit_det(a) == ZERO
+        del divisors[:]
+
+
+def test_det_runs_bareiss_on_the_three_by_three_blocks_only(bareiss_sizes):
+    rng = random.Random(33)
+    while True:
+        blocks = [irreducible_block(rng, 3), irreducible_block(rng, 3)]
+        if all(PolyMatrix(b).det() for b in blocks):
+            break
+    del bareiss_sizes[:]
+    a = hidden_blocks(rng, blocks, triangular=False)
+    got = a.det()
+    assert bareiss_sizes == [3, 3]
+    assert got == unsplit_det(a) == PolyMatrix(blocks[0]).det() * PolyMatrix(blocks[1]).det()
+
+
+@pytest.mark.parametrize("a", (PolyMatrix.identity(1), PolyMatrix.identity(5),
+                               PolyMatrix([[T - Q]]), PolyMatrix([[ZERO]])),
+                         ids=("I1", "I5", "1x1", "zero 1x1"))
+def test_det_of_identities_and_one_by_one_matrices(bareiss_sizes, a):
+    assert a.det() == unsplit_det(a)
+    assert bareiss_sizes == []
+
+
+@pytest.mark.parametrize("invariant", ("alexander", "krammer"))
+def test_closure_determinants_match_the_unsplit_bareiss(invariant):
+    # det(rho(w) - s I) on seeded words; a word that misses a generator once
+    # freely reduced splits its closure matrix, and so do some others
+    rng = random.Random(1972)
+    split = whole = 0
+    for n in range(3, 7):
+        rep, _den = inv._closure_data(invariant, n)
+        for _ in range(10 if n < 6 else 5):
+            word = BraidWord(n, [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                                 for _ in range(rng.randint(2, 8))])
+            s = -1 if invariant == "krammer" and len(word.letters) % 2 else 1
+            m = reps.image_of_word(rep, word) - PolyMatrix.identity(rep.dim).scale(s)
+            assert m.det() == unsplit_det(m), (n, str(word))
+            if len(polymatrix._strong_components(m.data)) > 1:
+                split += 1
+            else:
+                whole += 1
+    assert split >= 5 and whole >= 5, (split, whole)
+
+
 def test_transpose_sharp_substitute():
     a = m22(T, Q, ZERO, ONE)
-    assert a.transpose()[0, 1] == ZERO
+    assert transpose(a)[0, 1] == ZERO
     s = a.sharp()
     assert s[0, 0] == ONE and s[1, 1] == T
     assert s[1, 0] == a[0, 1]
@@ -457,7 +564,7 @@ def test_generalized_char_poly_shape_errors():
 
 def test_json_round_trip():
     a = m22(T, Q ** -1, 0, 3)
-    assert PolyMatrix.from_json(a.to_json()) == a
+    assert matrix_from_json(a.to_json()) == a
 
 
 def test_str_and_latex():

@@ -9,8 +9,9 @@ from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, PolyFraction, parse_
                               q_binomial, q_natural)
 from braidrep.polymatrix import (PolyMatrix, char_poly, char_poly_from_roots,
                                  sym_basis, sym_power)
-from oracles import (change_of_basis_blocks, inverse_qpascal_sigma2, product_image_of_word,
-                     table_burau_reduced, two_product_qpascal)
+from oracles import (bigelow_to_new_bridge, change_of_basis_blocks, inverse_qpascal_sigma2,
+                     product_image_of_word, table_burau_reduced, transpose,
+                     two_product_qpascal)
 
 
 def mat(rows):
@@ -72,7 +73,7 @@ def test_reduced_burau_is_the_first_quantized_power(n):
     d = PolyMatrix.diagonal([(-T) ** -j for j in range(n - 1)])
     d_inv = PolyMatrix.diagonal([(-T) ** j for j in range(n - 1)])
     standard = reps.burau_reduced(n, "standard").gen_images
-    assert standard == [d * g.transpose() * d_inv for g in conjugated]
+    assert standard == [d * transpose(g) * d_inv for g in conjugated]
     assert conjugated == table_burau_reduced(n, "conjugated")
     assert standard == table_burau_reduced(n, "standard")
 
@@ -222,10 +223,52 @@ def test_inverse_letters_change_the_lines_of_their_generator(name, n):
         assert changed_lines(rep.sigma(-i)) == changed_lines(rep.sigma(i)), i
 
 
+def lk_transposed_plus_burau(n):
+    """lk(n)^T (+) conjugated reduced Burau: the transposes satisfy the braid
+    relations too, and the Burau half changes fewer rows than columns, so
+    word images go by rows and meet rows that are a unit or monomial
+    multiple of another row."""
+    return reps.Representation(
+        n, [transpose(a).direct_sum(b) for a, b in
+            zip(reps.lk(n).gen_images, reps.burau_reduced(n, "conjugated").gen_images)],
+        "lk^T+burau(n=%d)" % n)
+
+
+@pytest.mark.parametrize("build, by_rows", (
+    (lambda: reps.lk(3), False),
+    (lambda: reps.lk(4), False),
+    (lambda: reps.burau_reduced(5, "conjugated"), True),
+    (lambda: lk_transposed_plus_burau(4), True),
+), ids=("lk(3)", "lk(4)", "burau_reduced(5,conjugated)", "lk(4)^T+burau"))
+def test_writing_one_line_of_a_word_image_changes_no_other(build, by_rows):
+    # a changed line with a single entry 1 is the old line itself, shared,
+    # so the returned image must hold a list of its own for every row
+    rep = build()
+    assert rep._orient() == by_rows
+    rng = random.Random(26)
+    for _ in range(12):
+        letters = [rng.choice((-1, 1)) * rng.randint(1, rep.strands - 1)
+                   for _ in range(rng.randint(1, 10))]
+        want = product_image_of_word(rep, BraidWord(rep.strands, letters)).data
+        image = reps.image_of_word(rep, BraidWord(rep.strands, letters))
+        r = rng.randrange(rep.dim)
+        image.data[r][:] = [Q ** 7] * rep.dim
+        assert [row for i, row in enumerate(image.data) if i != r] == want[:r] + want[r + 1:]
+        image = reps.image_of_word(rep, BraidWord(rep.strands, letters))
+        c = rng.randrange(rep.dim)
+        for i, row in enumerate(image.data):
+            row[c] = Q ** (7 + i)
+        assert [row[c] for row in image.data] == [Q ** (7 + i) for i in range(rep.dim)]
+        assert ([row[:c] + row[c + 1:] for row in image.data]
+                == [row[:c] + row[c + 1:] for row in want])
+
+
 @pytest.mark.parametrize("build, per_letter", (
     (lambda: reps.burau_reduced(7, "conjugated"), 6),
     (lambda: reps.lk(4), 5 * 6),
-), ids=("burau_reduced(7,conjugated)", "lk(4)"))
+    (lambda: reps.lk(3), 3),
+    (lambda: reps.lk(4), 2 * 6),
+), ids=("burau_reduced(7,conjugated)", "lk(4)", "lk(3),moved-lines", "lk(4),moved-lines"))
 def test_word_image_applies_only_the_changed_lines(monkeypatch, build, per_letter):
     rep = build()
     rng = random.Random(20)
@@ -344,7 +387,7 @@ def test_lk_basis_order():
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_parameter_swap_bridges_the_two_notations(n):
-    assert reps.bigelow_to_new_bridge(n).passed
+    assert bigelow_to_new_bridge(n).passed
 
 
 # ----------------------------------------------------------------------

@@ -86,11 +86,9 @@ def build_representation(args):
             raise UsageError("qpascal representations live on 3 strands")
         return reps.qpascal_rep(lambdas, args.form)
     if name == "lie":
-        if args.power is not None:
-            return reps.lie_rep(power=args.power)
-        if n is None:
+        if n is None and args.power is None:
             raise UsageError("--rep lie needs --strands or --power")
-        return reps.lie_rep(strands=n)
+        return reps.lie_rep(strands=n, power=args.power)
     raise UsageError("unknown constructor %r" % name)
 
 
@@ -145,10 +143,14 @@ def cmd_invariant(args):
     else:
         print(str(headline))
     if fraction.num.is_zero():
+        if args.invariant == "alexander":
+            why = ("so the closure has at least two components (a knot's Alexander "
+                   "polynomial is +-1 at t = 1)")
+        else:
+            why = ("and not only for a split closure (the figure-eight knot 1 -2 1 -2 "
+                   "is conjugate to its inverse, and its Krammer value is 0)")
         print("braidrep: note: det(rho(word) - I) = 0, so the value is 0: the image "
-              "of the word has eigenvalue 1, and not only for a split closure (the "
-              "figure-eight knot 1 -2 1 -2 is conjugate to its inverse, and its "
-              "Krammer value is 0)", file=sys.stderr)
+              "of the word has eigenvalue 1, " + why, file=sys.stderr)
     return 0
 
 

@@ -319,10 +319,6 @@ class LaurentPoly:
         """JSON form: list of {"c","et","eq"} dicts, descending term order."""
         return [{"c": c, "et": a, "eq": b} for (a, b), c in self.sorted_terms()]
 
-    @classmethod
-    def from_json_terms(cls, items):
-        return cls(((d["et"], d["eq"]), d["c"]) for d in items)
-
 
 ZERO = LaurentPoly.const(0)
 ONE = LaurentPoly.const(1)

@@ -1,15 +1,17 @@
 """Dense matrices over the Laurent ring, with fraction-free exact linear algebra.
 
 Everything here is exact.  A determinant first splits the matrix along the
-strongly connected components of its nonzero pattern, which a symmetric
-permutation makes block upper triangular, and multiplies the determinants
-of the diagonal blocks.  A block larger than 1 x 1 goes through the Bareiss
-algorithm (interior divisions are exact by the Sylvester identity),
-pivoting at each step on the nonzero entry with the fewest terms.  Products
-pair only nonzero entries of both factors.  Characteristic polynomials use
-Berkowitz's division-free algorithm, inverses apply Cayley-Hamilton to them
-with no elimination, and the multilinear functors (symmetric and exterior
-powers) act on the unnormalized product bases described below.  Both are
+strongly connected components of its nonzero pattern (the classes of mutual
+reachability in its transitive closure, by Warshall's algorithm on row bit
+sets), which a symmetric permutation makes block upper triangular, and
+multiplies the determinants of the diagonal blocks.  A block larger than
+1 x 1 goes through the Bareiss algorithm (interior divisions are exact by
+the Sylvester identity), pivoting at each step on the nonzero entry with
+the fewest terms.  Products pair only nonzero entries of both factors.
+Characteristic polynomials use Berkowitz's division-free algorithm, inverses
+apply Cayley-Hamilton to them with no elimination, and the multilinear
+functors (symmetric and exterior powers) act on the unnormalized product
+bases described below.  Both are
 read off one expansion of a product of linear forms, in commuting or
 anticommuting variables.
 
@@ -48,51 +50,23 @@ def _nonzero(entries):
 
 def _strong_components(rows):
     """The strongly connected components of the graph with an edge i -> j
-    for each nonzero rows[i][j], each as its sorted vertex list, by Tarjan's
-    algorithm with an explicit stack in place of recursion."""
+    for each nonzero rows[i][j], each as its sorted vertex list, by mutual
+    reachability: reach[i] is a bit set holding i and every vertex that i
+    reaches, closed by Warshall's algorithm (S. Warshall, J. ACM 9, 1962),
+    and i and j share a component when each reaches the other."""
     n = len(rows)
-    succ = [[j for j, x in enumerate(row) if x] for row in rows]
-    order = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
+    reach = [sum(1 << j for j, x in enumerate(row) if x) | 1 << i
+             for i, row in enumerate(rows)]
+    for k in range(n):
+        bit, row = 1 << k, reach[k]
+        reach = [r | row if r & bit else r for r in reach]
+    placed = set()
     components = []
-    count = 0
-    for root in range(n):
-        if order[root] is not None:
-            continue
-        order[root] = low[root] = count
-        count += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, edges = work[-1]
-            for w in edges:
-                if order[w] is None:
-                    order[w] = low[w] = count
-                    count += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w])))
-                    break
-                if on_stack[w] and order[w] < low[v]:
-                    low[v] = order[w]
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == order[v]:
-                    component = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        component.append(w)
-                        if w == v:
-                            break
-                    components.append(sorted(component))
+    for i in range(n):
+        if i not in placed:
+            block = [j for j in range(i, n) if reach[i] >> j & 1 and reach[j] >> i & 1]
+            placed.update(block)
+            components.append(block)
     return components
 
 
@@ -329,16 +303,18 @@ class PolyMatrix:
         matrix's nonzero pattern.
 
         The graph with an edge i -> j for each nonzero entry (i, j) is split
-        into strongly connected components by Tarjan's algorithm (R. E.
-        Tarjan, SIAM J. Comput. 1, 1972), at O(d^2) for a d x d matrix.
-        Listing the components in topological order is a symmetric
-        permutation P A P^T, which is block upper triangular and has A's
-        determinant, so det(A) is the product of the determinants of the
-        diagonal blocks, with no sign to track (I. S. Duff and J. K. Reid,
-        ACM TOMS 4, 1978).  The blocks go smallest first: a 1 x 1 block is
-        its own entry, a larger one goes through _bareiss_det, and the first
-        block whose determinant is 0 gives 0.  An all-zero row or column is
-        a 1 x 1 block with a zero entry.
+        into strongly connected components by mutual reachability
+        (_strong_components: Warshall's closure on one bit set per row, at
+        most d^2 unions of d-bit sets for a d x d matrix).  Listing the
+        components in a topological order of the condensed graph is a
+        symmetric permutation P A P^T, which is block upper triangular and
+        has A's determinant, so det(A) is the product of the determinants of
+        the diagonal blocks, with no sign to track (I. S. Duff and J. K.
+        Reid, ACM TOMS 4, 1978).  The product commutes, so that order is
+        never built: the blocks go smallest first, a 1 x 1 block is its own
+        entry, a larger one goes through _bareiss_det, and the first block
+        whose determinant is 0 gives 0.  An all-zero row or column is a
+        1 x 1 block with a zero entry.
         """
         self._require_square("determinant")
         data = self.data

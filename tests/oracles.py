@@ -67,14 +67,71 @@ def unsplit_det(a):
     return _bareiss_det([row[:] for row in a.data])
 
 
+def tarjan_components(rows):
+    """The strongly connected components of the graph with an edge i -> j
+    for each nonzero rows[i][j], each as its sorted vertex list, by Tarjan's
+    depth-first search (R. E. Tarjan, SIAM J. Comput. 1, 1972) with an
+    explicit stack in place of recursion, in reverse topological order."""
+    n = len(rows)
+    succ = [[j for j, x in enumerate(row) if x] for row in rows]
+    order = [None] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    components = []
+    count = 0
+    for root in range(n):
+        if order[root] is not None:
+            continue
+        order[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if order[w] is None:
+                    order[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == order[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(sorted(component))
+    return components
+
+
 def transpose(a):
     return PolyMatrix([list(col) for col in zip(*a.data)])
+
+
+def poly_from_json(items):
+    """The polynomial that LaurentPoly.to_json_terms wrote, built through the
+    validating LaurentPoly constructor."""
+    return LaurentPoly(((d["et"], d["eq"]), d["c"]) for d in items)
 
 
 def matrix_from_json(obj):
     """The matrix that PolyMatrix.to_json wrote, checked against its stated
     dimensions."""
-    m = PolyMatrix([[LaurentPoly.from_json_terms(e) for e in r] for r in obj["entries"]])
+    m = PolyMatrix([[poly_from_json(e) for e in r] for r in obj["entries"]])
     if m.rows != obj["rows"] or m.cols != obj["cols"]:
         raise ValueError("inconsistent matrix JSON dimensions")
     return m

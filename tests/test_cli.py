@@ -149,6 +149,18 @@ def test_rep_lie_power(capsys):
     code, out, _ = run(capsys, "rep", "--rep", "lie", "--power", "1")
     assert code == 0
     assert "[-t, t]" in out
+    assert run(capsys, "rep", "--rep", "lie", "--power", "1", "--strands", "3") == (0, out, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("rep", "--rep", "lie", "--power", "2", "--strands", "5"),
+    ("verify", "--check", "braid-relations", "--rep", "lie", "--power", "2", "--strands", "6"),
+], ids=("rep", "verify"))
+def test_rep_lie_power_on_other_strands_is_usage_error(capsys, argv):
+    code, out, err = run_exit(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "braidrep: the symmetric-power family lives on 3 strands\n"
 
 
 def test_invariant_alexander(capsys):
@@ -176,6 +188,10 @@ DEGENERATE_NOTE = ("braidrep: note: det(rho(word) - I) = 0, so the value is 0: t
                    "of the word has eigenvalue 1, and not only for a split closure (the "
                    "figure-eight knot 1 -2 1 -2 is conjugate to its inverse, and its "
                    "Krammer value is 0)\n")
+ALEXANDER_ZERO_NOTE = ("braidrep: note: det(rho(word) - I) = 0, so the value is 0: the image "
+                       "of the word has eigenvalue 1, so the closure has at least two "
+                       "components (a knot's Alexander polynomial is +-1 at t = 1)\n")
+ZERO_NOTES = {"alexander": ALEXANDER_ZERO_NOTE, "krammer": DEGENERATE_NOTE}
 
 
 @pytest.mark.parametrize("invariant", ("alexander", "krammer"))
@@ -194,7 +210,7 @@ def test_degenerate_zero_is_explained_on_stderr(capsys, invariant, fmt, shown):
         doc = json.loads(out)
         assert sorted(doc) == ["collapsed", "den", "invariant", "num", "schema"]
         assert doc["num"] == [] and doc["collapsed"] == []
-    assert err == DEGENERATE_NOTE
+    assert err == ZERO_NOTES[invariant]
 
 
 def test_figure_eight_krammer_zero_is_explained(capsys):

@@ -16,7 +16,7 @@ from braidrep import polymatrix
 from braidrep.braid import BraidWord
 from oracles import (cofactor_char_poly, diagonal_bareiss_det, generalized_char_poly,
                      matrix_from_json, minor_ext_power, permutation_sym_power,
-                     tensor_product, transpose, unsplit_det)
+                     tarjan_components, tensor_product, transpose, unsplit_det)
 
 
 def m22(a, b, c, d):
@@ -366,10 +366,32 @@ def test_det_of_identities_and_one_by_one_matrices(bareiss_sizes, a):
     assert bareiss_sizes == []
 
 
+def assert_same_partition(rows):
+    got = polymatrix._strong_components(rows)
+    assert all(block == sorted(block) for block in got)
+    assert sorted(v for block in got for v in block) == list(range(len(rows)))
+    want = tarjan_components(rows)
+    assert set(map(frozenset, got)) == set(map(frozenset, want))
+    return len(got)
+
+
+def test_strong_components_match_tarjan_on_random_digraphs():
+    # zero and nonzero diagonals: a vertex with no loop is still its own block
+    rng = random.Random(1962)
+    for d in range(1, 41):
+        for density in (0.0, 0.03, 0.08, 0.15, 0.3, 0.5):
+            for diagonal in (0, 1):
+                rows = [[int(rng.random() < density) for _ in range(d)] for _ in range(d)]
+                for i in range(d):
+                    rows[i][i] = diagonal
+                assert_same_partition(rows)
+
+
 @pytest.mark.parametrize("invariant", ("alexander", "krammer"))
 def test_closure_determinants_match_the_unsplit_bareiss(invariant):
-    # det(rho(w) - s I) on seeded words; a word that misses a generator once
-    # freely reduced splits its closure matrix, and so do some others
+    # det(rho(w) - s I) on seeded words, and its blocks against Tarjan's; a
+    # word that misses a generator once freely reduced splits its closure
+    # matrix, and so do some others
     rng = random.Random(1972)
     split = whole = 0
     for n in range(3, 7):
@@ -380,7 +402,7 @@ def test_closure_determinants_match_the_unsplit_bareiss(invariant):
             s = -1 if invariant == "krammer" and len(word.letters) % 2 else 1
             m = reps.image_of_word(rep, word) - PolyMatrix.identity(rep.dim).scale(s)
             assert m.det() == unsplit_det(m), (n, str(word))
-            if len(polymatrix._strong_components(m.data)) > 1:
+            if assert_same_partition(m.data) > 1:
                 split += 1
             else:
                 whole += 1

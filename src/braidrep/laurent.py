@@ -30,6 +30,15 @@ PACK_DIVIDEND_TERMS terms; slots wide enough to hold every coefficient make
 the result exact, not approximate.  Packing is refused when the box is
 sparse, so an exponent of 10**12 costs what its terms cost, not its span.
 
+The same substitution applied to one variable of a whole matrix removes t
+instead of packing products one at a time: collapse_t maps entries, shifted
+to nonnegative t-exponents, through the ring map t -> 2^bits into Z[q^+-1],
+and expand_t reads a result back as balanced base 2^bits digits, exact
+when each coefficient is below 2^(bits - 1) in absolute value.
+row_t_shape takes the t-span and the squared 1-norms that size bits, from
+the exponents alone, so a caller can refuse before any shift.
+polymatrix.det runs its determinant blocks this way, within a gate.
+
 PolyFraction keeps num/den pairs in a value-preserving canonical form and
 compares by cross multiplication.  No multivariate gcd is computed anywhere;
 exactness comes from exact division alone.  exact_div divides by a one-term
@@ -547,10 +556,14 @@ def exact_div(a, b):
         return ZERO
     if len(b._terms) == 1:
         ((tb, qb), bc), = b._terms.items()
-        if any(c % bc for c in a._terms.values()):
-            return None
+        quo = {}
+        for (et, eq), c in a._terms.items():
+            k, r = divmod(c, bc)
+            if r:
+                return None
+            quo[(et - tb, eq - qb)] = k
         q = LaurentPoly.__new__(LaurentPoly)
-        q._terms = {(et - tb, eq - qb): c // bc for (et, eq), c in a._terms.items()}
+        q._terms = quo
         return q
     if len(a._terms) >= PACK_DIVIDEND_TERMS:
         decided, q = _packed_div(a._terms, b._terms)
@@ -575,9 +588,11 @@ def exact_div(a, b):
             continue
         deg, rt = divmod(rk, S)
         dt, dq = rt - bt, deg - rt - bq
-        if dt < 0 or dq < 0 or rc % bc:
+        if dt < 0 or dq < 0:
             return None
-        k = rc // bc
+        k, r = divmod(rc, bc)
+        if r:
+            return None
         quo[(dt + ta - tb, dq + qa - qb)] = k
         dk = rk - bk
         for key, c in B:
@@ -743,6 +758,79 @@ def _packed_div(at, bt):
     q = LaurentPoly.__new__(LaurentPoly)
     q._terms = terms
     return True, q
+
+
+# The ring map t -> 2^bits on whole rows (see the module docstring):
+# polymatrix.det owns the bound that sizes bits and the gate.
+
+
+def row_t_shape(row):
+    """(least t-exponent, largest t-exponent, sum of |x|_1^2) over the
+    nonzero entries x of a row that has at least one, in one loop over the
+    row that reads each entry's exponents and coefficients once."""
+    lo = hi = None
+    norms = 0
+    for x in row:
+        terms = x._terms
+        if terms:
+            if lo is None:
+                lo = hi = next(iter(terms))[0]
+            for et, _ in terms:
+                if et < lo:
+                    lo = et
+                elif et > hi:
+                    hi = et
+            norm = sum(map(abs, terms.values()))
+            norms += norm * norm
+    return lo, hi, norms
+
+
+def collapse_t(row, lo, bits):
+    """The images of t^-lo * x for the entries x of row under t -> 2^bits,
+    polynomials in q alone.  lo must be at most every t-exponent of the row,
+    and every coefficient below 2^(bits - 1) in absolute value: then the
+    image of a nonzero entry has no zero coefficient."""
+    out = []
+    for x in row:
+        terms = x._terms
+        if not terms:
+            out.append(ZERO)
+            continue
+        p = LaurentPoly.__new__(LaurentPoly)
+        if len(terms) == 1:
+            ((et, eq), c), = terms.items()
+            p._terms = {(0, eq): c << bits * (et - lo)}
+        else:
+            acc = p._terms = {}
+            get = acc.get
+            for (et, eq), c in terms.items():
+                m = (0, eq)
+                acc[m] = get(m, 0) + (c << bits * (et - lo))
+        out.append(p)
+    return out
+
+
+def expand_t(p, bits, shift):
+    """t^shift times the polynomial f in Z[t, q^+-1] whose image under
+    t -> 2^bits is p, for p in Z[q^+-1].  Each coefficient of p is
+    sum_a c_a 2^(bits a) over the t-exponents a >= 0 of f's terms with that
+    q-exponent, and it is read back as its balanced base 2^bits digits,
+    which are the c_a exactly when every |c_a| < 2^(bits - 1)."""
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    terms = {}
+    for (_, eq), c in p._terms.items():
+        et = shift
+        while c:
+            digit = ((c + half) & mask) - half
+            if digit:
+                terms[(et, eq)] = digit
+                c -= digit
+            c >>= bits
+            et += 1
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._terms = terms
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,14 @@ sets), which a symmetric permutation makes block upper triangular, and
 multiplies the determinants of the diagonal blocks.  A block larger than
 1 x 1 goes through the Bareiss algorithm (interior divisions are exact by
 the Sylvester identity), pivoting at each step on the nonzero entry with
-the fewest terms.  Products pair only nonzero entries of both factors.
+the fewest terms.  A block of at least 3 rows whose slots fit the gate
+COLLAPSE_BITS first loses the variable t: the ring map t -> 2^bits sends
+it into Z[q^+-1], the same Bareiss elimination runs there on entries with
+big integer coefficients, and the t-exponents are read back out of the
+coefficients of its determinant.  Hadamard's inequality bounds every
+coefficient of the determinant, and bits is one more than that bound's
+bit length, so the read-back is exact.  Products pair only nonzero entries
+of both factors.
 Characteristic polynomials use Berkowitz's division-free algorithm, inverses
 apply Cayley-Hamilton to them with no elimination, and the multilinear
 functors (symmetric and exterior powers) act on the unnormalized product
@@ -37,10 +44,12 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from collections import defaultdict
 from operator import index
 
-from .laurent import LaurentPoly, ONE, ZERO, binary_power, exact_div, sum_of_products
+from .laurent import (LaurentPoly, ONE, ZERO, binary_power, collapse_t, exact_div, expand_t,
+                      row_t_shape, sum_of_products)
 
 
 def _nonzero(entries):
@@ -128,6 +137,48 @@ def _bareiss_det(m):
         prev = pivot
     d = m[n - 1][n - 1]
     return d if sign == 1 else -d
+
+
+# A block collapses to Z[q^+-1] when bits * (s + 1), for the slot width
+# bits of _collapsed_det and the block's largest row t-span s, lies in
+# COLLAPSE_BITS: that is the width of the widest coefficient of a collapsed
+# entry.  Measured per closure block (collapsed / direct time, shared 2-vCPU
+# host, CPython 3.11): 1.1-1.8 below 64 bits, where the conversions cost
+# about 20 us that a block of few-term entries does not win back; 0.12-0.7
+# at 100-1000 bits; 0.4-0.7 at 1000-2000 bits and 0.95-1.9 above, on a few
+# blocks each.  Wide slots lose to CPython's long division, quadratic in the
+# digits: collapsing every block took the 5-strand Krammer word W5 of
+# ROADMAP from 1.4 to 3.1 s and the 12-strand Krammer command of README
+# from 12 to 150 s.
+COLLAPSE_BITS = range(64, 1025)
+
+
+def _collapsed_det(m):
+    """Determinant of the square list of rows m through the ring map
+    t -> 2^bits into Z[q^+-1], or None when the gate refuses the block.
+
+    Row i times t^-lo_i, lo_i its least t-exponent, lies in Z[t, q^+-1], and
+    its determinant is det(m) t^-(sum of lo_i).  On the torus |t| = |q| = 1
+    each entry a has |a| <= |a|_1, so by Hadamard's inequality |det| is at
+    most B = ceil(sqrt(prod_i sum_j |a_ij|_1^2)) there, and so is every
+    coefficient of det, being an average of det times a monomial over the
+    torus.  With bits = bit_length(B) + 1 every coefficient has |c| <
+    2^(bits - 1), and laurent.expand_t reads the t-exponents back out of the
+    balanced base 2^bits digits of the collapsed determinant's coefficients.
+    No degree bound enters, and nothing is approximate.  The gate is checked
+    on the exponents before any shift, so an entry t^(10**12) costs nothing.
+    """
+    los, span, norms = [], 0, 1
+    for row in m:
+        lo, hi, row_norms = row_t_shape(row)
+        los.append(lo)
+        span = max(span, hi - lo)
+        norms *= row_norms
+    bits = (math.isqrt(norms - 1) + 1).bit_length() + 1
+    if bits * (span + 1) not in COLLAPSE_BITS:
+        return None
+    d = _bareiss_det([collapse_t(row, lo, bits) for row, lo in zip(m, los)])
+    return expand_t(d, bits, sum(los))
 
 
 class PolyMatrix:
@@ -314,7 +365,11 @@ class PolyMatrix:
         never built: the blocks go smallest first, a 1 x 1 block is its own
         entry, a larger one goes through _bareiss_det, and the first block
         whose determinant is 0 gives 0.  An all-zero row or column is a
-        1 x 1 block with a zero entry.
+        1 x 1 block with a zero entry.  A block of 3 or more rows goes
+        through _bareiss_det over Z[q^+-1] when its collapsed slots fit the
+        gate (_collapsed_det: t -> 2^bits with bits from Hadamard's bound),
+        and over the Laurent ring otherwise; a 2 x 2 block has no division
+        to save.
         """
         self._require_square("determinant")
         data = self.data
@@ -323,7 +378,10 @@ class PolyMatrix:
             if len(block) == 1:
                 d = data[block[0]][block[0]]
             else:
-                d = _bareiss_det([[data[i][j] for j in block] for i in block])
+                rows = [[data[i][j] for j in block] for i in block]
+                d = _collapsed_det(rows) if len(block) > 2 else None
+                if d is None:
+                    d = _bareiss_det(rows)
             if not d:
                 return ZERO
             out = d if out is None else out * d

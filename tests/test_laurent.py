@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidrep import laurent
-from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, PolyFraction,
-                              exact_div, parse_poly, q_binomial, q_factorial,
-                              q_natural, q_pochhammer, sum_of_products)
+from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, PolyFraction, collapse_t,
+                              exact_div, expand_t, parse_poly, q_binomial, q_factorial,
+                              q_natural, q_pochhammer, row_t_shape, sum_of_products)
 from conftest import laurent_polys, nonzero_polys
 from oracles import (convolve, factorial_bracket_binomial, longdiv_exact_div,
                      matrix_from_json, poly_from_json, termwise_substitute,
@@ -623,6 +623,49 @@ def test_exact_div_by_one_term_matches_long_division():
     assert exact_div(parse_poly("4*t - 6"), fixed[0]) == parse_poly("-2*t + 3")
     assert exact_div(parse_poly("4*t - 3"), fixed[0]) is None
     assert exact_div(parse_poly("6*q^2 + 3*t^-1"), fixed[1]) == parse_poly("2*t + q^-2")
+
+
+def collapsed(p, bits):
+    """The image of t^-lo * p under t -> 2^bits, lo the least t-exponent of p."""
+    return collapse_t([p], p.min_exponents()[0], bits)[0]
+
+
+def test_collapse_and_expand_round_trip():
+    # every coefficient below 2^(bits - 1) in absolute value reads back,
+    # negative ones and the extreme ones included, at any exponents
+    rng = random.Random(2009)
+    for bits in (2, 3, 7, 8, 9, 64, 65, 200):
+        top = (1 << bits - 1) - 1
+        for _ in range(40):
+            p = LaurentPoly({(rng.randint(-6, 6), rng.randint(-4, 4)):
+                             rng.choice((-top, top, -1, 1, rng.randint(-top, top)))
+                             for _ in range(rng.randint(1, 12))})
+            if not p:
+                continue
+            lo, hi, norms = row_t_shape([ZERO, p, ZERO])
+            assert (lo, hi) == (p.min_exponents()[0], p.max_exponents()[0])
+            assert norms == sum(abs(c) for _, c in p.sorted_terms()) ** 2
+            image = collapsed(p, bits)
+            assert image.max_exponents()[0] == image.min_exponents()[0] == 0
+            assert 0 < len(image) <= len(p)
+            assert expand_t(image, bits, lo) == p
+    assert collapse_t([ZERO, T ** -2 * Q - 3 * T ** -1], -2, 5) == [ZERO, Q - 96 * ONE]
+    # -2^(bits - 1) still reads back, 2^(bits - 1) is the first that does not
+    assert expand_t(collapsed(-8 * T, 4), 4, 1) == -8 * T
+    assert expand_t(collapsed(8 * T, 4), 4, 1) == T * T - 8 * T
+
+
+@given(laurent_polys(span=3), laurent_polys(span=3), st.integers(min_value=12, max_value=80))
+def test_collapse_is_a_ring_map(x, y, bits):
+    # phi(t^-a x) phi(t^-b y) = phi(t^-(a + b) x y), and the sum likewise;
+    # from 12 bits on, every coefficient of x * y (at most 36^2) is below
+    # 2^(bits - 1), as collapse_t asks
+    a, b = x.min_exponents()[0], y.min_exponents()[0]
+    phi_x, phi_y = collapse_t([x], a, bits)[0], collapse_t([y], b, bits)[0]
+    assert phi_x * phi_y == collapse_t([x * y], a + b, bits)[0]
+    lo = min(a, b)
+    assert (collapse_t([x], lo, bits)[0] + collapse_t([y], lo, bits)[0]
+            == collapse_t([x + y], lo, bits)[0])
 
 
 @given(laurent_polys(max_terms=3), nonzero_polys())

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import random
 
 import pytest
@@ -262,13 +263,141 @@ def test_det_of_scaled_permutation_matrices():
 
 
 def test_det_pivots_on_the_first_fewest_term_entry(divisors):
-    # a 3x3 divides once, by the first pivot: of the two one-term entries,
-    # the first in row-major order
+    # Bareiss on a 3x3 divides once, by the first pivot: of the two one-term
+    # entries, the first in row-major order (det itself collapses this block
+    # to Z[q^+-1] first, so the rule is pinned on _bareiss_det)
     a = PolyMatrix([[ONE + T + Q, T + Q, ONE - T],
                     [T - Q, ONE + Q, Q],
                     [ONE + T, T, Q - ONE]])
-    assert a.det() == diagonal_bareiss_det(a)
+    assert polymatrix._bareiss_det([row[:] for row in a.data]) == diagonal_bareiss_det(a)
     assert divisors == [Q]
+
+
+@pytest.fixture
+def collapse_paths(monkeypatch):
+    """How often PolyMatrix.det runs a block through the collapse to
+    Z[q^+-1] ("collapsed") and how often the gate refuses one ("refused")."""
+    seen = collections.Counter()
+    collapsed_det = polymatrix._collapsed_det
+
+    def counting_collapsed_det(m):
+        d = collapsed_det(m)
+        seen["refused" if d is None else "collapsed"] += 1
+        return d
+
+    monkeypatch.setattr(polymatrix, "_collapsed_det", counting_collapsed_det)
+    return seen
+
+
+def collapsed_width(rows):
+    """bits * (s + 1): the Hadamard slot width bits = bit_length(B) + 1 for
+    B = ceil(sqrt(prod_i sum_j |a_ij|_1^2)), s the largest row t-span."""
+    span, bound = 0, 1
+    for row in rows:
+        ets = [et for x in row for (et, _), _ in x.sorted_terms()]
+        span = max(span, max(ets) - min(ets))
+        bound *= sum(sum(abs(c) for _, c in x.sorted_terms()) ** 2 for x in row)
+    return ((math.isqrt(bound - 1) + 1).bit_length() + 1) * (span + 1)
+
+
+def connected_block(rng, size, max_coeff, t_range):
+    """A size x size block whose row 0 and cycle 0 -> 1 -> ... -> size-1 -> 0
+    are nonzero (so it is strongly connected), other entries nonzero at
+    random; each nonzero entry has 1 to 3 terms with q-exponents in [-3, 3]
+    and t-exponents in t_range."""
+
+    def entry():
+        return LaurentPoly({(rng.randint(*t_range), rng.randint(-3, 3)):
+                            rng.randint(-max_coeff, max_coeff) or 1
+                            for _ in range(rng.randint(1, 3))})
+
+    return [[entry() if i == 0 or j == (i + 1) % size or rng.random() < 0.5 else ZERO
+             for j in range(size)] for i in range(size)]
+
+
+def test_collapsed_det_matches_the_oracles(collapse_paths):
+    # blocks below the gate (small coefficients, t-span 1), inside it, and
+    # above it (coefficients up to 10^6 make a 7 x 7 block's slots too wide
+    # for its t-spans)
+    rng = random.Random(20091019)
+    sides = collections.Counter()
+    for trial in range(120):
+        size = 3 + trial % 5
+        max_coeff, t_range = ((3, (0, 1)), (1000, (-3, 3)), (10 ** 6, (-3, 3)))[trial // 5 % 3]
+        kind = ("regular", "equal rows", "rank two", "rank one")[trial // 15 % 4]
+        rows = connected_block(rng, size, max_coeff, t_range)
+        if kind == "equal rows":
+            rows[-1] = [-T * Q * x for x in rows[0]]
+        elif kind == "rank two":
+            u, v = LaurentPoly.monomial(rng.randint(1, 9), -1, 2), ONE - T * Q ** -1
+            for i in range(2, size):
+                rows[i] = [u * x + v * y for x, y in zip(rows[0], rows[1])]
+        elif kind == "rank one":
+            col = [LaurentPoly.monomial(rng.randint(1, 5), rng.randint(-2, 2), 0) for _ in range(size)]
+            rows = [[c * x for x in rows[0]] for c in col]
+        width = collapsed_width(rows)
+        a = PolyMatrix(rows)
+        collapse_paths.clear()
+        got = a.det()
+        assert got == unsplit_det(a) == diagonal_bareiss_det(a), (trial, kind)
+        assert (got == ZERO) == (kind != "regular")
+        collapsed = width in polymatrix.COLLAPSE_BITS
+        assert collapse_paths == {"collapsed" if collapsed else "refused": 1}
+        side = ("collapsed" if collapsed else
+                "narrow" if width < polymatrix.COLLAPSE_BITS.start else "wide")
+        sides[side] += 1
+        sides[kind, side] += 1
+    assert sides["collapsed"] >= 40 and sides["narrow"] >= 10 and sides["wide"] >= 5, sides
+    assert all(sides[kind, "collapsed"] >= 5 for kind in ("regular", "equal rows", "rank two", "rank one"))
+
+
+def sylvester_hadamard(k):
+    h = [[1]]
+    for _ in range(k):
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+@pytest.mark.parametrize("m, d", ((22, 3), (16, 4), (31, 7), (8, 12)))
+def test_collapsed_det_meets_its_bound(collapse_paths, m, d):
+    # c * (cyclic permutation) with c = 2^m - 1 and t-power entries: one
+    # coefficient, c^d, equal to the Hadamard bound B.  The slots are
+    # bit_length(B) + 1 bits wide, one more than the read-back needs here.
+    c = 2 ** m - 1
+    rows = [[ZERO] * d for _ in range(d)]
+    for i in range(d):
+        rows[i][(i + 1) % d] = LaurentPoly.monomial(c, 2 * i - 3, i % 2)
+    want = LaurentPoly.monomial((-1) ** (d - 1) * c ** d, d * (d - 4), d // 2)
+    assert PolyMatrix(rows).det() == want
+    assert collapse_paths == {"collapsed": 1}
+
+
+@pytest.mark.parametrize("m", (3, 9))
+def test_collapsed_det_meets_its_bound_across_a_t_span(collapse_paths, m):
+    # Sylvester's 4 x 4 Hadamard matrix times c = 2^m - 1, column j times
+    # t^j: rows orthogonal on the torus, so |det| = 16 c^4 is the bound,
+    # with a row t-span of 3
+    c = 2 ** m - 1
+    h = sylvester_hadamard(2)
+    rows = [[LaurentPoly.monomial(c * h[i][j], j, i - 1) for j in range(4)] for i in range(4)]
+    a = PolyMatrix(rows)
+    got = a.det()
+    assert got == diagonal_bareiss_det(a) == LaurentPoly.monomial(16 * c ** 4, 6, 2)
+    assert collapse_paths == {"collapsed": 1}
+
+
+def test_collapsed_det_of_a_huge_t_power_costs_nothing(collapse_paths):
+    # the gate reads exponents before any shift: a row spanning 10**12
+    # t-degrees is refused, and a row whose only entry is t^(10**12) shifts
+    # to a constant
+    huge = LaurentPoly.monomial(2 ** 40, 10 ** 12, 0)
+    refused = PolyMatrix([[ONE + Q, huge, ZERO], [ZERO, T - Q, Q], [T, ONE, 2 * ONE]])
+    shifted = PolyMatrix([[ZERO, huge, ZERO], [ZERO, T - Q, Q], [T, ONE, 2 * ONE]])
+    for a in (refused, shifted):
+        assert a.det() == unsplit_det(a) == diagonal_bareiss_det(a)
+    assert refused.det() == (ONE + Q) * (2 * T - 3 * Q) + huge * T * Q
+    assert shifted.det() == huge * T * Q
+    assert collapse_paths == {"refused": 2, "collapsed": 2}
 
 
 def test_det_with_a_zero_line_in_the_trailing_block_divides_nothing(divisors):

@@ -219,10 +219,10 @@ def build_parser():
                     "over Laurent polynomials in t and q.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=("text", "json", "latex")):
         p.add_argument("--strands", type=int, default=None,
                        help="number of braid strands")
-        p.add_argument("--format", choices=("text", "json", "latex"),
+        p.add_argument("--format", choices=formats,
                        default="text", help="output format")
 
     def constructor(p, required):
@@ -257,7 +257,7 @@ def build_parser():
     p_inv.set_defaults(func=cmd_invariant)
 
     p_ver = sub.add_parser("verify", help="run an identity suite")
-    common(p_ver)
+    common(p_ver, formats=("text", "json"))
     p_ver.add_argument("--check", required=True,
                        choices=("braid-relations", "lk-equivalence", "spectrum",
                                 "markov1", "markov2-probe", "stability",

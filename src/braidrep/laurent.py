@@ -31,13 +31,14 @@ the result exact, not approximate.  Packing is refused when the box is
 sparse, so an exponent of 10**12 costs what its terms cost, not its span.
 
 The same substitution applied to one variable of a whole matrix removes t
-instead of packing products one at a time: collapse_t maps entries, shifted
-to nonnegative t-exponents, through the ring map t -> 2^bits into Z[q^+-1],
-and expand_t reads a result back as balanced base 2^bits digits, exact
-when each coefficient is below 2^(bits - 1) in absolute value.
-row_t_shape takes the t-span and the squared 1-norms that size bits, from
-the exponents alone, so a caller can refuse before any shift.
-polymatrix.det runs its determinant blocks this way, within a gate.
+instead of packing products one at a time.  collapse_t owns the whole
+decision for a determinant block: one loop over its rows reads each row's
+t-range and squared 1-norms, sizes bits by Hadamard's bound, refuses the
+block outside the gate COLLAPSE_BITS before any shift, and otherwise maps
+the rows, shifted to nonnegative t-exponents, through the ring map
+t -> 2^bits into Z[q^+-1].  expand_t reads a result back as balanced base
+2^bits digits, exact when each coefficient is below 2^(bits - 1) in
+absolute value.  polymatrix.det runs its blocks of 3 or more rows this way.
 
 PolyFraction keeps num/den pairs in a value-preserving canonical form and
 compares by cross multiplication.  No multivariate gcd is computed anywhere;
@@ -760,32 +761,63 @@ def _packed_div(at, bt):
     return True, q
 
 
-# The ring map t -> 2^bits on whole rows (see the module docstring):
-# polymatrix.det owns the bound that sizes bits and the gate.
+# A block collapses to Z[q^+-1] when bits * (s + 1), for the slot width
+# bits of collapse_t and the block's largest row t-span s, lies in
+# COLLAPSE_BITS: that is the width of the widest coefficient of a collapsed
+# entry.  Measured per closure block (collapsed / direct time, shared 2-vCPU
+# host, CPython 3.11): 1.1-1.8 below 64 bits, where the conversions cost
+# about 20 us that a block of few-term entries does not win back; 0.12-0.7
+# at 100-1000 bits; 0.4-0.7 at 1000-2000 bits and 0.95-1.9 above, on a few
+# blocks each.  Wide slots lose to CPython's long division, quadratic in the
+# digits: collapsing every block took the 5-strand Krammer word W5 of
+# ROADMAP from 1.4 to 3.1 s and the 12-strand Krammer command of README
+# from 12 to 150 s.
+COLLAPSE_BITS = range(64, 1025)
 
 
-def row_t_shape(row):
-    """(least t-exponent, largest t-exponent, sum of |x|_1^2) over the
-    nonzero entries x of a row that has at least one, in one loop over the
-    row that reads each entry's exponents and coefficients once."""
-    lo = hi = None
-    norms = 0
-    for x in row:
-        terms = x._terms
-        if terms:
-            if lo is None:
-                lo = hi = next(iter(terms))[0]
-            for et, _ in terms:
-                if et < lo:
-                    lo = et
-                elif et > hi:
-                    hi = et
-            norm = sum(map(abs, terms.values()))
-            norms += norm * norm
-    return lo, hi, norms
+def collapse_t(rows):
+    """(images, bits, shift) for the rows of a square block, each with a
+    nonzero entry, under the ring map t -> 2^bits into Z[q^+-1], or None
+    when the gate COLLAPSE_BITS refuses the block.
+
+    Row i times t^-lo_i, lo_i its least t-exponent, lies in Z[t, q^+-1],
+    and images holds its image; the determinant of the block is
+    expand_t(det(images), bits, shift) with shift the sum of the lo_i.  On
+    the torus |t| = |q| = 1 each entry x has |x| <= |x|_1, so by Hadamard's
+    inequality |det| is at most B = ceil(sqrt(prod_i sum_j |x_ij|_1^2))
+    there, and so is every coefficient of det, being an average of det
+    times a monomial over the torus.  With bits = bit_length(B) + 1 every
+    coefficient has |c| < 2^(bits - 1), as expand_t needs.  No degree bound
+    enters, and nothing is approximate.  One loop over each row reads its
+    t-range and squared 1-norms from the exponents and coefficients, so the
+    gate is checked before any shift and an entry t^(10**12) costs nothing.
+    """
+    los, span, norms = [], 0, 1
+    for row in rows:
+        lo = hi = None
+        row_norms = 0
+        for x in row:
+            terms = x._terms
+            if terms:
+                if lo is None:
+                    lo = hi = next(iter(terms))[0]
+                for et, _ in terms:
+                    if et < lo:
+                        lo = et
+                    elif et > hi:
+                        hi = et
+                norm = sum(map(abs, terms.values()))
+                row_norms += norm * norm
+        los.append(lo)
+        span = max(span, hi - lo)
+        norms *= row_norms
+    bits = (math.isqrt(norms - 1) + 1).bit_length() + 1
+    if bits * (span + 1) not in COLLAPSE_BITS:
+        return None
+    return [_collapse_row(row, lo, bits) for row, lo in zip(rows, los)], bits, sum(los)
 
 
-def collapse_t(row, lo, bits):
+def _collapse_row(row, lo, bits):
     """The images of t^-lo * x for the entries x of row under t -> 2^bits,
     polynomials in q alone.  lo must be at most every t-exponent of the row,
     and every coefficient below 2^(bits - 1) in absolute value: then the

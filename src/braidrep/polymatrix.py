@@ -7,14 +7,13 @@ sets), which a symmetric permutation makes block upper triangular, and
 multiplies the determinants of the diagonal blocks.  A block larger than
 1 x 1 goes through the Bareiss algorithm (interior divisions are exact by
 the Sylvester identity), pivoting at each step on the nonzero entry with
-the fewest terms.  A block of at least 3 rows whose slots fit the gate
-COLLAPSE_BITS first loses the variable t: the ring map t -> 2^bits sends
-it into Z[q^+-1], the same Bareiss elimination runs there on entries with
-big integer coefficients, and the t-exponents are read back out of the
-coefficients of its determinant.  Hadamard's inequality bounds every
-coefficient of the determinant, and bits is one more than that bound's
-bit length, so the read-back is exact.  Products pair only nonzero entries
-of both factors.
+the fewest terms.  A block of at least 3 rows first loses the variable t
+when laurent.collapse_t accepts it: the ring map t -> 2^bits sends it into
+Z[q^+-1], the same Bareiss elimination runs there on entries with big
+integer coefficients, and laurent.expand_t reads the t-exponents back out
+of the coefficients of its determinant.  laurent sizes bits by Hadamard's
+bound, so the read-back is exact, and owns the gate that refuses a block.
+Products pair only nonzero entries of both factors.
 Characteristic polynomials use Berkowitz's division-free algorithm, inverses
 apply Cayley-Hamilton to them with no elimination, and the multilinear
 functors (symmetric and exterior powers) act on the unnormalized product
@@ -44,12 +43,11 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from collections import defaultdict
 from operator import index
 
 from .laurent import (LaurentPoly, ONE, ZERO, binary_power, collapse_t, exact_div, expand_t,
-                      row_t_shape, sum_of_products)
+                      sum_of_products)
 
 
 def _nonzero(entries):
@@ -92,28 +90,23 @@ def _bareiss_det(m):
     Pivoting on P A Q permutes rows and columns that no earlier step has
     used, so the Sylvester identity behind the exact divisions holds as in
     the unpivoted algorithm (E. H. Bareiss, Math. Comp. 22, 1968).  Step 0
-    divides by 1 and skips the division.  A trailing block with an all-zero
-    row or column gives 0 at once; a block that det hands over is strongly
-    connected, so that happens only after step 0.
+    divides by 1 and skips the division.  A trailing block with no nonzero
+    entry gives 0: on a block of rank r that happens after r steps, every
+    later entry being a minor of order above r.  det hands over only
+    strongly connected blocks, which have no zero row or column.
     """
     n = len(m)
     sign = 1
     prev = ONE
     for k in range(n - 1):
         best = pi = pj = None
-        col_used = [False] * n
         for i in range(k, n):
             row = m[i]
-            row_used = False
             for j in range(k, n):
                 size = len(row[j])
-                if size:
-                    row_used = col_used[j] = True
-                    if best is None or size < best:
-                        best, pi, pj = size, i, j
-            if not row_used:
-                return ZERO
-        if not all(col_used[k:]):
+                if size and (best is None or size < best):
+                    best, pi, pj = size, i, j
+        if best is None:
             return ZERO
         if pi != k:
             m[k], m[pi] = m[pi], m[k]
@@ -137,48 +130,6 @@ def _bareiss_det(m):
         prev = pivot
     d = m[n - 1][n - 1]
     return d if sign == 1 else -d
-
-
-# A block collapses to Z[q^+-1] when bits * (s + 1), for the slot width
-# bits of _collapsed_det and the block's largest row t-span s, lies in
-# COLLAPSE_BITS: that is the width of the widest coefficient of a collapsed
-# entry.  Measured per closure block (collapsed / direct time, shared 2-vCPU
-# host, CPython 3.11): 1.1-1.8 below 64 bits, where the conversions cost
-# about 20 us that a block of few-term entries does not win back; 0.12-0.7
-# at 100-1000 bits; 0.4-0.7 at 1000-2000 bits and 0.95-1.9 above, on a few
-# blocks each.  Wide slots lose to CPython's long division, quadratic in the
-# digits: collapsing every block took the 5-strand Krammer word W5 of
-# ROADMAP from 1.4 to 3.1 s and the 12-strand Krammer command of README
-# from 12 to 150 s.
-COLLAPSE_BITS = range(64, 1025)
-
-
-def _collapsed_det(m):
-    """Determinant of the square list of rows m through the ring map
-    t -> 2^bits into Z[q^+-1], or None when the gate refuses the block.
-
-    Row i times t^-lo_i, lo_i its least t-exponent, lies in Z[t, q^+-1], and
-    its determinant is det(m) t^-(sum of lo_i).  On the torus |t| = |q| = 1
-    each entry a has |a| <= |a|_1, so by Hadamard's inequality |det| is at
-    most B = ceil(sqrt(prod_i sum_j |a_ij|_1^2)) there, and so is every
-    coefficient of det, being an average of det times a monomial over the
-    torus.  With bits = bit_length(B) + 1 every coefficient has |c| <
-    2^(bits - 1), and laurent.expand_t reads the t-exponents back out of the
-    balanced base 2^bits digits of the collapsed determinant's coefficients.
-    No degree bound enters, and nothing is approximate.  The gate is checked
-    on the exponents before any shift, so an entry t^(10**12) costs nothing.
-    """
-    los, span, norms = [], 0, 1
-    for row in m:
-        lo, hi, row_norms = row_t_shape(row)
-        los.append(lo)
-        span = max(span, hi - lo)
-        norms *= row_norms
-    bits = (math.isqrt(norms - 1) + 1).bit_length() + 1
-    if bits * (span + 1) not in COLLAPSE_BITS:
-        return None
-    d = _bareiss_det([collapse_t(row, lo, bits) for row, lo in zip(m, los)])
-    return expand_t(d, bits, sum(los))
 
 
 class PolyMatrix:
@@ -366,10 +317,10 @@ class PolyMatrix:
         entry, a larger one goes through _bareiss_det, and the first block
         whose determinant is 0 gives 0.  An all-zero row or column is a
         1 x 1 block with a zero entry.  A block of 3 or more rows goes
-        through _bareiss_det over Z[q^+-1] when its collapsed slots fit the
-        gate (_collapsed_det: t -> 2^bits with bits from Hadamard's bound),
-        and over the Laurent ring otherwise; a 2 x 2 block has no division
-        to save.
+        through laurent.collapse_t, _bareiss_det over Z[q^+-1] and
+        laurent.expand_t when collapse_t accepts it, and through
+        _bareiss_det over the Laurent ring otherwise; a 2 x 2 block has no
+        division to save.
         """
         self._require_square("determinant")
         data = self.data
@@ -379,9 +330,12 @@ class PolyMatrix:
                 d = data[block[0]][block[0]]
             else:
                 rows = [[data[i][j] for j in block] for i in block]
-                d = _collapsed_det(rows) if len(block) > 2 else None
-                if d is None:
+                collapsed = collapse_t(rows) if len(block) > 2 else None
+                if collapsed is None:
                     d = _bareiss_det(rows)
+                else:
+                    images, bits, shift = collapsed
+                    d = expand_t(_bareiss_det(images), bits, shift)
             if not d:
                 return ZERO
             out = d if out is None else out * d

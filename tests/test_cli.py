@@ -326,6 +326,13 @@ def test_verify_missing_rep_is_usage_error(capsys):
     assert "needs --rep" in err
 
 
+def test_verify_has_no_latex_format(capsys):
+    code, out, err = run_exit(capsys, "verify", "--strands", "3",
+                              "--check", "spectrum", "--format", "latex")
+    assert code == 2 and out == ""
+    assert "invalid choice: 'latex'" in err
+
+
 def test_verify_missing_word_is_usage_error(capsys):
     code, _, err = run_exit(capsys, "verify", "--strands", "3",
                             "--check", "markov1")

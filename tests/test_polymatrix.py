@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidrep.laurent import ONE, Q, T, ZERO, LaurentPoly, PolyFraction, parse_poly
+from braidrep.laurent import (COLLAPSE_BITS, ONE, Q, T, ZERO, LaurentPoly, PolyFraction,
+                              collapse_t, parse_poly)
 from braidrep.polymatrix import (PolyMatrix, char_poly, char_poly_from_roots,
                                  exp_nilpotent, ext_basis, ext_power, sym_basis, sym_power)
 from braidrep import reps
@@ -278,26 +279,28 @@ def collapse_paths(monkeypatch):
     """How often PolyMatrix.det runs a block through the collapse to
     Z[q^+-1] ("collapsed") and how often the gate refuses one ("refused")."""
     seen = collections.Counter()
-    collapsed_det = polymatrix._collapsed_det
 
-    def counting_collapsed_det(m):
-        d = collapsed_det(m)
-        seen["refused" if d is None else "collapsed"] += 1
-        return d
+    def counting_collapse_t(rows):
+        collapsed = collapse_t(rows)
+        seen["refused" if collapsed is None else "collapsed"] += 1
+        return collapsed
 
-    monkeypatch.setattr(polymatrix, "_collapsed_det", counting_collapsed_det)
+    monkeypatch.setattr(polymatrix, "collapse_t", counting_collapse_t)
     return seen
 
 
-def collapsed_width(rows):
-    """bits * (s + 1): the Hadamard slot width bits = bit_length(B) + 1 for
-    B = ceil(sqrt(prod_i sum_j |a_ij|_1^2)), s the largest row t-span."""
-    span, bound = 0, 1
+def collapsed_shape(rows):
+    """(bits, s, shift): the Hadamard slot width bits = bit_length(B) + 1
+    for B = ceil(sqrt(prod_i sum_j |a_ij|_1^2)), s the largest row t-span
+    and shift the sum of the rows' least t-exponents; a collapsed
+    coefficient is bits * (s + 1) bits wide."""
+    span, bound, shift = 0, 1, 0
     for row in rows:
         ets = [et for x in row for (et, _), _ in x.sorted_terms()]
         span = max(span, max(ets) - min(ets))
+        shift += min(ets)
         bound *= sum(sum(abs(c) for _, c in x.sorted_terms()) ** 2 for x in row)
-    return ((math.isqrt(bound - 1) + 1).bit_length() + 1) * (span + 1)
+    return (math.isqrt(bound - 1) + 1).bit_length() + 1, span, shift
 
 
 def connected_block(rng, size, max_coeff, t_range):
@@ -335,16 +338,19 @@ def test_collapsed_det_matches_the_oracles(collapse_paths):
         elif kind == "rank one":
             col = [LaurentPoly.monomial(rng.randint(1, 5), rng.randint(-2, 2), 0) for _ in range(size)]
             rows = [[c * x for x in rows[0]] for c in col]
-        width = collapsed_width(rows)
+        bits, span, shift = collapsed_shape(rows)
+        width = bits * (span + 1)
         a = PolyMatrix(rows)
         collapse_paths.clear()
         got = a.det()
         assert got == unsplit_det(a) == diagonal_bareiss_det(a), (trial, kind)
         assert (got == ZERO) == (kind != "regular")
-        collapsed = width in polymatrix.COLLAPSE_BITS
+        collapsed = width in COLLAPSE_BITS
         assert collapse_paths == {"collapsed" if collapsed else "refused": 1}
+        if collapsed:
+            assert collapse_t(rows)[1:] == (bits, shift), (trial, kind)
         side = ("collapsed" if collapsed else
-                "narrow" if width < polymatrix.COLLAPSE_BITS.start else "wide")
+                "narrow" if width < COLLAPSE_BITS.start else "wide")
         sides[side] += 1
         sides[kind, side] += 1
     assert sides["collapsed"] >= 40 and sides["narrow"] >= 10 and sides["wide"] >= 5, sides
@@ -383,6 +389,35 @@ def test_collapsed_det_meets_its_bound_across_a_t_span(collapse_paths, m):
     a = PolyMatrix(rows)
     got = a.det()
     assert got == diagonal_bareiss_det(a) == LaurentPoly.monomial(16 * c ** 4, 6, 2)
+    assert collapse_paths == {"collapsed": 1}
+
+
+@pytest.mark.parametrize("e, path", ((61, "refused"), (62, "collapsed"),
+                                     (1022, "collapsed"), (1023, "refused")))
+def test_collapse_gate_edges(collapse_paths, e, path):
+    # a cyclic block with entries c t^2 q^-1, t^-1 q and t q, c = 2^e: every
+    # row t-span is 0 and B = c, so the width is bit_length(c) + 1, from 63
+    # (refused) and 64 (collapsed) to 1024 (collapsed) and 1025 (refused)
+    c = 2 ** e
+    a = PolyMatrix([[ZERO, LaurentPoly.monomial(c, 2, -1), ZERO],
+                    [ZERO, ZERO, LaurentPoly.monomial(1, -1, 1)],
+                    [LaurentPoly.monomial(1, 1, 1), ZERO, ZERO]])
+    assert collapsed_shape(a.data)[:2] == (e + 2, 0)
+    got = a.det()
+    assert got == diagonal_bareiss_det(a) == LaurentPoly.monomial(c, 2, 1)
+    assert collapse_paths == {path: 1}
+
+
+def test_collapse_gate_counts_the_row_t_span(collapse_paths):
+    # K = 32 from B = ceil(sqrt(2 * 2^60)), and row 0 spans one t-degree:
+    # the collapsed coefficients are K * (1 + 1) = 64 bits wide, so the
+    # block collapses, where a gate on K * s = 32 would refuse it
+    a = PolyMatrix([[ZERO, ONE, T],
+                    [ZERO, ZERO, LaurentPoly.monomial(2 ** 30, 0, 1)],
+                    [T ** 3, ZERO, ZERO]])
+    assert collapsed_shape(a.data)[:2] == (32, 1)
+    got = a.det()
+    assert got == diagonal_bareiss_det(a) == LaurentPoly.monomial(2 ** 30, 3, 1)
     assert collapse_paths == {"collapsed": 1}
 
 

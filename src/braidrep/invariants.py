@@ -15,6 +15,17 @@ constructors build them, so a word image rewrites only the lines (rows
 for the conjugated reduced Burau form, columns for lk) where each letter
 differs from the identity; reps.image_of_word passes the rest through.
 
+Reduced Burau has no q, so its closures are integer linear algebra
+(Kronecker substitution, D. Harvey, J. Symb. Comput. 44, 2009):
+reps.word_norm_bound walks the letters with each entry replaced by its
+1-norm, Hadamard's bound on those norms gives K (laurent.hadamard_bits),
+reps.image_at_power_of_two builds the image at t = 2^K as one Python int
+per entry, polymatrix.integer_det runs Bareiss on those ints, and
+laurent.expand_t reads the determinant's balanced base 2^K digits back as
+its t-coefficients.  The gate laurent.INTEGER_CLOSURE_BITS keeps long
+words on many strands, where the a priori K is too wide to pay, on the
+Laurent path; lk has q and always takes that path.
+
 The representation and den depend only on the invariant and the strand
 count, so a process builds them once per pair; a call computes only num.
 """
@@ -22,8 +33,10 @@ count, so a process builds them once per pair; a call computes only num.
 import functools
 
 from .braid import BraidWord, CheckReport
-from .laurent import LaurentPoly, PolyFraction, Q, T, exact_rational
-from .reps import burau_reduced, image_of_word, lk
+from .laurent import (LaurentPoly, PolyFraction, Q, T, exact_rational, expand_t, hadamard_bits,
+                      integer_closure_fits)
+from .polymatrix import integer_det
+from .reps import burau_reduced, image_at_power_of_two, image_of_word, lk, word_norm_bound
 
 
 class InvariantError(Exception):
@@ -89,7 +102,10 @@ def _closure_data(invariant, n):
 
 
 def _closure_det(invariant, rep, word):
-    """det(rho(word) - I), subtracting on the diagonal of the fresh image.
+    """det(rho(word) - I): as integer linear algebra when the generator
+    images have no q and the gate accepts the word
+    (_integer_closure_det), otherwise by subtracting on the diagonal of the
+    word image and taking PolyMatrix.det.
 
     For the Krammer invariant rho is lk tensored with the sign character,
     which scales the image of a word of length L by s = (-1)^L.  So
@@ -97,12 +113,44 @@ def _closure_det(invariant, rep, word):
     word, and the generator images stay as lk builds them.
     """
     s = -1 if invariant == "krammer" and len(word.letters) % 2 else 1
-    m = image_of_word(rep, word)
-    shift = LaurentPoly.const(-s)
-    for i, row in enumerate(m.data):
-        row[i] = row[i] + shift
-    d = m.det()
+    d = None if rep.has_q() else _integer_closure_det(rep, word, s)
+    if d is None:
+        m = image_of_word(rep, word)
+        shift = LaurentPoly.const(-s)
+        for i, row in enumerate(m.data):
+            row[i] = row[i] + shift
+        d = m.det()
     return -d if s < 0 and rep.dim % 2 else d
+
+
+def _integer_closure_det(rep, word, s):
+    """det(rho(word) - s I) as integer linear algebra at t = 2^K, for a
+    representation with no q, or None when the gate refuses the word.
+
+    Line i of rho(word) has entries of 1-norm at most norms[i][c]
+    (reps.word_norm_bound), so line i of rho(word) - s I has them at most
+    norms[i][c] + [i = c], and K = hadamard_bits of those bounds puts
+    every coefficient of the determinant below 2^(K - 1).  Line i at
+    t = 2^K is t^-offsets[i] times the ints of image_at_power_of_two, and
+    subtracting s I takes s 2^(K offsets[i]) off its diagonal entry, so the
+    determinant is t^-(sum of offsets) times the polynomial whose value at
+    2^K is integer_det of those lines; every offset is at least 0, so that
+    polynomial has no negative power of t and expand_t reads it back
+    exactly.  Nothing about the result depends on whether the lines are
+    rows or columns.  The gate, laurent.integer_closure_fits, reads the
+    dimension and the a priori width K (row t-span + 1), the t-span taken
+    from word_norm_bound's ranges.
+    """
+    norms, los, his = word_norm_bound(rep, word)
+    bits = hadamard_bits([[x + (i == c) for c, x in enumerate(line)]
+                          for i, line in enumerate(norms)])
+    if not integer_closure_fits(rep.dim, bits * (max(h - l for l, h in zip(los, his)) + 1)):
+        return None
+    lines, offsets = image_at_power_of_two(rep, word, bits)
+    rows = [list(line) for line in lines]
+    for i, row in enumerate(rows):
+        row[i] -= s << bits * offsets[i]
+    return expand_t(LaurentPoly.const(integer_det(rows)), bits, -sum(offsets))
 
 
 def _det_ratio(invariant, word):
@@ -115,9 +163,12 @@ def alexander(word):
     """Alexander polynomial of the closure of a braid word.
 
     Divides det(rho(word) - I) by det(rho(sigma_1..sigma_(n-1)) - I) where rho
-    is the reduced Burau representation.  Raises InvariantError when the
-    division is not exact (the ratio then fails to be a polynomial, which
-    happens for some multi-component closures).
+    is the reduced Burau representation.  Each determinant is integer linear
+    algebra at t = 2^K, with K read from the letters before any product,
+    unless the gate laurent.INTEGER_CLOSURE_BITS sends a long word on many
+    strands to the Laurent path (see _integer_closure_det).  Raises
+    InvariantError when the division is not exact (the ratio then fails to
+    be a polynomial, which happens for some multi-component closures).
     """
     raw = _det_ratio("alexander", word)
     if not raw.is_polynomial():

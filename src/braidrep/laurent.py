@@ -33,12 +33,19 @@ sparse, so an exponent of 10**12 costs what its terms cost, not its span.
 The same substitution applied to one variable of a whole matrix removes t
 instead of packing products one at a time.  collapse_t owns the whole
 decision for a determinant block: one loop over its rows reads each row's
-t-range and squared 1-norms, sizes bits by Hadamard's bound, refuses the
-block outside the gate COLLAPSE_BITS before any shift, and otherwise maps
-the rows, shifted to nonnegative t-exponents, through the ring map
-t -> 2^bits into Z[q^+-1].  expand_t reads a result back as balanced base
-2^bits digits, exact when each coefficient is below 2^(bits - 1) in
-absolute value.  polymatrix.det runs its blocks of 3 or more rows this way.
+t-range and 1-norms, sizes bits by Hadamard's bound (hadamard_bits),
+refuses the block outside the gate COLLAPSE_BITS before any shift, and
+otherwise maps the rows, shifted to nonnegative t-exponents, through the
+ring map t -> 2^bits into Z[q^+-1].  expand_t reads a result back as
+balanced base 2^bits digits, exact when each coefficient is below
+2^(bits - 1) in absolute value, splitting a coefficient of many digits in
+halves so that its cost stays near linear.  polymatrix.det runs its blocks
+of 3 or more rows this way.  A closure of a representation with no q goes
+further and loses t before its first letter: t_terms reads each generator
+entry as a polynomial in t, the word image is built at t = 2^bits as
+integers, and hadamard_bits, the same bound, sizes bits from 1-norm bounds
+read off the letters; INTEGER_CLOSURE_BITS is that path's gate (see
+invariants._integer_closure_det).
 
 PolyFraction keeps num/den pairs in a value-preserving canonical form and
 compares by cross multiplication.  No multivariate gcd is computed anywhere;
@@ -775,6 +782,54 @@ def _packed_div(at, bt):
 COLLAPSE_BITS = range(64, 1025)
 
 
+# A closure det(rho(w) - s I) of a representation with no q runs as integer
+# linear algebra at t = 2^K (invariants._integer_closure_det) when its a
+# priori width W = K (row t-span + 1), read off the letters before any
+# product, has W (d - 1)^2 <= INTEGER_CLOSURE_BITS for its dimension d, or
+# W <= 8 INTEGER_CLOSURE_BITS at d = 2, where Bareiss never divides.  The
+# a priori K runs 2-4 times the K of the image's own norms, and the integer
+# path's cost grows faster in W than the Laurent path's.  Measured on
+# seeded reduced Burau words (integer / Laurent path time, best of up to 7
+# runs, shared 2-vCPU host, CPython 3.11), the crossover sits near
+# W (d - 1)^2 = 250000 for d = 3..9 and above it for larger d:
+#
+#     d = 2:  W 0.5M 0.6;  2.0M 0.95-1.0;  4.5M 1.7-1.9;  12.7M 2.9
+#     d = 3:  W 60-68k 0.84-1.23;  160-186k 1.05-1.5;  300k 3.0;  600-700k 5-6
+#     d = 4:  W 14-17k 0.6;  29-31k 0.96-1.28;  58-60k 1.7-2.9
+#     d = 5:  W 8-11k 0.48-0.83;  14-17k 0.89-1.13;  27-33k 1.6-2.9
+#     d = 6:  W 3.5-4.4k 0.30-0.99;  5.3-6.3k 0.60-0.74;  9-11k 0.9-1.36;  14-17k 1.45-2.0
+#     d = 9:  W 1.3-1.9k 0.83-0.95;  4.4-5.5k 0.69-0.87;  7.4-7.6k 1.4-2.7
+#     d = 12: W 1.2-1.5k 0.30-0.56;  1.6-2.9k 0.46-1.53;  3.8-4.7k 0.88-2.05
+#     d = 15: W 1.0-1.8k 0.37-0.65;  2.1-3.8k 0.32-1.81;  4.7-5.0k 2.0-2.8
+#
+# Short words are far inside: 0.37-0.55 at d = 2..6 and L = 12..20, and
+# 0.86 at d = 2, L = 4.
+INTEGER_CLOSURE_BITS = 250_000
+
+
+def integer_closure_fits(dim, width):
+    """Whether a dim x dim closure of a priori width bits (see above) goes
+    through integers."""
+    return width * (dim - 1) ** 2 <= INTEGER_CLOSURE_BITS * (8 if dim == 2 else 1)
+
+
+def hadamard_bits(norm_rows):
+    """The slot width bits = bit_length(B) + 1 for B = ceil(sqrt(prod_i
+    sum_j n_ij^2)), given rows of nonnegative ints n_ij, each row with a
+    nonzero one, that bound the 1-norms of a square matrix's entries.
+
+    On the torus |t| = |q| = 1 each entry x has |x| <= |x|_1 <= n_ij, so by
+    Hadamard's inequality |det| is at most B there, and so is every
+    coefficient of det, being an average of det times a monomial over the
+    torus.  So every coefficient has |c| < 2^(bits - 1), as expand_t
+    needs.  No degree bound enters, and nothing is approximate.
+    """
+    bound = 1
+    for row in norm_rows:
+        bound *= sum(n * n for n in row)
+    return (math.isqrt(bound - 1) + 1).bit_length() + 1
+
+
 def collapse_t(rows):
     """(images, bits, shift) for the rows of a square block, each with a
     nonzero entry, under the ring map t -> 2^bits into Z[q^+-1], or None
@@ -782,20 +837,16 @@ def collapse_t(rows):
 
     Row i times t^-lo_i, lo_i its least t-exponent, lies in Z[t, q^+-1],
     and images holds its image; the determinant of the block is
-    expand_t(det(images), bits, shift) with shift the sum of the lo_i.  On
-    the torus |t| = |q| = 1 each entry x has |x| <= |x|_1, so by Hadamard's
-    inequality |det| is at most B = ceil(sqrt(prod_i sum_j |x_ij|_1^2))
-    there, and so is every coefficient of det, being an average of det
-    times a monomial over the torus.  With bits = bit_length(B) + 1 every
-    coefficient has |c| < 2^(bits - 1), as expand_t needs.  No degree bound
-    enters, and nothing is approximate.  One loop over each row reads its
-    t-range and squared 1-norms from the exponents and coefficients, so the
-    gate is checked before any shift and an entry t^(10**12) costs nothing.
+    expand_t(det(images), bits, shift) with shift the sum of the lo_i.
+    bits is hadamard_bits of the entries' 1-norms.  One loop over each row
+    reads its t-range and 1-norms from the exponents and coefficients, so
+    the gate is checked before any shift and an entry t^(10**12) costs
+    nothing.
     """
-    los, span, norms = [], 0, 1
+    los, span, norm_rows = [], 0, []
     for row in rows:
         lo = hi = None
-        row_norms = 0
+        row_norms = []
         for x in row:
             terms = x._terms
             if terms:
@@ -806,12 +857,11 @@ def collapse_t(rows):
                         lo = et
                     elif et > hi:
                         hi = et
-                norm = sum(map(abs, terms.values()))
-                row_norms += norm * norm
+                row_norms.append(sum(map(abs, terms.values())))
         los.append(lo)
         span = max(span, hi - lo)
-        norms *= row_norms
-    bits = (math.isqrt(norms - 1) + 1).bit_length() + 1
+        norm_rows.append(row_norms)
+    bits = hadamard_bits(norm_rows)
     if bits * (span + 1) not in COLLAPSE_BITS:
         return None
     return [_collapse_row(row, lo, bits) for row, lo in zip(rows, los)], bits, sum(los)
@@ -846,23 +896,53 @@ def expand_t(p, bits, shift):
     """t^shift times the polynomial f in Z[t, q^+-1] whose image under
     t -> 2^bits is p, for p in Z[q^+-1].  Each coefficient of p is
     sum_a c_a 2^(bits a) over the t-exponents a >= 0 of f's terms with that
-    q-exponent, and it is read back as its balanced base 2^bits digits,
-    which are the c_a exactly when every |c_a| < 2^(bits - 1)."""
-    half = 1 << (bits - 1)
-    mask = (1 << bits) - 1
+    q-exponent, and it is read back as its balanced base 2^bits digits
+    (_read_digits), which are the c_a exactly when every
+    |c_a| < 2^(bits - 1)."""
     terms = {}
     for (_, eq), c in p._terms.items():
-        et = shift
-        while c:
-            digit = ((c + half) & mask) - half
-            if digit:
-                terms[(et, eq)] = digit
-                c -= digit
-            c >>= bits
-            et += 1
+        _read_digits(c, bits, c.bit_length() // bits + 2, terms, shift, eq)
     out = LaurentPoly.__new__(LaurentPoly)
     out._terms = terms
     return out
+
+
+def _read_digits(c, bits, n, terms, et, eq):
+    """Put the n lowest balanced base 2^bits digits of c into terms, as the
+    coefficients of t^et ... t^(et + n - 1) q^eq, and return what is left
+    above them.  Digit j is ((c_j + half) & mask) - half with c_0 = c and
+    c_(j+1) = (c_j - digit) >> bits, half = 2^(bits - 1); it depends only
+    on c mod 2^(bits (j + 1)).  So more than 32 digits split in two: the
+    low half is read from c's low bits, and the carry it leaves (0 or 1) is
+    added to c's high bits for the high half.  Every level costs one pass
+    over the bits, not one pass per digit, so a coefficient of thousands
+    of digits is read in n log n time, not n^2."""
+    if n > 32:
+        h = n // 2
+        low = bits * h
+        carry = _read_digits(c & ((1 << low) - 1), bits, h, terms, et, eq)
+        return _read_digits((c >> low) + carry, bits, n - h, terms, et + h, eq)
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    for et in range(et, et + n):
+        digit = ((c + half) & mask) - half
+        if digit:
+            terms[(et, eq)] = digit
+        c = (c - digit) >> bits
+    return c
+
+
+def t_terms(x):
+    """(lo, hi, norm, terms) for a nonzero x in Z[t^+-1], free of q: its
+    least and greatest t-exponents, its 1-norm (the sum of its
+    coefficients' absolute values) and the pairs (et - lo, c) of
+    t^-lo * x, a polynomial in t.  Its value at t = 2^bits is the sum of
+    c << bits * (et - lo).  A term with q raises ValueError."""
+    if any(eq for _, eq in x._terms):
+        raise ValueError("%s has q, so it is no polynomial in t alone" % (x,))
+    lo = min(et for et, _ in x._terms)
+    terms = tuple((et - lo, c) for (et, _), c in x._terms.items())
+    return lo, lo + max(j for j, _ in terms), sum(abs(c) for _, c in terms), terms
 
 
 # ----------------------------------------------------------------------

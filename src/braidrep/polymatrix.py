@@ -13,6 +13,8 @@ Z[q^+-1], the same Bareiss elimination runs there on entries with big
 integer coefficients, and laurent.expand_t reads the t-exponents back out
 of the coefficients of its determinant.  laurent sizes bits by Hadamard's
 bound, so the read-back is exact, and owns the gate that refuses a block.
+integer_det runs the same block split and Bareiss elimination on a matrix
+of Python ints, for closures built at an integer point of t.
 Products pair only nonzero entries of both factors.
 Characteristic polynomials use Berkowitz's division-free algorithm, inverses
 apply Cayley-Hamilton to them with no elimination, and the multilinear
@@ -130,6 +132,58 @@ def _bareiss_det(m):
         prev = pivot
     d = m[n - 1][n - 1]
     return d if sign == 1 else -d
+
+
+def integer_det(m):
+    """Determinant of a square list of rows of ints, which it may
+    overwrite, split into the strongly connected blocks of its nonzero
+    pattern like PolyMatrix.det, each block by _integer_bareiss_det.  A
+    matrix with no zero entry is one block and skips the split."""
+    if all(map(all, m)):
+        return _integer_bareiss_det(m)
+    out = 1
+    for block in sorted(_strong_components(m), key=len):
+        out *= _integer_bareiss_det([[m[i][j] for j in block] for i in block])
+        if not out:
+            return 0
+    return out
+
+
+def _integer_bareiss_det(m):
+    """Determinant of the square list of rows of ints m, which it
+    overwrites, by the fraction-free Bareiss elimination of _bareiss_det
+    with its full pivoting read on ints: step k pivots on the nonzero entry
+    of the trailing block with the fewest bits (the first in row-major
+    order on a tie).  Every interior division is exact, so floor division
+    is, and a trailing block with no nonzero entry gives 0."""
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        best = pi = pj = None
+        for i in range(k, n):
+            row = m[i]
+            for j in range(k, n):
+                size = row[j].bit_length()
+                if size and (best is None or size < best):
+                    best, pi, pj = size, i, j
+        if best is None:
+            return 0
+        if pi != k:
+            m[k], m[pi] = m[pi], m[k]
+            sign = -sign
+        if pj != k:
+            for row in m[k:]:
+                row[k], row[pj] = row[pj], row[k]
+            sign = -sign
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - lead * pivot_row[j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]
 
 
 class PolyMatrix:

@@ -11,7 +11,11 @@ where its image differs from the identity (image_of_word), never as a
 whole-matrix product.  A changed line with a single entry 1 is the old line
 it points at, shared rather than copied, and one with a single monomial
 entry is that line shifted; lines are replaced and never written, so
-sharing is safe, and the finished image copies every line.
+sharing is safe, and the finished image copies every line.  Two more walks
+over the same changed lines serve representations with no q, with no
+product of polynomials: word_norm_bound replaces each entry by its 1-norm
+and t-range and bounds the image entrywise, and image_at_power_of_two
+builds the image at t = 2^bits as one Python int per entry.
 
 Symmetric powers are quantized by one rule: the p-th power of a
 transvection I + s*e_ij carries the Gaussian binomial [a choose b]_q s^b
@@ -33,9 +37,10 @@ from __future__ import annotations
 
 import math
 import operator
+from operator import add
 
 from .braid import BraidWord, CheckReport
-from .laurent import LaurentPoly, ONE, Q, T, q_binomial, sum_of_products
+from .laurent import LaurentPoly, ONE, Q, T, q_binomial, sum_of_products, t_terms
 from .polymatrix import (
     PolyMatrix,
     char_poly,
@@ -56,11 +61,13 @@ class Representation:
     inverses sit the lines (rows or columns) where each letter's image
     differs from the identity, which are all a word image applies, each
     classified once by its entries; the first word image picks rows or
-    columns (see image_of_word).
+    columns (see image_of_word).  For a representation with no q the same
+    lines are also kept read as polynomials in t, for word_norm_bound and
+    image_at_power_of_two.
     """
 
     __slots__ = ("strands", "dim", "label", "gen_images", "_inverses", "_by_rows", "_where",
-                 "_lines")
+                 "_lines", "_has_q", "_t_lines")
 
     def __init__(self, strands, gen_images, label):
         strands = operator.index(strands)
@@ -79,6 +86,16 @@ class Representation:
         self._inverses = {}
         self._by_rows = self._where = None
         self._lines = {}
+        self._has_q = None
+        self._t_lines = {}
+
+    def has_q(self):
+        """Whether an entry of some generator image involves q, read once,
+        then kept.  Inverse letters have q only if their generators do."""
+        if self._has_q is None:
+            self._has_q = any(e.min_exponents()[1] or e.max_exponents()[1]
+                              for g in self.gen_images for row in g.data for e in row if e)
+        return self._has_q
 
     def sigma(self, i):
         """Image of sigma_i, 1-based.  A negative i gives the inverse of
@@ -139,11 +156,33 @@ class Representation:
             self._lines[x] = lines
         return lines
 
+    def _letter_t_lines(self, x):
+        """The lines of _letter_lines(x), for a representation with no q,
+        each as (index, entries) with entries its (k, lo, hi, norm, terms)
+        tuples, the last four read by laurent.t_terms; kept."""
+        lines = self._t_lines.get(x)
+        if lines is None:
+            lines = self._t_lines[x] = [(i, [(k,) + t_terms(e) for k, e in entries])
+                                        for i, entries, _, _ in self._letter_lines(x)]
+        return lines
+
     def image(self, word):
         return image_of_word(self, word)
 
     def __repr__(self):
         return "Representation(%s, strands=%d, dim=%d)" % (self.label, self.strands, self.dim)
+
+
+def _applied_letters(rep, word):
+    """The letters of a braid word (BraidWord or text) in the order a word
+    image applies them: right to left by rows, left to right by columns
+    (Representation._orient, which this runs)."""
+    if isinstance(word, str):
+        word = BraidWord.parse(word, rep.strands)
+    if word.strands != rep.strands:
+        raise ValueError("word on %d strands fed to a representation on %d"
+                         % (word.strands, rep.strands))
+    return word.letters[::-1] if rep._orient() else word.letters
 
 
 def image_of_word(rep, word):
@@ -167,17 +206,11 @@ def image_of_word(rep, word):
     old ones and then puts them in place.  The returned matrix copies every
     line, so the caller may write into it, and writing one of its rows
     changes no other row and no kept image."""
-    if isinstance(word, str):
-        word = BraidWord.parse(word, rep.strands)
-    if word.strands != rep.strands:
-        raise ValueError("word on %d strands fed to a representation on %d"
-                         % (word.strands, rep.strands))
-    letters = word.letters
+    letters = _applied_letters(rep, word)
     if not letters:
         return PolyMatrix.identity(rep.dim)
-    by_rows = rep._orient()
+    by_rows = rep._by_rows
     if by_rows:
-        letters = letters[::-1]
         lines = list(rep.sigma(letters[0]).data)
     else:
         lines = list(zip(*rep.sigma(letters[0]).data))
@@ -198,6 +231,86 @@ def image_of_word(rep, word):
     if by_rows:
         return PolyMatrix._wrap([list(line) for line in lines])
     return PolyMatrix._wrap([list(row) for row in zip(*lines)])
+
+
+def word_norm_bound(rep, word):
+    """(norms, los, his): bounds on the image of a word under a
+    representation with no q, read from its letters alone, with no product
+    of polynomials.
+
+    Line i of the image (a row or a column, as image_of_word keeps it) has
+    entries whose 1-norms are at most norms[i][c] and whose t-exponents lie
+    in [los[i], his[i]], with los[i] <= 0 <= his[i].  The walk is
+    image_of_word's over the same changed lines, with each entry g replaced
+    by its 1-norm and its t-range (Representation._letter_t_lines): a new
+    line sum_k g_k line_k is bounded by sum_k |g_k|_1 norms[k], since the
+    1-norm is subadditive and submultiplicative, and its t-range by the
+    sums of the ranges."""
+    letters = _applied_letters(rep, word)
+    changed = {x: rep._letter_t_lines(x) for x in set(letters)}
+    d = rep.dim
+    norms = [[int(i == c) for c in range(d)] for i in range(d)]
+    los, his = [0] * d, [0] * d
+    for x in letters:
+        new = []
+        for i, entries in changed[x]:
+            line = None
+            lo = hi = 0
+            for k, glo, ghi, g, _ in entries:
+                part = norms[k] if g == 1 else [g * y for y in norms[k]]
+                line = part if line is None else list(map(add, line, part))
+                if los[k] + glo < lo:
+                    lo = los[k] + glo
+                if his[k] + ghi > hi:
+                    hi = his[k] + ghi
+            new.append((i, line, lo, hi))
+        for i, line, lo, hi in new:
+            norms[i], los[i], his[i] = line, lo, hi
+    return norms, los, his
+
+
+def image_at_power_of_two(rep, word, bits):
+    """(lines, offsets): the image of a word at t = 2^bits, one Python int
+    per entry, for a representation with no q.
+
+    Line i of the image (as in word_norm_bound) is t^-offsets[i] times a
+    line of polynomials in t, and lines[i] holds their values at t = 2^bits.
+    The offset keeps the t^-1 entries of inverse letters integral: a letter
+    replaces line i by sum_k g_k line_k, each g_k = t^lo_k times a
+    polynomial sum_j c_j t^j (laurent.t_terms), so the new offset is the
+    largest offsets[k] - lo_k, never below 0, and each term adds c_j times
+    line k shifted left by bits times the t-power it lacks.  Only shifts
+    and small multipliers enter.  The walk is word_norm_bound's, and its
+    offsets are -los."""
+    letters = _applied_letters(rep, word)
+    changed = {x: rep._letter_t_lines(x) for x in set(letters)}
+    d = rep.dim
+    lines = [[int(i == c) for c in range(d)] for i in range(d)]
+    offsets = [0] * d
+    for x in letters:
+        new = []
+        for i, entries in changed[x]:
+            offset = 0
+            for k, lo, _, _, _ in entries:
+                if offsets[k] - lo > offset:
+                    offset = offsets[k] - lo
+            line = None
+            for k, lo, _, _, terms in entries:
+                src = lines[k]
+                base = offset + lo - offsets[k]
+                for j, c in terms:
+                    shift = bits * (base + j)
+                    if c != 1:
+                        part = [c * y << shift for y in src]
+                    elif shift:
+                        part = [y << shift for y in src]
+                    else:
+                        part = src
+                    line = part if line is None else list(map(add, line, part))
+            new.append((i, line, offset))
+        for i, line, offset in new:
+            lines[i], offsets[i] = line, offset
+    return lines, offsets
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ compute the same results by a different construction.
 
 import itertools
 import re
+from fractions import Fraction
 
 from braidrep.braid import BraidWord, CheckReport
 from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, PolyFraction, exact_div,
@@ -466,3 +467,44 @@ def token_parse_poly(text):
             del terms[mono]
         first = False
     return LaurentPoly(terms)
+
+
+def digitwise_expand_t(p, bits, shift):
+    """laurent.expand_t one digit at a time: each step takes the balanced
+    digit ((c + half) & mask) - half off the bottom of the coefficient and
+    shifts the rest down, a pass over the whole coefficient per digit."""
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    terms = {}
+    for (_, eq), c in p._terms.items():
+        et = shift
+        while c:
+            digit = ((c + half) & mask) - half
+            if digit:
+                terms[(et, eq)] = digit
+                c -= digit
+            c >>= bits
+            et += 1
+    return LaurentPoly(terms)
+
+
+def fraction_det(rows):
+    """Determinant of a square list of rows of ints by Gaussian elimination
+    over the rationals."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            det = -det
+        det *= m[k][k]
+        for row in m[k + 1:]:
+            f = row[k] / m[k][k]
+            for j in range(k, n):
+                row[j] -= f * m[k][j]
+    assert det.denominator == 1
+    return int(det)

@@ -41,9 +41,11 @@ def test_tracer_installs_and_counts_one_krammer_fraction():
     done = subprocess.run([sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "bench")],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    # three builds (lk(2), reduced Burau, lk(3)); seven dets: four numerators,
-    # three sweep denominators.  Six divisions: one Bareiss step in each 3 x 3
-    # det (one of them by the one-term divisor -1) and one per canonical fraction
+    # three builds (lk(2), reduced Burau, lk(3)); five dets: three Krammer
+    # numerators, two Krammer sweep denominators (the Alexander determinants
+    # are integer linear algebra, with no PolyMatrix.det).  Six divisions: one
+    # Bareiss step in each 3 x 3 det (one of them by the one-term divisor -1)
+    # and one per canonical fraction
     assert done.stdout.split("\n") == ["invariants.krammer_fraction 3", "reps.build 3",
-                                       "polymatrix.det 7", "laurent.exact_div 6",
+                                       "polymatrix.det 5", "laurent.exact_div 6",
                                        "build_repeats 0", ""]

@@ -463,3 +463,113 @@ def test_stored_closure_data_gives_the_values_of_a_fresh_build():
     for (invariant, word), value in zip(plan, stored):
         inv._closure_data.cache_clear()
         assert _values(invariant, word) == value, (invariant.__name__, str(word))
+
+
+def _laurent_closure_det(rep, word, s=1):
+    """det(rho(word) - s I) on the Laurent path: the word image, then
+    PolyMatrix.det."""
+    return (image_of_word(rep, word) - PolyMatrix.identity(rep.dim).scale(s)).det()
+
+
+def _closure_words(rng, n, length):
+    """A mixed word, an inverse-heavy one and an all-inverse one."""
+    draws = ((1, -1), (1, -1, -1, -1), (-1,))
+    return [W(n, [rng.choice(signs) * rng.randint(1, n - 1) for _ in range(length)])
+            for signs in draws]
+
+
+def _gate_width(rep, word):
+    """The a priori width K (row t-span + 1) that the integer path's gate reads."""
+    norms, los, his = reps.word_norm_bound(rep, word)
+    bits = laurent.hadamard_bits([[x + (i == c) for c, x in enumerate(line)]
+                                  for i, line in enumerate(norms)])
+    return bits * (max(h - l for l, h in zip(los, his)) + 1)
+
+
+def _inside_gate(rep, word):
+    return laurent.integer_closure_fits(rep.dim, _gate_width(rep, word))
+
+
+def test_integer_closure_det_matches_the_laurent_path():
+    # seeded words on n = 2..7 strands, L = 0..80, odd and even lengths, in
+    # both reduced Burau forms (rows and columns) and with either sign s
+    rng = random.Random(2121)
+    for n in range(2, 8):
+        for form in ("conjugated", "standard"):
+            rep = reps.burau_reduced(n, form)
+            for length in (0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 55, 80):
+                if form == "standard" and length % 4:
+                    continue
+                for word in _closure_words(rng, n, length):
+                    assert _inside_gate(rep, word), (n, length)
+                    for s in (1, -1):
+                        got = inv._integer_closure_det(rep, word, s)
+                        assert got == _laurent_closure_det(rep, word, s), (n, form, str(word), s)
+
+
+def test_integer_closure_det_of_a_long_word_with_two_rows():
+    rep = reps.burau_reduced(3, "conjugated")
+    word = W.parse("s1^1000 s2^-1000", 3)
+    got = inv._integer_closure_det(rep, word, 1)
+    assert got == _laurent_closure_det(rep, word)
+    assert len(got) == 2001 and got.min_exponents() == (-1000, 0)
+
+
+@pytest.mark.parametrize("entry", (-3 * ONE, -3 * T, 2 * T ** -1 - 1))
+def test_integer_closure_det_reads_back_a_determinant_at_its_bound(entry):
+    # on a 1 x 1 representation, det(rho(w) - I) = entry^m - 1 has a
+    # coefficient near Hadamard's bound |entry|_1^m + 1 (equal to it for -3
+    # and odd m, one below it for -3t), so K one bit smaller reads it back wrong
+    rep = reps.Representation(2, [PolyMatrix([[entry]])], "one-by-one")
+    for m in (1, 2, 5, 21, 40):
+        word = W(2, [1] * m)
+        want = entry ** m - ONE
+        assert inv._integer_closure_det(rep, word, 1) == want == _laurent_closure_det(rep, word)
+
+
+def test_image_at_power_of_two_is_the_word_image_at_that_point():
+    # line i at t = 2^bits is t^-offsets[i] times the ints, offsets = -los
+    rng = random.Random(2122)
+    for n, form in ((3, "conjugated"), (5, "conjugated"), (4, "standard")):
+        rep = reps.burau_reduced(n, form)
+        for word in _closure_words(rng, n, 12):
+            image = image_of_word(rep, word).data
+            expected = image if rep._by_rows else [list(col) for col in zip(*image)]
+            for bits in (2, 7, 64):
+                lines, offsets = reps.image_at_power_of_two(rep, word, bits)
+                assert offsets == [-lo for lo in reps.word_norm_bound(rep, word)[1]]
+                for line, offset, want in zip(lines, offsets, expected):
+                    assert line == [sum(c << bits * (et + offset) for (et, _), c in e.sorted_terms())
+                                    for e in want], (n, form, str(word), bits)
+
+
+def test_word_norm_bound_is_met_without_cancellation():
+    # powers of commuting generators never add two terms of one monomial,
+    # so every 1-norm and every t-range of the image is its bound
+    rep = reps.burau_reduced(6, "conjugated")
+    word = W.parse("1 1 1 3 3 5 5 5 5", 6)
+    norms, los, his = reps.word_norm_bound(rep, word)
+    rows = image_of_word(rep, word).data
+    assert rep._by_rows
+    assert norms == [[sum(abs(c) for _, c in e.sorted_terms()) for e in row] for row in rows]
+    assert max(map(max, norms)) == 4
+    for row, lo, hi in zip(rows, los, his):
+        ets = [et for e in row for (et, _), _ in e.sorted_terms()]
+        assert (lo, hi) == (min(ets + [0]), max(ets + [0]))
+
+
+def test_the_gate_decides_which_path_an_alexander_closure_takes(monkeypatch):
+    # seeded words on either side of the gate; the Laurent path is the only
+    # one that builds a word image
+    rng = random.Random(1)
+    inside = W(7, [rng.choice((1, -1)) * rng.randint(1, 6) for _ in range(80)])
+    refused = W(16, [rng.choice((1, -1)) * rng.randint(1, 15) for _ in range(120)])
+    counts = {"image_of_word": 0}
+    monkeypatch.setattr(inv, "image_of_word", _counted(image_of_word, counts, "image_of_word"))
+    for word, laurent_path in ((inside, False), (refused, True)):
+        rep = reps.burau_reduced(word.strands, "conjugated")
+        assert _inside_gate(rep, word) != laurent_path
+        counts["image_of_word"] = 0
+        assert inv._closure_det("alexander", rep, word) == _laurent_closure_det(rep, word)
+        assert counts["image_of_word"] == laurent_path
+        assert (inv._integer_closure_det(rep, word, 1) is None) == laurent_path

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from braidrep import laurent
 from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, PolyFraction, _collapse_row,
-                              exact_div, expand_t, parse_poly, q_binomial, q_factorial,
-                              q_natural, q_pochhammer, sum_of_products)
+                              exact_div, expand_t, hadamard_bits, parse_poly, q_binomial,
+                              q_factorial, q_natural, q_pochhammer, sum_of_products, t_terms)
 from conftest import laurent_polys, nonzero_polys
-from oracles import (convolve, factorial_bracket_binomial, longdiv_exact_div,
-                     matrix_from_json, poly_from_json, termwise_substitute,
+from oracles import (convolve, digitwise_expand_t, factorial_bracket_binomial,
+                     longdiv_exact_div, matrix_from_json, poly_from_json, termwise_substitute,
                      token_parse_poly)
 
 
@@ -652,6 +652,48 @@ def test_collapse_and_expand_round_trip():
     assert expand_t(collapsed(8 * T, 4), 4, 1) == T * T - 8 * T
 
 
+def test_expand_reads_a_coefficient_of_many_digits():
+    # past 32 digits the read-back splits a coefficient in halves; it gives
+    # what reading one digit at a time gives, extreme digits included, and
+    # the polynomial the digits came from
+    rng = random.Random(1968)
+    for bits in (2, 3, 37, 64):
+        half = 1 << (bits - 1)
+        for n in (31, 32, 33, 64, 65, 100, 1000):
+            digits = [rng.choice((-half, -half + 1, half - 1, 0, rng.randrange(-half, half)))
+                      for _ in range(n)]
+            digits[-1] = digits[-1] or 1
+            for eq in (-1, 0, 2):
+                image = LaurentPoly({(0, eq): sum(d << bits * j for j, d in enumerate(digits))})
+                want = LaurentPoly({(j - 5, eq): d for j, d in enumerate(digits)})
+                assert expand_t(image, bits, -5) == want == digitwise_expand_t(image, bits, -5)
+        for _ in range(50):
+            c = rng.randrange(-1 << bits * 80, 1 << bits * 80)
+            image = LaurentPoly({(0, 0): c, (0, 3): -c // 3})
+            assert expand_t(image, bits, 2) == digitwise_expand_t(image, bits, 2)
+
+
+def test_hadamard_bits_is_one_more_than_the_bound_needs():
+    # B = ceil(sqrt(prod of row sums of squares)); 2^(bits - 2) <= B < 2^(bits - 1)
+    assert hadamard_bits([[1]]) == 2
+    assert hadamard_bits([[3, 4], [0, 5]]) == 6
+    assert hadamard_bits([[1, 1], [1, 1]]) == 3
+    assert hadamard_bits([[7, 0], [0, 9]]) == 7
+    for rows in ([[2, 3, 5], [7, 11, 13], [1, 0, 1]], [[2 ** 40]], [[1] * 5] * 5):
+        bound = math.prod(sum(x * x for x in row) for row in rows)
+        b = math.isqrt(bound - 1) + 1
+        assert b * b >= bound > (b - 1) ** 2
+        assert 1 << hadamard_bits(rows) - 2 <= b < 1 << hadamard_bits(rows) - 1
+
+
+def test_t_terms_reads_a_q_free_polynomial():
+    lo, hi, norm, terms = t_terms(3 * T ** -2 - T + 5 * T ** 4)
+    assert (lo, hi, norm, sorted(terms)) == (-2, 4, 9, [(0, 3), (3, -1), (6, 5)])
+    assert t_terms(-7 * ONE) == (0, 0, 7, ((0, -7),))
+    with pytest.raises(ValueError, match="has q"):
+        t_terms(T + Q)
+
+
 @given(laurent_polys(span=3), laurent_polys(span=3), st.integers(min_value=12, max_value=80))
 def test_collapse_is_a_ring_map(x, y, bits):
     # phi(t^-a x) phi(t^-b y) = phi(t^-(a + b) x y), and the sum likewise;
@@ -774,3 +816,14 @@ def test_evaluation_rejects_floats(value):
         PolyFraction(p, T + ONE).eval_rational(1, value)
     assert p.eval_rational(Fraction(1, 2), -3) == Fraction(13, 2)
 
+
+
+def test_integer_closure_gate_edges():
+    limit = laurent.INTEGER_CLOSURE_BITS
+    assert laurent.integer_closure_fits(1, 10 ** 9)
+    assert laurent.integer_closure_fits(2, 8 * limit)
+    assert not laurent.integer_closure_fits(2, 8 * limit + 1)
+    assert laurent.integer_closure_fits(3, limit // 4)
+    assert not laurent.integer_closure_fits(3, limit // 4 + 1)
+    assert laurent.integer_closure_fits(16, limit // 225)
+    assert not laurent.integer_closure_fits(16, limit // 225 + 1)

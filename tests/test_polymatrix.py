@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 from braidrep.laurent import (COLLAPSE_BITS, ONE, Q, T, ZERO, LaurentPoly, PolyFraction,
                               collapse_t, parse_poly)
 from braidrep.polymatrix import (PolyMatrix, char_poly, char_poly_from_roots,
-                                 exp_nilpotent, ext_basis, ext_power, sym_basis, sym_power)
+                                 exp_nilpotent, ext_basis, ext_power, integer_det, sym_basis,
+                                 sym_power)
 from braidrep import reps
 from braidrep.reps import lk
 from braidrep import invariants as inv
 from braidrep import polymatrix
 from braidrep.braid import BraidWord
-from oracles import (cofactor_char_poly, diagonal_bareiss_det, generalized_char_poly,
-                     matrix_from_json, minor_ext_power, permutation_sym_power,
+from oracles import (cofactor_char_poly, diagonal_bareiss_det, fraction_det,
+                     generalized_char_poly, matrix_from_json, minor_ext_power, permutation_sym_power,
                      tarjan_components, tensor_product, transpose, unsplit_det)
 
 
@@ -757,3 +758,22 @@ def test_str_and_latex():
     a = m22(T, 0, 0, 1)
     assert str(a) == "[t, 0]\n[0, 1]"
     assert a.to_latex().startswith("\\begin{pmatrix}")
+
+
+def test_integer_det_matches_rational_elimination():
+    # dense, sparse (split into blocks), rank-deficient and all-zero-line
+    # int matrices, entries up to 2^200
+    rng = random.Random(2121)
+    kinds = collections.Counter()
+    for trial in range(200):
+        size = 1 + trial % 7
+        top = (2, 1000, 1 << 200)[trial // 7 % 3]
+        density = (1.0, 0.5, 0.25)[trial // 21 % 3]
+        rows = [[rng.randint(-top, top) if rng.random() < density else 0 for _ in range(size)]
+                for _ in range(size)]
+        if trial % 5 == 0 and size > 1:
+            rows[-1] = [3 * x - y for x, y in zip(rows[0], rows[1])]
+        want = fraction_det(rows)
+        kinds["zero" if want == 0 else "nonzero"] += 1
+        assert integer_det([list(row) for row in rows]) == want, (trial, rows)
+    assert min(kinds.values()) >= 20, kinds

@@ -20,11 +20,14 @@ Reduced Burau has no q, so its closures are integer linear algebra
 reps.word_norm_bound walks the letters with each entry replaced by its
 1-norm, Hadamard's bound on those norms gives K (laurent.hadamard_bits),
 reps.image_at_power_of_two builds the image at t = 2^K as one Python int
-per entry, polymatrix.integer_det runs Bareiss on those ints, and
-laurent.expand_t reads the determinant's balanced base 2^K digits back as
-its t-coefficients.  The gate laurent.INTEGER_CLOSURE_BITS keeps long
-words on many strands, where the a priori K is too wide to pay, on the
-Laurent path; lk has q and always takes that path.
+per entry, and polymatrix.integer_det runs Bareiss on those ints.  The
+Alexander quotient stays on the integer too: laurent.divide_at_power_of_two
+divides that determinant by den's value at 2^K and reads the quotient's
+balanced base 2^K digits once, as the raw quotient and as its normal form.
+Only when that proves nothing does laurent.expand_t read the determinant
+back for a PolyFraction to divide.  The gate laurent.INTEGER_CLOSURE_BITS
+keeps long words on many strands, where the a priori K is too wide to
+pay, on the Laurent path; lk has q and always takes that path.
 
 The representation and den depend only on the invariant and the strand
 count, so a process builds them once per pair; a call computes only num.
@@ -33,8 +36,8 @@ count, so a process builds them once per pair; a call computes only num.
 import functools
 
 from .braid import BraidWord, CheckReport
-from .laurent import (LaurentPoly, PolyFraction, Q, T, exact_rational, expand_t, hadamard_bits,
-                      integer_closure_fits)
+from .laurent import (LaurentPoly, PolyFraction, Q, T, divide_at_power_of_two, exact_rational,
+                      expand_t, hadamard_bits, integer_closure_fits, t_terms)
 from .polymatrix import integer_det
 from .reps import burau_reduced, image_at_power_of_two, image_of_word, lk, word_norm_bound
 
@@ -101,11 +104,29 @@ def _closure_data(invariant, n):
     return rep, _closure_det(invariant, rep, _generator_sweep(n))
 
 
+@functools.lru_cache(maxsize=None)
+def _alexander_den(n):
+    """The Alexander sweep denominator on n strands as laurent.t_terms reads
+    it, for laurent.divide_at_power_of_two; built once per n."""
+    return t_terms(_closure_data("alexander", n)[1])
+
+
 def _closure_det(invariant, rep, word):
-    """det(rho(word) - I): as integer linear algebra when the generator
-    images have no q and the gate accepts the word
-    (_integer_closure_det), otherwise by subtracting on the diagonal of the
-    word image and taking PolyMatrix.det.
+    """det(rho(word) - I) as a LaurentPoly."""
+    return _read_back(_closure(invariant, rep, word))
+
+
+def _read_back(det):
+    """A determinant from _closure as a LaurentPoly: the triple of the
+    integer path read back by expand_t."""
+    return det if isinstance(det, LaurentPoly) else expand_t(LaurentPoly.const(det[0]), *det[1:])
+
+
+def _closure(invariant, rep, word):
+    """det(rho(word) - I): as the triple (d, bits, shift) of
+    _integer_closure when the generator images have no q and the gate
+    accepts the word, otherwise as the LaurentPoly PolyMatrix.det gives
+    with s subtracted on the diagonal of the word image.
 
     For the Krammer invariant rho is lk tensored with the sign character,
     which scales the image of a word of length L by s = (-1)^L.  So
@@ -113,19 +134,23 @@ def _closure_det(invariant, rep, word):
     word, and the generator images stay as lk builds them.
     """
     s = -1 if invariant == "krammer" and len(word.letters) % 2 else 1
-    d = None if rep.has_q() else _integer_closure_det(rep, word, s)
-    if d is None:
-        m = image_of_word(rep, word)
-        shift = LaurentPoly.const(-s)
-        for i, row in enumerate(m.data):
-            row[i] = row[i] + shift
-        d = m.det()
-    return -d if s < 0 and rep.dim % 2 else d
+    flip = s < 0 and rep.dim % 2
+    det = None if rep.has_q() else _integer_closure(rep, word, s)
+    if det is not None:
+        return (-det[0] if flip else det[0]), det[1], det[2]
+    m = image_of_word(rep, word)
+    shift = LaurentPoly.const(-s)
+    for i, row in enumerate(m.data):
+        row[i] = row[i] + shift
+    det = m.det()
+    return -det if flip else det
 
 
-def _integer_closure_det(rep, word, s):
-    """det(rho(word) - s I) as integer linear algebra at t = 2^K, for a
-    representation with no q, or None when the gate refuses the word.
+def _integer_closure(rep, word, s):
+    """(d, bits, shift) with det(rho(word) - s I) = t^shift f for the f in
+    Z[t] whose value at t = 2^bits is d, every coefficient of f below
+    2^(bits - 1) in absolute value; for a representation with no q, or
+    None when the gate refuses the word.
 
     Line i of rho(word) has entries of 1-norm at most norms[i][c]
     (reps.word_norm_bound), so line i of rho(word) - s I has them at most
@@ -135,8 +160,8 @@ def _integer_closure_det(rep, word, s):
     subtracting s I takes s 2^(K offsets[i]) off its diagonal entry, so the
     determinant is t^-(sum of offsets) times the polynomial whose value at
     2^K is integer_det of those lines; every offset is at least 0, so that
-    polynomial has no negative power of t and expand_t reads it back
-    exactly.  Nothing about the result depends on whether the lines are
+    polynomial has no negative power of t, and the shift is -(sum of
+    offsets).  Nothing about the result depends on whether the lines are
     rows or columns.  The gate, laurent.integer_closure_fits, reads the
     dimension and the a priori width K (row t-span + 1), the t-span taken
     from word_norm_bound's ranges.
@@ -150,7 +175,7 @@ def _integer_closure_det(rep, word, s):
     rows = [list(line) for line in lines]
     for i, row in enumerate(rows):
         row[i] -= s << bits * offsets[i]
-    return expand_t(LaurentPoly.const(integer_det(rows)), bits, -sum(offsets))
+    return integer_det(rows), bits, -sum(offsets)
 
 
 def _det_ratio(invariant, word):
@@ -162,15 +187,26 @@ def _det_ratio(invariant, word):
 def alexander(word):
     """Alexander polynomial of the closure of a braid word.
 
-    Divides det(rho(word) - I) by det(rho(sigma_1..sigma_(n-1)) - I) where rho
-    is the reduced Burau representation.  Each determinant is integer linear
-    algebra at t = 2^K, with K read from the letters before any product,
-    unless the gate laurent.INTEGER_CLOSURE_BITS sends a long word on many
-    strands to the Laurent path (see _integer_closure_det).  Raises
+    Divides det(rho(word) - I) by den = det(rho(sigma_1..sigma_(n-1)) - I)
+    where rho is the reduced Burau representation.  The numerator is
+    integer linear algebra at t = 2^K, with K read from the letters before
+    any product, unless the gate laurent.INTEGER_CLOSURE_BITS sends a long
+    word on many strands to the Laurent path (see _integer_closure).  On
+    the integer path the division is too: laurent.divide_at_power_of_two
+    divides the determinant's value by den's at 2^K and reads the quotient
+    and its normal form off the digits once.  When it proves nothing (a
+    nonzero remainder or a failed bound), or on the Laurent path, the
+    numerator is a LaurentPoly divided in a canonical PolyFraction.  Raises
     InvariantError when the division is not exact (the ratio then fails to
     be a polynomial, which happens for some multi-component closures).
     """
-    raw = _det_ratio("alexander", word)
+    rep, den = _closure_data("alexander", word.strands)
+    num = _closure("alexander", rep, word)
+    if not isinstance(num, LaurentPoly):
+        quotient = divide_at_power_of_two(*num, _alexander_den(word.strands))
+        if quotient is not None:
+            return AlexanderResult(PolyFraction(quotient[0]), quotient[1])
+    raw = PolyFraction(_read_back(num), den)
     if not raw.is_polynomial():
         raise InvariantError("determinant ratio %s is not a polynomial" % (raw,))
     return AlexanderResult(raw, _normalize_alexander(raw.num))

@@ -45,7 +45,10 @@ further and loses t before its first letter: t_terms reads each generator
 entry as a polynomial in t, the word image is built at t = 2^bits as
 integers, and hadamard_bits, the same bound, sizes bits from 1-norm bounds
 read off the letters; INTEGER_CLOSURE_BITS is that path's gate (see
-invariants._integer_closure_det).
+invariants._integer_closure).  divide_at_power_of_two finishes such a
+closure on the integer: it divides the determinant's value by the
+denominator's at t = 2^bits and reads the quotient's digits once, exact
+when their size times the denominator's 1-norm is below 2^(bits - 1).
 
 PolyFraction keeps num/den pairs in a value-preserving canonical form and
 compares by cross multiplication.  No multivariate gcd is computed anywhere;
@@ -356,8 +359,8 @@ def sum_of_products(pairs):
     PACK_PAIR_TERMS terms are multiplied as packed integers, their products
     summed as one integer and read back into the same dict once (see
     _add_packed_products); the other pairs stay on the dict loop.
-    Polynomial products, matrix products, the Bareiss update and the
-    Berkowitz sums all call this kernel.
+    Polynomial products, matrix products, the Bareiss and Gauss-Jordan
+    updates and the Berkowitz sums all call this kernel.
     """
     if not pairs:
         return ZERO
@@ -783,7 +786,7 @@ COLLAPSE_BITS = range(64, 1025)
 
 
 # A closure det(rho(w) - s I) of a representation with no q runs as integer
-# linear algebra at t = 2^K (invariants._integer_closure_det) when its a
+# linear algebra at t = 2^K (invariants._integer_closure) when its a
 # priori width W = K (row t-span + 1), read off the letters before any
 # product, has W (d - 1)^2 <= INTEGER_CLOSURE_BITS for its dimension d, or
 # W <= 8 INTEGER_CLOSURE_BITS at d = 2, where Bareiss never divides.  The
@@ -930,6 +933,49 @@ def _read_digits(c, bits, n, terms, et, eq):
             terms[(et, eq)] = digit
         c = (c - digit) >> bits
     return c
+
+
+def divide_at_power_of_two(d, bits, shift, den):
+    """(t^shift f / den, its normal form) for the polynomial f in Z[t] whose
+    value at t = 2^bits is the int d, every coefficient of f below
+    2^(bits - 1) in absolute value, and den in Z[t^+-1] given as t_terms
+    reads it; or None when this division does not prove den | t^shift f.
+    The normal form is the quotient times the unit +-t^a that makes its
+    least t-exponent 0 and its lowest coefficient positive (0 stays 0).
+
+    den = t^lo den' with den' in Z[t] of nonzero constant term, and
+    E = den'(2^bits) must not be 0 (it is not when every coefficient of
+    den is below 2^(bits - 1)).  If den divides t^shift f, then f = g den'
+    with g in Z[t] (a negative power of t in g would survive as the lowest
+    term of g den'), so E divides d: a nonzero remainder of d / E proves
+    that den does not.  Otherwise the balanced base 2^bits digits of d / E,
+    read once (_read_digits), are the coefficients of a g in Z[t] with
+    g(2^bits) = d / E.  When max |digit| |den'|_1 < 2^(bits - 1), every
+    coefficient of g den' is below 2^(bits - 1) too, so g den' and f are
+    both the balanced reading of d, hence equal, and the quotient is
+    t^(shift - lo) g.  A failed bound returns None: the caller divides.
+    """
+    lo, _, norm, terms = den
+    quo, rem = divmod(d, sum(c << bits * j for j, c in terms))
+    if rem:
+        return None
+    if not quo:
+        return ZERO, ZERO
+    # g = sign t^low h, h(2^bits) = digits with a positive lowest digit
+    low = ((quo & -quo).bit_length() - 1) // bits
+    digits = quo >> bits * low
+    half = 1 << (bits - 1)
+    sign = -1 if (digits + half) & ((1 << bits) - 1) < half else 1
+    h = {}
+    _read_digits(sign * digits, bits, digits.bit_length() // bits + 2, h, 0, 0)
+    if max(map(abs, h.values())) * norm >> bits - 1:
+        return None
+    shift += low - lo
+    quotient = LaurentPoly.__new__(LaurentPoly)
+    quotient._terms = {(et + shift, 0): sign * c for (et, _), c in h.items()}
+    normal = LaurentPoly.__new__(LaurentPoly)
+    normal._terms = h
+    return quotient, normal
 
 
 def t_terms(x):

@@ -15,21 +15,22 @@ of the coefficients of its determinant.  laurent sizes bits by Hadamard's
 bound, so the read-back is exact, and owns the gate that refuses a block.
 integer_det runs the same block split and Bareiss elimination on a matrix
 of Python ints, for closures built at an integer point of t.
-Products pair only nonzero entries of both factors.
-Characteristic polynomials use Berkowitz's division-free algorithm, inverses
-apply Cayley-Hamilton to them with no elimination, and the multilinear
-functors (symmetric and exterior powers) act on the unnormalized product
-bases described below.  Both are
-read off one expansion of a product of linear forms, in commuting or
-anticommuting variables.
+Products pair only nonzero entries of both factors.  Inverses run
+fraction-free Gauss-Jordan elimination on [A | I], the same exact
+divisions as Bareiss, over the nonzero entries of each row only.
+Characteristic polynomials use Berkowitz's division-free algorithm, and
+the multilinear functors (symmetric and exterior powers) act on the
+unnormalized product bases described below.  Both functors are read off
+one expansion of a product of linear forms, in commuting or anticommuting
+variables.
 
-A product entry, a Bareiss update pivot*a - lead*b and a Berkowitz sum are
-each one call of laurent.sum_of_products, which builds the entry in one
-dict.  A product column that is a unit vector e_i hands back the left
-factor's entries in column i themselves.  Braid word images do not go
-through the product: reps.image_of_word replaces only the rows or columns
-each letter changes, and moves a line that is a unit or monomial multiple
-of another without multiplying.
+A product entry, a Bareiss or Gauss-Jordan update pivot*a - lead*b and a
+Berkowitz sum are each one call of laurent.sum_of_products, which builds
+the entry in one dict.  A product column that is a unit vector e_i hands
+back the left factor's entries in column i themselves.  Braid word images
+do not go through the product: reps.image_of_word replaces only the rows
+or columns each letter changes, and moves a line that is a unit or
+monomial multiple of another without multiplying.
 
 Basis conventions, used consistently by the representation constructors:
 
@@ -123,15 +124,26 @@ def _bareiss_det(m):
             neg_lead = -row[k]
             for j in range(k + 1, n):
                 num = sum_of_products(((pivot, row[j]), (neg_lead, pivot_row[j])))
-                if k:
-                    num = exact_div(num, prev)
-                    if num is None:
-                        raise ArithmeticError("Bareiss interior division failed; "
-                                              "this indicates corrupted input")
-                row[j] = num
+                row[j] = _interior_div(num, prev) if k else num
         prev = pivot
     d = m[n - 1][n - 1]
     return d if sign == 1 else -d
+
+
+def _eliminated(pairs, prev):
+    """An entry of fraction-free elimination: the sum of products of pairs
+    divided by the previous pivot prev, with no division by 1."""
+    num = sum_of_products(pairs)
+    return num if prev.is_one() or not num else _interior_div(num, prev)
+
+
+def _interior_div(num, prev):
+    """num / prev for a division of fraction-free elimination, exact by the
+    Sylvester identity."""
+    q = exact_div(num, prev)
+    if q is None:
+        raise ArithmeticError("Bareiss interior division failed; this indicates corrupted input")
+    return q
 
 
 def integer_det(m):
@@ -374,12 +386,17 @@ class PolyMatrix:
         through laurent.collapse_t, _bareiss_det over Z[q^+-1] and
         laurent.expand_t when collapse_t accepts it, and through
         _bareiss_det over the Laurent ring otherwise; a 2 x 2 block has no
-        division to save.
+        division to save.  A matrix with no zero entry is one block and
+        skips the split, as in integer_det.
         """
         self._require_square("determinant")
         data = self.data
+        if all(map(all, data)):
+            blocks = [range(self.rows)]
+        else:
+            blocks = sorted(_strong_components(data), key=len)
         out = None
-        for block in sorted(_strong_components(data), key=len):
+        for block in blocks:
             if len(block) == 1:
                 d = data[block[0]][block[0]]
             else:
@@ -396,23 +413,77 @@ class PolyMatrix:
         return out
 
     def inverse(self):
-        """Exact inverse by Cayley-Hamilton: if det(xI - A) = x^n + ... + c_1 x + c_0,
-        then A^-1 = -(A^(n-1) + c_(n-1) A^(n-2) + ... + c_1 I) / c_0, evaluated by
-        Horner in ring operations; c_0 = (-1)^n det(A) must be a unit +-t^a*q^b."""
+        """Exact inverse by fraction-free Gauss-Jordan elimination on [A | I].
+
+        Rows are kept as dicts of their nonzero entries.  Step k pivots on
+        the nonzero entry of column k with the fewest terms among the rows
+        not yet pivoted (none: A is singular), and every other row becomes
+        (pivot * row_i - a_ik * pivot_row) / prev, prev the pivot before it,
+        each entry one sum_of_products over the nonzero pairs and one exact
+        division.  Every entry is then a minor of [A | I], so the division
+        is exact (E. H. Bareiss, Math. Comp. 22, 1968); a row with no entry
+        in column k only scales, and not at all while pivot = prev.  After
+        the last step the left block is p I with p = +-det(A), the last
+        pivot, and the right block is p A^-1, so A^-1 is the right block
+        divided by p, which must be a unit +-t^a*q^b.
+        """
         self._require_square("inverse")
         n = self.rows
-        cp = char_poly(self)
-        if cp[0].is_zero():
-            raise ArithmeticError("matrix is singular over the Laurent ring")
-        if not cp[0].is_unit():
+        rows = [{j: x for j, x in enumerate(row) if x} for row in self.data]
+        for i, row in enumerate(rows):
+            row[n + i] = ONE
+        free = list(range(n))
+        order = []
+        prev = ONE
+        for k in range(n):
+            best = None
+            for i in free:
+                x = rows[i].get(k)
+                if x is not None and (best is None or len(x) < len(rows[best][k])):
+                    best = i
+            if best is None:
+                raise ArithmeticError("matrix is singular over the Laurent ring")
+            free.remove(best)
+            order.append(best)
+            pivot_row = rows[best]
+            pivot = pivot_row[k]
+            scales = pivot != prev
+            for i, row in enumerate(rows):
+                if i == best:
+                    continue
+                lead = row.pop(k, None)
+                if lead is None:
+                    if scales:
+                        rows[i] = {j: _eliminated(((pivot, x),), prev) for j, x in row.items()}
+                    continue
+                pairs = {j: [(pivot, x)] for j, x in row.items()}
+                neg_lead = -lead
+                for j, y in pivot_row.items():
+                    if j != k:
+                        pairs.setdefault(j, []).append((neg_lead, y))
+                new = {}
+                for j, p in pairs.items():
+                    x = _eliminated(p, prev)
+                    if x:
+                        new[j] = x
+                rows[i] = new
+            prev = pivot
+        if not prev.is_unit():
+            # prev = det(P A) for the permutation P putting the pivot rows in
+            # order; the message shows (-1)^n det(A), as char_poly's c_0
+            swaps = sum(j < i for k, i in enumerate(order) for j in order[k + 1:])
+            shown = prev if (n + swaps) % 2 == 0 else -prev
             raise ArithmeticError("matrix is not invertible over the Laurent ring "
-                                  "(determinant is %s up to sign, not a unit)" % (cp[0],))
-        b = PolyMatrix.identity(n)
-        for c in reversed(cp[1:n]):
-            b = self * b
-            for i in range(n):
-                b.data[i][i] = b.data[i][i] + c
-        return b.scale(-cp[0] ** -1)
+                                  "(determinant is %s up to sign, not a unit)" % (shown,))
+        unit = prev ** -1
+        out = []
+        for i in order:
+            row = [ZERO] * n
+            for j, x in rows[i].items():
+                if j >= n:
+                    row[j - n] = x * unit
+            out.append(row)
+        return PolyMatrix._wrap(out)
 
     # ------------------------------------------------------------------
     # rendering

@@ -99,9 +99,10 @@ class Representation:
 
     def sigma(self, i):
         """Image of sigma_i, 1-based.  A negative i gives the inverse of
-        sigma_|i|, computed the first time it is asked for, then kept
-        (ArithmeticError, and nothing kept, if it is not invertible over the
-        Laurent ring)."""
+        sigma_|i|, computed the first time it is asked for by
+        PolyMatrix.inverse (fraction-free Gauss-Jordan elimination over the
+        nonzero entries), then kept (ArithmeticError, and nothing kept, if
+        it is not invertible over the Laurent ring)."""
         if i == 0 or abs(i) > self.strands - 1:
             raise ValueError("generator index %d out of range for %d strands"
                              % (i, self.strands))

@@ -11,7 +11,7 @@ from fractions import Fraction
 from braidrep.braid import BraidWord, CheckReport
 from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, PolyFraction, exact_div,
                               q_factorial)
-from braidrep.polymatrix import PolyMatrix, _bareiss_det, ext_basis, sym_basis
+from braidrep.polymatrix import PolyMatrix, _bareiss_det, char_poly, ext_basis, sym_basis
 from braidrep.reps import (Representation, _slot_q, _transvection_q, image_of_word, lk,
                            qpascal_sigma1, validate_lambda)
 
@@ -378,10 +378,30 @@ def two_product_qpascal(lambdas, form):
     return [s1, s2] if form == "standard" else [s2.sharp(), s1.sharp()]
 
 
+def cayley_hamilton_inverse(a):
+    """Exact inverse by Cayley-Hamilton: if det(xI - A) = x^n + ... + c_1 x + c_0,
+    then A^-1 = -(A^(n-1) + c_(n-1) A^(n-2) + ... + c_1 I) / c_0, evaluated by
+    Horner in ring operations; c_0 = (-1)^n det(A) must be a unit +-t^a*q^b.
+    The errors are PolyMatrix.inverse's."""
+    n = a.rows
+    cp = char_poly(a)
+    if cp[0].is_zero():
+        raise ArithmeticError("matrix is singular over the Laurent ring")
+    if not cp[0].is_unit():
+        raise ArithmeticError("matrix is not invertible over the Laurent ring "
+                              "(determinant is %s up to sign, not a unit)" % (cp[0],))
+    b = PolyMatrix.identity(n)
+    for c in reversed(cp[1:n]):
+        b = a * b
+        for i in range(n):
+            b.data[i][i] = b.data[i][i] + c
+    return b.scale(-cp[0] ** -1)
+
+
 def inverse_qpascal_sigma2(n):
     """The lower triangular q-Pascal generator as the sharp of the
     Cayley-Hamilton inverse of qpascal_sigma1(n) taken at q^-1."""
-    return qpascal_sigma1(n).substitute(T, Q ** -1).inverse().sharp()
+    return cayley_hamilton_inverse(qpascal_sigma1(n).substitute(T, Q ** -1)).sharp()
 
 
 _TOKEN = re.compile(r"(?:(?P<int>\d+)|(?P<var>[tq])(?:\^(?P<exp>-?\d+))?|(?P<op>[+*-]))")

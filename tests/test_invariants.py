@@ -471,6 +471,12 @@ def _laurent_closure_det(rep, word, s=1):
     return (image_of_word(rep, word) - PolyMatrix.identity(rep.dim).scale(s)).det()
 
 
+def _integer_closure_det(rep, word, s):
+    """det(rho(word) - s I) from the integer path, read back, or None."""
+    closure = inv._integer_closure(rep, word, s)
+    return None if closure is None else inv._read_back(closure)
+
+
 def _closure_words(rng, n, length):
     """A mixed word, an inverse-heavy one and an all-inverse one."""
     draws = ((1, -1), (1, -1, -1, -1), (-1,))
@@ -503,14 +509,14 @@ def test_integer_closure_det_matches_the_laurent_path():
                 for word in _closure_words(rng, n, length):
                     assert _inside_gate(rep, word), (n, length)
                     for s in (1, -1):
-                        got = inv._integer_closure_det(rep, word, s)
+                        got = _integer_closure_det(rep, word, s)
                         assert got == _laurent_closure_det(rep, word, s), (n, form, str(word), s)
 
 
 def test_integer_closure_det_of_a_long_word_with_two_rows():
     rep = reps.burau_reduced(3, "conjugated")
     word = W.parse("s1^1000 s2^-1000", 3)
-    got = inv._integer_closure_det(rep, word, 1)
+    got = _integer_closure_det(rep, word, 1)
     assert got == _laurent_closure_det(rep, word)
     assert len(got) == 2001 and got.min_exponents() == (-1000, 0)
 
@@ -524,7 +530,7 @@ def test_integer_closure_det_reads_back_a_determinant_at_its_bound(entry):
     for m in (1, 2, 5, 21, 40):
         word = W(2, [1] * m)
         want = entry ** m - ONE
-        assert inv._integer_closure_det(rep, word, 1) == want == _laurent_closure_det(rep, word)
+        assert _integer_closure_det(rep, word, 1) == want == _laurent_closure_det(rep, word)
 
 
 def test_image_at_power_of_two_is_the_word_image_at_that_point():
@@ -572,4 +578,61 @@ def test_the_gate_decides_which_path_an_alexander_closure_takes(monkeypatch):
         counts["image_of_word"] = 0
         assert inv._closure_det("alexander", rep, word) == _laurent_closure_det(rep, word)
         assert counts["image_of_word"] == laurent_path
-        assert (inv._integer_closure_det(rep, word, 1) is None) == laurent_path
+        assert (_integer_closure_det(rep, word, 1) is None) == laurent_path
+
+
+def test_alexander_integer_quotient_matches_the_laurent_path(monkeypatch):
+    # seeded words on n = 2..7 strands, L = 0..30: the quotient read off the
+    # digits at t = 2^K has the term dicts and the normal form of the
+    # Laurent path, which divides the numerator in a canonical PolyFraction
+    rng = random.Random(2222)
+    words = [W(n, [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)])
+             for n in range(2, 8) for length in range(31) for _ in range(2)]
+    quotients = []
+
+    def recorded(*args):
+        quotients.append(laurent.divide_at_power_of_two(*args))
+        return quotients[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(inv, "divide_at_power_of_two", recorded)
+        got = [inv.alexander(word) for word in words]
+    assert len(quotients) == len(words) and None not in quotients
+    with monkeypatch.context() as m:
+        m.setattr(inv, "integer_closure_fits", lambda dim, width: False)
+        want = [inv.alexander(word) for word in words]
+    zeros = 0
+    for word, a, b in zip(words, got, want):
+        assert a.raw_fraction.num._terms == b.raw_fraction.num._terms, str(word)
+        assert a.raw_fraction.den._terms == b.raw_fraction.den._terms == ONE._terms
+        assert a.normalized._terms == b.normalized._terms, str(word)
+        zeros += a.normalized.is_zero()
+    assert 60 < zeros < len(words) - 60
+
+
+def test_a_ratio_that_is_no_polynomial_raises_one_error_on_either_path(monkeypatch):
+    # a 1 x 1 representation with no q on 3 strands, both generators -t:
+    # den = t^2 - 1 and num = -t - 1 for sigma_1, so the integer quotient
+    # leaves a remainder and the word takes the Laurent path's division
+    rep = reps.Representation(3, [PolyMatrix([[-T]])] * 2, "abelian")
+    monkeypatch.setattr(inv, "burau_reduced", lambda n, form: rep)
+    quotients = []
+
+    def recorded(*args):
+        quotients.append(laurent.divide_at_power_of_two(*args))
+        return quotients[-1]
+
+    monkeypatch.setattr(inv, "divide_at_power_of_two", recorded)
+    text = "determinant ratio (-t - 1) / (t^2 - 1) is not a polynomial"
+    inv._closure_data.cache_clear()
+    inv._alexander_den.cache_clear()
+    try:
+        for fits in (inv.integer_closure_fits, lambda dim, width: False):
+            monkeypatch.setattr(inv, "integer_closure_fits", fits)
+            with pytest.raises(inv.InvariantError) as err:
+                inv.alexander(W.parse("1", 3))
+            assert str(err.value) == text
+        assert quotients == [None]
+    finally:
+        inv._closure_data.cache_clear()
+        inv._alexander_den.cache_clear()

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from braidrep import laurent
 from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, PolyFraction, _collapse_row,
-                              exact_div, expand_t, hadamard_bits, parse_poly, q_binomial,
-                              q_factorial, q_natural, q_pochhammer, sum_of_products, t_terms)
+                              divide_at_power_of_two, exact_div, expand_t, hadamard_bits,
+                              parse_poly, q_binomial, q_factorial, q_natural, q_pochhammer,
+                              sum_of_products, t_terms)
 from conftest import laurent_polys, nonzero_polys
 from oracles import (convolve, digitwise_expand_t, factorial_bracket_binomial,
                      longdiv_exact_div, matrix_from_json, poly_from_json, termwise_substitute,
@@ -692,6 +693,42 @@ def test_t_terms_reads_a_q_free_polynomial():
     assert t_terms(-7 * ONE) == (0, 0, 7, ((0, -7),))
     with pytest.raises(ValueError, match="has q"):
         t_terms(T + Q)
+
+
+def _value_at(f, bits):
+    """f(2^bits) for f in Z[t] with no negative power of t."""
+    return sum(c << bits * et for (et, _), c in f.sorted_terms())
+
+
+def test_divide_at_power_of_two_reads_the_quotient_and_its_normal_form():
+    # f = t^3 (2 - t) (1 + t + t^2) and den = -t^-1 (1 + t + t^2) at shift
+    # -2: the quotient t^2 (t - 2), and its normal form 2 - t, with lowest
+    # t-exponent 0 and lowest coefficient positive
+    den = -(T ** -1) * (ONE + T + T * T)
+    f = T ** 3 * (2 - T) * (ONE + T + T * T)
+    for bits in (5, 9, 64):
+        quotient, normal = divide_at_power_of_two(_value_at(f, bits), bits, -2, t_terms(den))
+        assert quotient * den == T ** -2 * f
+        assert quotient == T ** 2 * (T - 2) and normal == 2 - T
+    assert divide_at_power_of_two(0, 5, 3, t_terms(den)) == (ZERO, ZERO)
+
+
+def test_divide_at_power_of_two_refuses_a_failed_bound():
+    # f = den' = 1 + t + ... + t^7 divides exactly, quotient 1; at 4 bits
+    # max |digit| |den'|_1 = 8 reaches 2^(bits - 1), so nothing is proved,
+    # and at 5 bits it is below 16
+    den = sum((T ** j for j in range(8)), ZERO)
+    assert divide_at_power_of_two(_value_at(den, 4), 4, 0, t_terms(den)) is None
+    assert divide_at_power_of_two(_value_at(den, 5), 5, 0, t_terms(den)) == (ONE, ONE)
+    # (t^2 + 1) / (4t + 1) is no polynomial, yet at 2 bits 4t + 1 and t^2 + 1
+    # both take the value 17; the bound (5 >= 2) is what refuses the quotient
+    assert divide_at_power_of_two(17, 2, 0, t_terms(4 * T + 1)) is None
+
+
+def test_divide_at_power_of_two_refuses_a_nonzero_remainder():
+    # (t + 2) / (t + 1) at 4 bits: 18 = 17 + 1
+    assert divide_at_power_of_two(18, 4, 0, t_terms(T + 1)) is None
+    assert divide_at_power_of_two(-18, 4, 0, t_terms(T + 1)) is None
 
 
 @given(laurent_polys(span=3), laurent_polys(span=3), st.integers(min_value=12, max_value=80))

@@ -17,9 +17,10 @@ from braidrep.reps import lk
 from braidrep import invariants as inv
 from braidrep import polymatrix
 from braidrep.braid import BraidWord
-from oracles import (cofactor_char_poly, diagonal_bareiss_det, fraction_det,
-                     generalized_char_poly, matrix_from_json, minor_ext_power, permutation_sym_power,
-                     tarjan_components, tensor_product, transpose, unsplit_det)
+from oracles import (cayley_hamilton_inverse, cofactor_char_poly, diagonal_bareiss_det,
+                     fraction_det, generalized_char_poly, matrix_from_json, minor_ext_power,
+                     permutation_sym_power, tarjan_components, tensor_product, transpose,
+                     unsplit_det)
 
 
 def m22(a, b, c, d):
@@ -777,3 +778,51 @@ def test_integer_det_matches_rational_elimination():
         kinds["zero" if want == 0 else "nonzero"] += 1
         assert integer_det([list(row) for row in rows]) == want, (trial, rows)
     assert min(kinds.values()) >= 20, kinds
+
+
+def test_dense_det_matches_the_oracle_without_the_split(monkeypatch):
+    # a matrix with no zero entry is one strongly connected block, so det
+    # takes it whole and never builds the split
+    def no_split(rows):
+        raise AssertionError("the split ran on a dense matrix")
+
+    monkeypatch.setattr(polymatrix, "_strong_components", no_split)
+    rng = random.Random(2201)
+    for n in range(1, 7):
+        for _ in range(8):
+            rows = [[ZERO] * n for _ in range(n)]
+            for row in rows:
+                for j in range(n):
+                    while not row[j]:
+                        row[j] = random_poly_matrix(rng, 1, lo=-1)[0, 0]
+            a = PolyMatrix(rows)
+            assert a.det() == diagonal_bareiss_det(a), a
+
+
+def test_inverse_matches_cayley_hamilton_on_random_unit_det_matrices():
+    rng = random.Random(2202)
+    for k in range(84):
+        a = random_unit_det_matrix(rng, 1 + k % 7)
+        assert a.inverse() == cayley_hamilton_inverse(a), a
+
+
+def test_inverse_errors_match_the_cayley_hamilton_oracle():
+    # a non-unit determinant is shown as (-1)^n det whatever rows the
+    # elimination pivots on, and a singular matrix fails as such
+    rng = random.Random(2203)
+    for k in range(40):
+        n = 1 + k % 5
+        rows = [row[:] for row in random_unit_det_matrix(rng, n).data]
+        rng.shuffle(rows)
+        i = rng.randrange(n)
+        if k % 2 or n == 1:
+            factor = rng.choice((2 * ONE, T + 2, T - Q, ZERO))
+            rows[i] = [x * factor for x in rows[i]]
+        else:
+            rows[i] = list(rows[(i + 1) % n])
+        a = PolyMatrix(rows)
+        with pytest.raises(ArithmeticError) as got:
+            a.inverse()
+        with pytest.raises(ArithmeticError) as want:
+            cayley_hamilton_inverse(a)
+        assert str(got.value) == str(want.value)

@@ -9,9 +9,9 @@ from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, PolyFraction, parse_
                               q_binomial, q_natural)
 from braidrep.polymatrix import (PolyMatrix, char_poly, char_poly_from_roots,
                                  sym_basis, sym_power)
-from oracles import (bigelow_to_new_bridge, change_of_basis_blocks, inverse_qpascal_sigma2,
-                     product_image_of_word, table_burau_reduced, transpose,
-                     two_product_qpascal)
+from oracles import (bigelow_to_new_bridge, cayley_hamilton_inverse, change_of_basis_blocks,
+                     inverse_qpascal_sigma2, product_image_of_word, table_burau_reduced,
+                     transpose, two_product_qpascal)
 
 
 def mat(rows):
@@ -187,6 +187,20 @@ def test_word_image_matches_the_whole_matrix_product(name):
     for letters in words:
         w = BraidWord(rep.strands, letters)
         assert reps.image_of_word(rep, w) == product_image_of_word(rep, w), w
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+def test_inverse_letters_match_the_cayley_hamilton_oracle(name):
+    # every generator on n <= 6 strands (q-Pascal up to 9 diagonal entries,
+    # the 3-strand families taking n as their size), inverted by
+    # Gauss-Jordan elimination and by Berkowitz plus Cayley-Hamilton
+    sizes = range(2, 9) if name.startswith("qpascal") else range(2, 7)
+    for n in sizes:
+        if name == "sym2_quantized" and n < 3:
+            continue
+        rep = CONSTRUCTORS[name](n)
+        for i in range(1, rep.strands):
+            assert rep.sigma(-i) == cayley_hamilton_inverse(rep.sigma(i)), (n, i)
 
 
 @pytest.mark.parametrize("name", ("burau_reduced(conjugated)", "lk(new)"))

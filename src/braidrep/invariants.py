@@ -17,8 +17,9 @@ differs from the identity; reps.image_of_word passes the rest through.
 
 Reduced Burau has no q, so its closures are integer linear algebra
 (Kronecker substitution, D. Harvey, J. Symb. Comput. 44, 2009):
-reps.word_norm_bound walks the letters with each entry replaced by its
-1-norm, Hadamard's bound on those norms gives K (laurent.hadamard_bits),
+reps.word_norm_bound walks the letters, with no product, to bound each
+line of the image by one number, the sum of its entries' 1-norms;
+Hadamard's bound on those sums gives K (laurent.hadamard_bits),
 reps.image_at_power_of_two builds the image at t = 2^K as one Python int
 per entry, and polymatrix.integer_det runs Bareiss on those ints.  The
 Alexander quotient stays on the integer too: laurent.divide_at_power_of_two
@@ -27,7 +28,7 @@ balanced base 2^K digits once, as the raw quotient and as its normal form.
 Only when that proves nothing does laurent.expand_t read the determinant
 back for a PolyFraction to divide.  The gate laurent.INTEGER_CLOSURE_BITS
 keeps long words on many strands, where the a priori K is too wide to
-pay, on the Laurent path; lk has q and always takes that path.
+pay, on the Laurent path, and Krammer closures (lk has q) never try it.
 
 The representation and den depend only on the invariant and the strand
 count, so a process builds them once per pair; a call computes only num.
@@ -39,7 +40,8 @@ from .braid import BraidWord, CheckReport
 from .laurent import (LaurentPoly, PolyFraction, Q, T, divide_at_power_of_two, exact_rational,
                       expand_t, hadamard_bits, integer_closure_fits, t_terms)
 from .polymatrix import integer_det
-from .reps import burau_reduced, image_at_power_of_two, image_of_word, lk, word_norm_bound
+from .reps import (burau_reduced, image_at_power_of_two, image_of_word, letter_t_lines, lk,
+                   word_norm_bound)
 
 
 class InvariantError(Exception):
@@ -99,7 +101,7 @@ def _closure_data(invariant, n):
     """The representation behind an invariant on n strands and its sweep
     denominator det(rho(sigma_1 ... sigma_(n-1)) - I), built once per pair.
     For the Krammer invariant the representation is lk(n) itself; the sign
-    character is applied per word by _closure_det."""
+    character is applied per word by _closure."""
     rep = burau_reduced(n, "conjugated") if invariant == "alexander" else lk(n, "new")
     return rep, _closure_det(invariant, rep, _generator_sweep(n))
 
@@ -124,26 +126,26 @@ def _read_back(det):
 
 def _closure(invariant, rep, word):
     """det(rho(word) - I): as the triple (d, bits, shift) of
-    _integer_closure when the generator images have no q and the gate
-    accepts the word, otherwise as the LaurentPoly PolyMatrix.det gives
-    with s subtracted on the diagonal of the word image.
+    _integer_closure for an Alexander closure the gate accepts, otherwise
+    as the LaurentPoly PolyMatrix.det gives with s subtracted on the
+    diagonal of the word image.  Krammer closures (lk has q) never try it.
 
     For the Krammer invariant rho is lk tensored with the sign character,
     which scales the image of a word of length L by s = (-1)^L.  So
     det(s lk(w) - I) = s^dim det(lk(w) - s I): the sign is applied once per
     word, and the generator images stay as lk builds them.
     """
+    if invariant == "alexander":
+        det = _integer_closure(rep, word, 1)
+        if det is not None:
+            return det
     s = -1 if invariant == "krammer" and len(word.letters) % 2 else 1
-    flip = s < 0 and rep.dim % 2
-    det = None if rep.has_q() else _integer_closure(rep, word, s)
-    if det is not None:
-        return (-det[0] if flip else det[0]), det[1], det[2]
     m = image_of_word(rep, word)
     shift = LaurentPoly.const(-s)
     for i, row in enumerate(m.data):
         row[i] = row[i] + shift
     det = m.det()
-    return -det if flip else det
+    return -det if s < 0 and rep.dim % 2 else det
 
 
 def _integer_closure(rep, word, s):
@@ -152,26 +154,27 @@ def _integer_closure(rep, word, s):
     2^(bits - 1) in absolute value; for a representation with no q, or
     None when the gate refuses the word.
 
-    Line i of rho(word) has entries of 1-norm at most norms[i][c]
-    (reps.word_norm_bound), so line i of rho(word) - s I has them at most
-    norms[i][c] + [i = c], and K = hadamard_bits of those bounds puts
-    every coefficient of the determinant below 2^(K - 1).  Line i at
-    t = 2^K is t^-offsets[i] times the ints of image_at_power_of_two, and
-    subtracting s I takes s 2^(K offsets[i]) off its diagonal entry, so the
-    determinant is t^-(sum of offsets) times the polynomial whose value at
-    2^K is integer_det of those lines; every offset is at least 0, so that
+    Line i of rho(word) has entries whose 1-norms add up to at most sums[i]
+    (reps.word_norm_bound), so line i of rho(word) - s I has them add up to
+    at most sums[i] + 1, and as a line's 2-norm is at most its 1-norm,
+    K = hadamard_bits of the one-entry rows [sums[i] + 1] puts every
+    coefficient of the determinant below 2^(K - 1).  Line i at t = 2^K is
+    t^-offsets[i] times the ints of image_at_power_of_two, and subtracting
+    s I takes s 2^(K offsets[i]) off its diagonal entry, so the determinant
+    is t^-(sum of offsets) times the polynomial whose value at 2^K is
+    integer_det of those lines; every offset is at least 0, so that
     polynomial has no negative power of t, and the shift is -(sum of
     offsets).  Nothing about the result depends on whether the lines are
-    rows or columns.  The gate, laurent.integer_closure_fits, reads the
-    dimension and the a priori width K (row t-span + 1), the t-span taken
-    from word_norm_bound's ranges.
+    rows or columns.  Both walks read one reps.letter_t_lines of the word.
+    The gate, laurent.integer_closure_fits, reads the dimension and the a
+    priori width K (row t-span + 1), the t-span from word_norm_bound.
     """
-    norms, los, his = word_norm_bound(rep, word)
-    bits = hadamard_bits([[x + (i == c) for c, x in enumerate(line)]
-                          for i, line in enumerate(norms)])
+    letters = letter_t_lines(rep, word)
+    sums, los, his = word_norm_bound(rep, letters)
+    bits = hadamard_bits([[total + 1] for total in sums])
     if not integer_closure_fits(rep.dim, bits * (max(h - l for l, h in zip(los, his)) + 1)):
         return None
-    lines, offsets = image_at_power_of_two(rep, word, bits)
+    lines, offsets = image_at_power_of_two(rep, letters, bits)
     rows = [list(line) for line in lines]
     for i, row in enumerate(rows):
         row[i] -= s << bits * offsets[i]
@@ -216,9 +219,9 @@ def krammer_fraction(word):
     """Two-variable determinant ratio of the closure, as a canonical fraction.
 
     Uses the two-row representation tensored with the sign character, that
-    is lk with negated generator images, applied once per word (see
-    _closure_det).  collapsed carries the polynomial value when the
-    denominator divides exactly.
+    is lk with negated generator images, applied once per word of L letters
+    by _closure as s^dim det(lk(word) - s I), s = (-1)^L.  collapsed carries
+    the polynomial value when the denominator divides exactly.
     """
     fraction = _det_ratio("krammer", word)
     return KrammerResult(fraction, fraction.num if fraction.is_polynomial() else None)

@@ -819,7 +819,9 @@ def integer_closure_fits(dim, width):
 def hadamard_bits(norm_rows):
     """The slot width bits = bit_length(B) + 1 for B = ceil(sqrt(prod_i
     sum_j n_ij^2)), given rows of nonnegative ints n_ij, each row with a
-    nonzero one, that bound the 1-norms of a square matrix's entries.
+    nonzero one, that bound the 1-norms of a square matrix's entries.  A
+    one-entry row [n_i] may bound a whole row's 1-norms added up instead
+    (invariants._integer_closure), since a row's 2-norm is at most that.
 
     On the torus |t| = |q| = 1 each entry x has |x| <= |x|_1 <= n_ij, so by
     Hadamard's inequality |det| is at most B there, and so is every

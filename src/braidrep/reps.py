@@ -13,9 +13,9 @@ it points at, shared rather than copied, and one with a single monomial
 entry is that line shifted; lines are replaced and never written, so
 sharing is safe, and the finished image copies every line.  Two more walks
 over the same changed lines serve representations with no q, with no
-product of polynomials: word_norm_bound replaces each entry by its 1-norm
-and t-range and bounds the image entrywise, and image_at_power_of_two
-builds the image at t = 2^bits as one Python int per entry.
+product of polynomials, both over one letter_t_lines of the word:
+word_norm_bound bounds each line's 1-norm and t-range, and
+image_at_power_of_two builds the image at t = 2^bits as one int per entry.
 
 Symmetric powers are quantized by one rule: the p-th power of a
 transvection I + s*e_ij carries the Gaussian binomial [a choose b]_q s^b
@@ -67,7 +67,7 @@ class Representation:
     """
 
     __slots__ = ("strands", "dim", "label", "gen_images", "_inverses", "_by_rows", "_where",
-                 "_lines", "_has_q", "_t_lines")
+                 "_lines", "_t_lines")
 
     def __init__(self, strands, gen_images, label):
         strands = operator.index(strands)
@@ -86,16 +86,7 @@ class Representation:
         self._inverses = {}
         self._by_rows = self._where = None
         self._lines = {}
-        self._has_q = None
         self._t_lines = {}
-
-    def has_q(self):
-        """Whether an entry of some generator image involves q, read once,
-        then kept.  Inverse letters have q only if their generators do."""
-        if self._has_q is None:
-            self._has_q = any(e.min_exponents()[1] or e.max_exponents()[1]
-                              for g in self.gen_images for row in g.data for e in row if e)
-        return self._has_q
 
     def sigma(self, i):
         """Image of sigma_i, 1-based.  A negative i gives the inverse of
@@ -234,45 +225,50 @@ def image_of_word(rep, word):
     return PolyMatrix._wrap([list(row) for row in zip(*lines)])
 
 
-def word_norm_bound(rep, word):
-    """(norms, los, his): bounds on the image of a word under a
-    representation with no q, read from its letters alone, with no product
-    of polynomials.
-
-    Line i of the image (a row or a column, as image_of_word keeps it) has
-    entries whose 1-norms are at most norms[i][c] and whose t-exponents lie
-    in [los[i], his[i]], with los[i] <= 0 <= his[i].  The walk is
-    image_of_word's over the same changed lines, with each entry g replaced
-    by its 1-norm and its t-range (Representation._letter_t_lines): a new
-    line sum_k g_k line_k is bounded by sum_k |g_k|_1 norms[k], since the
-    1-norm is subadditive and submultiplicative, and its t-range by the
-    sums of the ranges."""
+def letter_t_lines(rep, word):
+    """Representation._letter_t_lines of each letter of a braid word
+    (BraidWord or text), in the order a word image applies them, each
+    distinct letter read once.  The walks below take this list in place of
+    the word (a list is returned as it is), so two walks parse it once."""
+    if isinstance(word, list):
+        return word
     letters = _applied_letters(rep, word)
     changed = {x: rep._letter_t_lines(x) for x in set(letters)}
+    return [changed[x] for x in letters]
+
+
+def word_norm_bound(rep, word):
+    """(sums, los, his): bounds on the image of a word (or letter_t_lines)
+    under a representation with no q, read from its letters alone.
+
+    Line i of the image (a row or a column, as image_of_word keeps it) has
+    entries whose 1-norms add up to at most sums[i], and t-exponents in
+    [los[i], his[i]], with los[i] <= 0 <= his[i].  The walk is
+    image_of_word's over the same changed lines, each entry g replaced by
+    its 1-norm and t-range: a new line sum_k g_k line_k gets the sum
+    sum_k |g_k|_1 sums[k], one multiply-add per entry, since the 1-norm is
+    subadditive and submultiplicative, and the t-range the sums' range."""
     d = rep.dim
-    norms = [[int(i == c) for c in range(d)] for i in range(d)]
-    los, his = [0] * d, [0] * d
-    for x in letters:
+    sums, los, his = [1] * d, [0] * d, [0] * d
+    for changed in letter_t_lines(rep, word):
         new = []
-        for i, entries in changed[x]:
-            line = None
-            lo = hi = 0
+        for i, entries in changed:
+            total = lo = hi = 0
             for k, glo, ghi, g, _ in entries:
-                part = norms[k] if g == 1 else [g * y for y in norms[k]]
-                line = part if line is None else list(map(add, line, part))
+                total += g * sums[k]
                 if los[k] + glo < lo:
                     lo = los[k] + glo
                 if his[k] + ghi > hi:
                     hi = his[k] + ghi
-            new.append((i, line, lo, hi))
-        for i, line, lo, hi in new:
-            norms[i], los[i], his[i] = line, lo, hi
-    return norms, los, his
+            new.append((i, total, lo, hi))
+        for i, total, lo, hi in new:
+            sums[i], los[i], his[i] = total, lo, hi
+    return sums, los, his
 
 
 def image_at_power_of_two(rep, word, bits):
-    """(lines, offsets): the image of a word at t = 2^bits, one Python int
-    per entry, for a representation with no q.
+    """(lines, offsets): the image of a word (or letter_t_lines) at
+    t = 2^bits, one Python int per entry, for a representation with no q.
 
     Line i of the image (as in word_norm_bound) is t^-offsets[i] times a
     line of polynomials in t, and lines[i] holds their values at t = 2^bits.
@@ -283,14 +279,12 @@ def image_at_power_of_two(rep, word, bits):
     line k shifted left by bits times the t-power it lacks.  Only shifts
     and small multipliers enter.  The walk is word_norm_bound's, and its
     offsets are -los."""
-    letters = _applied_letters(rep, word)
-    changed = {x: rep._letter_t_lines(x) for x in set(letters)}
     d = rep.dim
     lines = [[int(i == c) for c in range(d)] for i in range(d)]
     offsets = [0] * d
-    for x in letters:
+    for changed in letter_t_lines(rep, word):
         new = []
-        for i, entries in changed[x]:
+        for i, entries in changed:
             offset = 0
             for k, lo, _, _, _ in entries:
                 if offsets[k] - lo > offset:

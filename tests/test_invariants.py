@@ -486,9 +486,8 @@ def _closure_words(rng, n, length):
 
 def _gate_width(rep, word):
     """The a priori width K (row t-span + 1) that the integer path's gate reads."""
-    norms, los, his = reps.word_norm_bound(rep, word)
-    bits = laurent.hadamard_bits([[x + (i == c) for c, x in enumerate(line)]
-                                  for i, line in enumerate(norms)])
+    sums, los, his = reps.word_norm_bound(rep, word)
+    bits = laurent.hadamard_bits([[total + 1] for total in sums])
     return bits * (max(h - l for l, h in zip(los, his)) + 1)
 
 
@@ -551,14 +550,14 @@ def test_image_at_power_of_two_is_the_word_image_at_that_point():
 
 def test_word_norm_bound_is_met_without_cancellation():
     # powers of commuting generators never add two terms of one monomial,
-    # so every 1-norm and every t-range of the image is its bound
+    # so every line's sum of 1-norms and every t-range of the image is its bound
     rep = reps.burau_reduced(6, "conjugated")
     word = W.parse("1 1 1 3 3 5 5 5 5", 6)
-    norms, los, his = reps.word_norm_bound(rep, word)
+    sums, los, his = reps.word_norm_bound(rep, word)
     rows = image_of_word(rep, word).data
     assert rep._by_rows
-    assert norms == [[sum(abs(c) for _, c in e.sorted_terms()) for e in row] for row in rows]
-    assert max(map(max, norms)) == 4
+    assert sums == [sum(abs(c) for e in row for _, c in e.sorted_terms()) for row in rows]
+    assert sums == [4, 1, 5, 1, 5]
     for row, lo, hi in zip(rows, los, his):
         ets = [et for e in row for (et, _), _ in e.sorted_terms()]
         assert (lo, hi) == (min(ets + [0]), max(ets + [0]))
@@ -579,6 +578,73 @@ def test_the_gate_decides_which_path_an_alexander_closure_takes(monkeypatch):
         assert inv._closure_det("alexander", rep, word) == _laurent_closure_det(rep, word)
         assert counts["image_of_word"] == laurent_path
         assert (_integer_closure_det(rep, word, 1) is None) == laurent_path
+
+
+def _closes_to_a_knot(word):
+    """Whether the closure of a word has one component: its permutation is
+    one cycle through every strand."""
+    perm = list(range(word.strands))
+    for x in word.letters:
+        perm[abs(x) - 1], perm[abs(x)] = perm[abs(x)], perm[abs(x) - 1]
+    k, length = perm[0], 1
+    while k:
+        k, length = perm[k], length + 1
+    return length == word.strands
+
+
+def test_integer_closure_det_matches_the_laurent_path_on_many_strands():
+    # seeded words on n = 8..16 strands, L = 3n..5n, four per n inside the
+    # gate: the first two drawn whose closure is a knot, whose determinant
+    # is never 0 (a knot's Alexander polynomial is +-1 at t = 1), and the
+    # first two others, which at many strands mostly miss a generator or
+    # split.  Words the gate refuses are skipped.  The 80-letter 10-strand
+    # word of CI's scaling job, its width near the gate's limit at d = 9,
+    # comes first
+    ci = random.Random(1)
+    words = [W(10, [ci.choice((1, -1)) * ci.randint(1, 9) for _ in range(80)])]
+    rep = reps.burau_reduced(10, "conjugated")
+    assert _gate_width(rep, words[0]) == 3160 and laurent.integer_closure_fits(9, 3160)
+    rng = random.Random(2323)
+    for n in range(8, 17):
+        rep = reps.burau_reduced(n, "conjugated")
+        knots, others = [], []
+        while len(knots) < 2 or len(others) < 2:
+            word = W(n, [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                         for _ in range(rng.randint(3 * n, 5 * n))])
+            if not _inside_gate(rep, word):
+                assert _integer_closure_det(rep, word, 1) is None
+            elif _closes_to_a_knot(word):
+                knots.append(word)
+            else:
+                others.append(word)
+        words += knots[:2] + others[:2]
+    nonzero = 0
+    for word in words:
+        rep = reps.burau_reduced(word.strands, "conjugated")
+        for s in (1, -1):
+            got = _integer_closure_det(rep, word, s)
+            assert got == _laurent_closure_det(rep, word, s), (str(word), s)
+        nonzero += not _integer_closure_det(rep, word, 1).is_zero()
+    assert len(words) == 37 and 2 * nonzero >= len(words), nonzero
+
+
+def test_alexander_reads_its_letters_once_and_krammer_never_walks_them(monkeypatch):
+    # the invariant picks the route: one alexander call inside the gate
+    # parses and orients its word once for both walks, and krammer_fraction
+    # (lk has q) runs neither walk
+    word = W.parse("1 -2 3 2 -1 3 3 -2", 4)
+    inv.alexander(word)
+    inv.krammer_fraction(word)
+    counts = {"_applied_letters": 0, "word_norm_bound": 0, "image_at_power_of_two": 0}
+    monkeypatch.setattr(reps, "_applied_letters",
+                        _counted(reps._applied_letters, counts, "_applied_letters"))
+    for name in ("word_norm_bound", "image_at_power_of_two"):
+        monkeypatch.setattr(inv, name, _counted(getattr(inv, name), counts, name))
+    inv.krammer_fraction(word)
+    assert counts == {"_applied_letters": 1, "word_norm_bound": 0, "image_at_power_of_two": 0}
+    counts["_applied_letters"] = 0
+    inv.alexander(word)
+    assert counts == {"_applied_letters": 1, "word_norm_bound": 1, "image_at_power_of_two": 1}
 
 
 def test_alexander_integer_quotient_matches_the_laurent_path(monkeypatch):

@@ -164,10 +164,9 @@ def _integer_closure(rep, word, s):
     is t^-(sum of offsets) times the polynomial whose value at 2^K is
     integer_det of those lines; every offset is at least 0, so that
     polynomial has no negative power of t, and the shift is -(sum of
-    offsets).  Nothing about the result depends on whether the lines are
-    rows or columns.  Both walks read one reps.letter_t_lines of the word.
-    The gate, laurent.integer_closure_fits, reads the dimension and the a
-    priori width K (row t-span + 1), the t-span from word_norm_bound.
+    offsets), whether the lines are rows or columns.  The gate,
+    laurent.integer_closure_fits, reads the dimension and the a priori
+    width K (row t-span + 1), the t-span from word_norm_bound.
     """
     letters = letter_t_lines(rep, word)
     sums, los, his = word_norm_bound(rep, letters)

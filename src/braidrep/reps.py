@@ -14,8 +14,9 @@ entry is that line shifted; lines are replaced and never written, so
 sharing is safe, and the finished image copies every line.  Two more walks
 over the same changed lines serve representations with no q, with no
 product of polynomials, both over one letter_t_lines of the word:
-word_norm_bound bounds each line's 1-norm and t-range, and
-image_at_power_of_two builds the image at t = 2^bits as one int per entry.
+word_norm_bound bounds each line by one number, the sum of its entries'
+1-norms, and a t-range, and image_at_power_of_two builds the image at
+t = 2^bits as one int per entry.
 
 Symmetric powers are quantized by one rule: the p-th power of a
 transvection I + s*e_ij carries the Gaussian binomial [a choose b]_q s^b
@@ -244,10 +245,10 @@ def word_norm_bound(rep, word):
     Line i of the image (a row or a column, as image_of_word keeps it) has
     entries whose 1-norms add up to at most sums[i], and t-exponents in
     [los[i], his[i]], with los[i] <= 0 <= his[i].  The walk is
-    image_of_word's over the same changed lines, each entry g replaced by
-    its 1-norm and t-range: a new line sum_k g_k line_k gets the sum
-    sum_k |g_k|_1 sums[k], one multiply-add per entry, since the 1-norm is
-    subadditive and submultiplicative, and the t-range the sums' range."""
+    image_of_word's, each entry g replaced by its 1-norm and t-range: a new
+    line sum_k g_k line_k gets sum_k |g_k|_1 sums[k], one multiply-add per
+    entry, as the 1-norm is subadditive and submultiplicative, and the
+    widest t-range of the g_k line_k."""
     d = rep.dim
     sums, los, his = [1] * d, [0] * d, [0] * d
     for changed in letter_t_lines(rep, word):

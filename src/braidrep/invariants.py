@@ -17,18 +17,21 @@ differs from the identity; reps.image_of_word passes the rest through.
 
 Reduced Burau has no q, so its closures are integer linear algebra
 (Kronecker substitution, D. Harvey, J. Symb. Comput. 44, 2009):
-reps.word_norm_bound walks the letters, with no product, to bound each
-line of the image by one number, the sum of its entries' 1-norms;
-Hadamard's bound on those sums gives K (laurent.hadamard_bits),
-reps.image_at_power_of_two builds the image at t = 2^K as one Python int
-per entry, and polymatrix.integer_det runs Bareiss on those ints.  The
-Alexander quotient stays on the integer too: laurent.divide_at_power_of_two
-divides that determinant by den's value at 2^K and reads the quotient's
-balanced base 2^K digits once, as the raw quotient and as its normal form.
-Only when that proves nothing does laurent.expand_t read the determinant
-back for a PolyFraction to divide.  The gate laurent.INTEGER_CLOSURE_BITS
-keeps long words on many strands, where the a priori K is too wide to
-pay, on the Laurent path, and Krammer closures (lk has q) never try it.
+reps.letter_t_lines reads the word's letters once, reps.word_norm_bound
+walks them, with no product, to bound each line of the image by one
+number, the sum of its entries' 1-norms; Hadamard's bound on those sums
+gives K (laurent.hadamard_bits), reps.image_at_power_of_two builds the
+image at t = 2^K as one Python int per entry, and polymatrix.integer_det
+runs on those ints the block split and the Bareiss elimination that
+PolyMatrix.det runs on Krammer closures, each ring with its own pivot
+size and row update.  The Alexander quotient stays on the integer too:
+laurent.divide_at_power_of_two divides that determinant by den's value
+at 2^K and reads the quotient's balanced base 2^K digits once, as the
+raw quotient and as its normal form.  Only when that proves nothing does
+laurent.expand_t read the determinant back for a PolyFraction to divide.
+The gate laurent.INTEGER_CLOSURE_BITS keeps long words on many strands,
+where the a priori K is too wide to pay, on the Laurent path, and
+Krammer closures (lk has q) never try it.
 
 The representation and den depend only on the invariant and the strand
 count, so a process builds them once per pair; a call computes only num.
@@ -136,7 +139,7 @@ def _closure(invariant, rep, word):
     word, and the generator images stay as lk builds them.
     """
     if invariant == "alexander":
-        det = _integer_closure(rep, word, 1)
+        det = _integer_closure(rep, word)
         if det is not None:
             return det
     s = -1 if invariant == "krammer" and len(word.letters) % 2 else 1
@@ -148,19 +151,19 @@ def _closure(invariant, rep, word):
     return -det if s < 0 and rep.dim % 2 else det
 
 
-def _integer_closure(rep, word, s):
-    """(d, bits, shift) with det(rho(word) - s I) = t^shift f for the f in
+def _integer_closure(rep, word):
+    """(d, bits, shift) with det(rho(word) - I) = t^shift f for the f in
     Z[t] whose value at t = 2^bits is d, every coefficient of f below
     2^(bits - 1) in absolute value; for a representation with no q, or
     None when the gate refuses the word.
 
     Line i of rho(word) has entries whose 1-norms add up to at most sums[i]
-    (reps.word_norm_bound), so line i of rho(word) - s I has them add up to
+    (reps.word_norm_bound), so line i of rho(word) - I has them add up to
     at most sums[i] + 1, and as a line's 2-norm is at most its 1-norm,
     K = hadamard_bits of the one-entry rows [sums[i] + 1] puts every
     coefficient of the determinant below 2^(K - 1).  Line i at t = 2^K is
     t^-offsets[i] times the ints of image_at_power_of_two, and subtracting
-    s I takes s 2^(K offsets[i]) off its diagonal entry, so the determinant
+    I takes 2^(K offsets[i]) off its diagonal entry, so the determinant
     is t^-(sum of offsets) times the polynomial whose value at 2^K is
     integer_det of those lines; every offset is at least 0, so that
     polynomial has no negative power of t, and the shift is -(sum of
@@ -176,14 +179,8 @@ def _integer_closure(rep, word, s):
     lines, offsets = image_at_power_of_two(rep, letters, bits)
     rows = [list(line) for line in lines]
     for i, row in enumerate(rows):
-        row[i] -= s << bits * offsets[i]
+        row[i] -= 1 << bits * offsets[i]
     return integer_det(rows), bits, -sum(offsets)
-
-
-def _det_ratio(invariant, word):
-    """Canonical fraction det(rho(word) - I) / det(rho(sweep) - I)."""
-    rep, den = _closure_data(invariant, word.strands)
-    return PolyFraction(_closure_det(invariant, rep, word), den)
 
 
 def alexander(word):
@@ -222,7 +219,8 @@ def krammer_fraction(word):
     by _closure as s^dim det(lk(word) - s I), s = (-1)^L.  collapsed carries
     the polynomial value when the denominator divides exactly.
     """
-    fraction = _det_ratio("krammer", word)
+    rep, den = _closure_data("krammer", word.strands)
+    fraction = PolyFraction(_closure_det("krammer", rep, word), den)
     return KrammerResult(fraction, fraction.num if fraction.is_polynomial() else None)
 
 

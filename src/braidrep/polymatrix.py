@@ -13,8 +13,10 @@ Z[q^+-1], the same Bareiss elimination runs there on entries with big
 integer coefficients, and laurent.expand_t reads the t-exponents back out
 of the coefficients of its determinant.  laurent sizes bits by Hadamard's
 bound, so the read-back is exact, and owns the gate that refuses a block.
-integer_det runs the same block split and Bareiss elimination on a matrix
-of Python ints, for closures built at an integer point of t.
+integer_det takes a matrix of Python ints, for closures built at an
+integer point of t.  The block split (_split_det) and the pivoted
+elimination (_bareiss) are written once for both rings: each ring passes
+in only its pivot size (terms, or bits) and its row update.
 Products pair only nonzero entries of both factors.  Inverses run
 fraction-free Gauss-Jordan elimination on [A | I], the same exact
 divisions as Bareiss, over the nonzero entries of each row only.
@@ -80,37 +82,59 @@ def _strong_components(rows):
     return components
 
 
-def _bareiss_det(m):
-    """Determinant of the square list of rows m, which it overwrites, by
-    fraction-free Bareiss elimination with full pivoting.
+def _split_det(m, block_det):
+    """Determinant of a square list of rows, which it never writes, as the
+    product of block_det over the strongly connected blocks of its nonzero
+    pattern, smallest first, each block a copy; the first block whose
+    determinant is zero gives that zero.  A matrix with no zero entry is
+    one block and skips _strong_components.  PolyMatrix.det and integer_det
+    differ only in block_det."""
+    if all(map(all, m)):
+        return block_det([row[:] for row in m])
+    out = None
+    for block in sorted(_strong_components(m), key=len):
+        d = block_det([[m[i][j] for j in block] for i in block])
+        if not d:
+            return d
+        out = d if out is None else out * d
+    return out
 
-    Step k pivots on the nonzero entry of the trailing block with the fewest
-    terms (the first in row-major order on a tie), swapped to (k, k) by a
-    row swap and a column swap, each flipping the sign.  Every later entry
-    is a minor built on the pivots, and each pivot is the next step's exact
-    divisor, so a sparse pivot keeps the intermediate entries small
-    (Markowitz's rule, Management Sci. 3, 1957, read in the Laurent ring).
+
+def _bareiss(m, size, update, zero):
+    """Determinant of the square list of rows m, which it overwrites, by
+    fraction-free Bareiss elimination with full pivoting, over any ring
+    whose entries size and update read.
+
+    Step k pivots on the nonzero entry of the trailing block of least
+    size(entry) (the first in row-major order on a tie), swapped to (k, k)
+    by a row swap and a column swap, each flipping the sign.  Every later
+    entry is a minor built on the pivots, and each pivot is the next step's
+    exact divisor, so a small pivot keeps the intermediate entries small
+    (Markowitz's rule, Management Sci. 3, 1957, read on entry sizes).
     Pivoting on P A Q permutes rows and columns that no earlier step has
     used, so the Sylvester identity behind the exact divisions holds as in
-    the unpivoted algorithm (E. H. Bareiss, Math. Comp. 22, 1968).  Step 0
-    divides by 1 and skips the division.  A trailing block with no nonzero
-    entry gives 0: on a block of rank r that happens after r steps, every
-    later entry being a minor of order above r.  det hands over only
-    strongly connected blocks, which have no zero row or column.
+    the unpivoted algorithm (E. H. Bareiss, Math. Comp. 22, 1968).  Each
+    row below the pivot is updated by one call update(row, pivot_row, k,
+    prev), which writes (pivot x - lead y) / prev over each entry x of the
+    row after column k, with pivot = pivot_row[k], lead = row[k], y the
+    pivot row's entry in x's column and prev the previous pivot, or None at
+    step 0, whose divisor is 1.  A trailing block with no nonzero entry
+    gives zero: on a block of rank r that happens after r steps, every
+    later entry being a minor of order above r.
     """
     n = len(m)
     sign = 1
-    prev = ONE
+    prev = None
     for k in range(n - 1):
         best = pi = pj = None
         for i in range(k, n):
             row = m[i]
             for j in range(k, n):
-                size = len(row[j])
-                if size and (best is None or size < best):
-                    best, pi, pj = size, i, j
+                s = size(row[j])
+                if s and (best is None or s < best):
+                    best, pi, pj = s, i, j
         if best is None:
-            return ZERO
+            return zero
         if pi != k:
             m[k], m[pi] = m[pi], m[k]
             sign = -sign
@@ -119,15 +143,44 @@ def _bareiss_det(m):
                 row[k], row[pj] = row[pj], row[k]
             sign = -sign
         pivot_row = m[k]
-        pivot = pivot_row[k]
         for row in m[k + 1:]:
-            neg_lead = -row[k]
-            for j in range(k + 1, n):
-                num = sum_of_products(((pivot, row[j]), (neg_lead, pivot_row[j])))
-                row[j] = _interior_div(num, prev) if k else num
-        prev = pivot
+            update(row, pivot_row, k, prev)
+        prev = pivot_row[k]
     d = m[n - 1][n - 1]
     return d if sign == 1 else -d
+
+
+def _bareiss_det(m):
+    """_bareiss over the Laurent ring: the pivot is the entry with the
+    fewest terms, and each new entry is one sum_of_products, divided by
+    the previous pivot from step 1 on.  det hands over only strongly
+    connected blocks, which have no zero row or column."""
+    return _bareiss(m, len, _laurent_update, ZERO)
+
+
+def _laurent_update(row, pivot_row, k, prev):
+    """The row update of _bareiss_det: one sum_of_products per entry, and
+    an exact division by prev from step 1 on (none at step 0)."""
+    pivot = pivot_row[k]
+    neg_lead = -row[k]
+    for j in range(k + 1, len(row)):
+        num = sum_of_products(((pivot, row[j]), (neg_lead, pivot_row[j])))
+        row[j] = num if prev is None else _interior_div(num, prev)
+
+
+def _laurent_block_det(rows):
+    """The determinant of one strongly connected block for PolyMatrix.det:
+    a 1 x 1 block is its own entry, a block of 3 or more rows goes through
+    laurent.collapse_t, _bareiss_det over Z[q^+-1] and laurent.expand_t
+    when collapse_t accepts it, and any other through _bareiss_det over
+    the Laurent ring; a 2 x 2 block has no division to save."""
+    if len(rows) == 1:
+        return rows[0][0]
+    collapsed = collapse_t(rows) if len(rows) > 2 else None
+    if collapsed is None:
+        return _bareiss_det(rows)
+    images, bits, shift = collapsed
+    return expand_t(_bareiss_det(images), bits, shift)
 
 
 def _eliminated(pairs, prev):
@@ -147,55 +200,19 @@ def _interior_div(num, prev):
 
 
 def integer_det(m):
-    """Determinant of a square list of rows of ints, which it may
-    overwrite, split into the strongly connected blocks of its nonzero
-    pattern like PolyMatrix.det, each block by _integer_bareiss_det.  A
-    matrix with no zero entry is one block and skips the split."""
-    if all(map(all, m)):
-        return _integer_bareiss_det(m)
-    out = 1
-    for block in sorted(_strong_components(m), key=len):
-        out *= _integer_bareiss_det([[m[i][j] for j in block] for i in block])
-        if not out:
-            return 0
-    return out
+    """Determinant of a square list of rows of ints, which it never writes:
+    the block split of PolyMatrix.det (_split_det), each block by _bareiss
+    on ints, which pivots on the entry with the fewest bits and divides by
+    the previous pivot with //, exact because every interior division is."""
+    return _split_det(m, lambda rows: _bareiss(rows, int.bit_length, _integer_update, 0))
 
 
-def _integer_bareiss_det(m):
-    """Determinant of the square list of rows of ints m, which it
-    overwrites, by the fraction-free Bareiss elimination of _bareiss_det
-    with its full pivoting read on ints: step k pivots on the nonzero entry
-    of the trailing block with the fewest bits (the first in row-major
-    order on a tie).  Every interior division is exact, so floor division
-    is, and a trailing block with no nonzero entry gives 0."""
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        best = pi = pj = None
-        for i in range(k, n):
-            row = m[i]
-            for j in range(k, n):
-                size = row[j].bit_length()
-                if size and (best is None or size < best):
-                    best, pi, pj = size, i, j
-        if best is None:
-            return 0
-        if pi != k:
-            m[k], m[pi] = m[pi], m[k]
-            sign = -sign
-        if pj != k:
-            for row in m[k:]:
-                row[k], row[pj] = row[pj], row[k]
-            sign = -sign
-        pivot_row = m[k]
-        pivot = pivot_row[k]
-        for row in m[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = (pivot * row[j] - lead * pivot_row[j]) // prev
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+def _integer_update(row, pivot_row, k, prev):
+    """The row update of integer_det: floor division, which is exact, by
+    prev, or by 1 at step 0."""
+    pivot, lead, prev = pivot_row[k], row[k], prev or 1
+    for j in range(k + 1, len(row)):
+        row[j] = (pivot * row[j] - lead * pivot_row[j]) // prev
 
 
 class PolyMatrix:
@@ -379,38 +396,16 @@ class PolyMatrix:
         has A's determinant, so det(A) is the product of the determinants of
         the diagonal blocks, with no sign to track (I. S. Duff and J. K.
         Reid, ACM TOMS 4, 1978).  The product commutes, so that order is
-        never built: the blocks go smallest first, a 1 x 1 block is its own
-        entry, a larger one goes through _bareiss_det, and the first block
-        whose determinant is 0 gives 0.  An all-zero row or column is a
-        1 x 1 block with a zero entry.  A block of 3 or more rows goes
-        through laurent.collapse_t, _bareiss_det over Z[q^+-1] and
-        laurent.expand_t when collapse_t accepts it, and through
-        _bareiss_det over the Laurent ring otherwise; a 2 x 2 block has no
-        division to save.  A matrix with no zero entry is one block and
-        skips the split, as in integer_det.
+        never built: _split_det, the loop integer_det shares, takes the
+        blocks smallest first and stops at the first block whose
+        determinant is 0.  An all-zero row or column is a 1 x 1 block with
+        a zero entry.  Each block goes through _laurent_block_det: a 1 x 1
+        block is its own entry, and a larger one goes through the pivoted
+        Bareiss elimination _bareiss_det, over Z[q^+-1] when
+        laurent.collapse_t takes t out of a block of 3 or more rows.
         """
         self._require_square("determinant")
-        data = self.data
-        if all(map(all, data)):
-            blocks = [range(self.rows)]
-        else:
-            blocks = sorted(_strong_components(data), key=len)
-        out = None
-        for block in blocks:
-            if len(block) == 1:
-                d = data[block[0]][block[0]]
-            else:
-                rows = [[data[i][j] for j in block] for i in block]
-                collapsed = collapse_t(rows) if len(block) > 2 else None
-                if collapsed is None:
-                    d = _bareiss_det(rows)
-                else:
-                    images, bits, shift = collapsed
-                    d = expand_t(_bareiss_det(images), bits, shift)
-            if not d:
-                return ZERO
-            out = d if out is None else out * d
-        return out
+        return _split_det(self.data, _laurent_block_det)
 
     def inverse(self):
         """Exact inverse by fraction-free Gauss-Jordan elimination on [A | I].

@@ -229,18 +229,16 @@ def image_of_word(rep, word):
 def letter_t_lines(rep, word):
     """Representation._letter_t_lines of each letter of a braid word
     (BraidWord or text), in the order a word image applies them, each
-    distinct letter read once.  The walks below take this list in place of
-    the word (a list is returned as it is), so two walks parse it once."""
-    if isinstance(word, list):
-        return word
+    distinct letter read once.  The walks below take this list, so two
+    walks parse the word once."""
     letters = _applied_letters(rep, word)
     changed = {x: rep._letter_t_lines(x) for x in set(letters)}
     return [changed[x] for x in letters]
 
 
-def word_norm_bound(rep, word):
-    """(sums, los, his): bounds on the image of a word (or letter_t_lines)
-    under a representation with no q, read from its letters alone.
+def word_norm_bound(rep, letters):
+    """(sums, los, his): bounds on the image of a word under a
+    representation with no q, read from its letter_t_lines alone.
 
     Line i of the image (a row or a column, as image_of_word keeps it) has
     entries whose 1-norms add up to at most sums[i], and t-exponents in
@@ -251,7 +249,7 @@ def word_norm_bound(rep, word):
     widest t-range of the g_k line_k."""
     d = rep.dim
     sums, los, his = [1] * d, [0] * d, [0] * d
-    for changed in letter_t_lines(rep, word):
+    for changed in letters:
         new = []
         for i, entries in changed:
             total = lo = hi = 0
@@ -267,9 +265,9 @@ def word_norm_bound(rep, word):
     return sums, los, his
 
 
-def image_at_power_of_two(rep, word, bits):
-    """(lines, offsets): the image of a word (or letter_t_lines) at
-    t = 2^bits, one Python int per entry, for a representation with no q.
+def image_at_power_of_two(rep, letters, bits):
+    """(lines, offsets): the image of a word, given by its letter_t_lines,
+    at t = 2^bits, one Python int per entry, for a representation with no q.
 
     Line i of the image (as in word_norm_bound) is t^-offsets[i] times a
     line of polynomials in t, and lines[i] holds their values at t = 2^bits.
@@ -283,7 +281,7 @@ def image_at_power_of_two(rep, word, bits):
     d = rep.dim
     lines = [[int(i == c) for c in range(d)] for i in range(d)]
     offsets = [0] * d
-    for changed in letter_t_lines(rep, word):
+    for changed in letters:
         new = []
         for i, entries in changed:
             offset = 0

@@ -372,7 +372,7 @@ def test_krammer_sign_applied_per_word_matches_the_negated_representation(n):
         word = W(n, [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)])
         want = sign_twisted_krammer_fraction(word)
         assert str(inv.krammer_fraction(word).fraction) == str(want), str(word)
-        assert inv._det_ratio("krammer", word).den == want.den
+        assert inv.krammer_fraction(word).fraction.den == want.den
 
 
 def test_markov_conjugation_fixture():
@@ -465,15 +465,15 @@ def test_stored_closure_data_gives_the_values_of_a_fresh_build():
         assert _values(invariant, word) == value, (invariant.__name__, str(word))
 
 
-def _laurent_closure_det(rep, word, s=1):
-    """det(rho(word) - s I) on the Laurent path: the word image, then
+def _laurent_closure_det(rep, word):
+    """det(rho(word) - I) on the Laurent path: the word image, then
     PolyMatrix.det."""
-    return (image_of_word(rep, word) - PolyMatrix.identity(rep.dim).scale(s)).det()
+    return (image_of_word(rep, word) - PolyMatrix.identity(rep.dim)).det()
 
 
-def _integer_closure_det(rep, word, s):
-    """det(rho(word) - s I) from the integer path, read back, or None."""
-    closure = inv._integer_closure(rep, word, s)
+def _integer_closure_det(rep, word):
+    """det(rho(word) - I) from the integer path, read back, or None."""
+    closure = inv._integer_closure(rep, word)
     return None if closure is None else inv._read_back(closure)
 
 
@@ -486,7 +486,7 @@ def _closure_words(rng, n, length):
 
 def _gate_width(rep, word):
     """The a priori width K (row t-span + 1) that the integer path's gate reads."""
-    sums, los, his = reps.word_norm_bound(rep, word)
+    sums, los, his = reps.word_norm_bound(rep, reps.letter_t_lines(rep, word))
     bits = laurent.hadamard_bits([[total + 1] for total in sums])
     return bits * (max(h - l for l, h in zip(los, his)) + 1)
 
@@ -497,7 +497,7 @@ def _inside_gate(rep, word):
 
 def test_integer_closure_det_matches_the_laurent_path():
     # seeded words on n = 2..7 strands, L = 0..80, odd and even lengths, in
-    # both reduced Burau forms (rows and columns) and with either sign s
+    # both reduced Burau forms (rows and columns)
     rng = random.Random(2121)
     for n in range(2, 8):
         for form in ("conjugated", "standard"):
@@ -507,15 +507,14 @@ def test_integer_closure_det_matches_the_laurent_path():
                     continue
                 for word in _closure_words(rng, n, length):
                     assert _inside_gate(rep, word), (n, length)
-                    for s in (1, -1):
-                        got = _integer_closure_det(rep, word, s)
-                        assert got == _laurent_closure_det(rep, word, s), (n, form, str(word), s)
+                    got = _integer_closure_det(rep, word)
+                    assert got == _laurent_closure_det(rep, word), (n, form, str(word))
 
 
 def test_integer_closure_det_of_a_long_word_with_two_rows():
     rep = reps.burau_reduced(3, "conjugated")
     word = W.parse("s1^1000 s2^-1000", 3)
-    got = _integer_closure_det(rep, word, 1)
+    got = _integer_closure_det(rep, word)
     assert got == _laurent_closure_det(rep, word)
     assert len(got) == 2001 and got.min_exponents() == (-1000, 0)
 
@@ -529,7 +528,7 @@ def test_integer_closure_det_reads_back_a_determinant_at_its_bound(entry):
     for m in (1, 2, 5, 21, 40):
         word = W(2, [1] * m)
         want = entry ** m - ONE
-        assert _integer_closure_det(rep, word, 1) == want == _laurent_closure_det(rep, word)
+        assert _integer_closure_det(rep, word) == want == _laurent_closure_det(rep, word)
 
 
 def test_image_at_power_of_two_is_the_word_image_at_that_point():
@@ -540,9 +539,10 @@ def test_image_at_power_of_two_is_the_word_image_at_that_point():
         for word in _closure_words(rng, n, 12):
             image = image_of_word(rep, word).data
             expected = image if rep._by_rows else [list(col) for col in zip(*image)]
+            letters = reps.letter_t_lines(rep, word)
             for bits in (2, 7, 64):
-                lines, offsets = reps.image_at_power_of_two(rep, word, bits)
-                assert offsets == [-lo for lo in reps.word_norm_bound(rep, word)[1]]
+                lines, offsets = reps.image_at_power_of_two(rep, letters, bits)
+                assert offsets == [-lo for lo in reps.word_norm_bound(rep, letters)[1]]
                 for line, offset, want in zip(lines, offsets, expected):
                     assert line == [sum(c << bits * (et + offset) for (et, _), c in e.sorted_terms())
                                     for e in want], (n, form, str(word), bits)
@@ -553,7 +553,7 @@ def test_word_norm_bound_is_met_without_cancellation():
     # so every line's sum of 1-norms and every t-range of the image is its bound
     rep = reps.burau_reduced(6, "conjugated")
     word = W.parse("1 1 1 3 3 5 5 5 5", 6)
-    sums, los, his = reps.word_norm_bound(rep, word)
+    sums, los, his = reps.word_norm_bound(rep, reps.letter_t_lines(rep, word))
     rows = image_of_word(rep, word).data
     assert rep._by_rows
     assert sums == [sum(abs(c) for e in row for _, c in e.sorted_terms()) for row in rows]
@@ -577,7 +577,7 @@ def test_the_gate_decides_which_path_an_alexander_closure_takes(monkeypatch):
         counts["image_of_word"] = 0
         assert inv._closure_det("alexander", rep, word) == _laurent_closure_det(rep, word)
         assert counts["image_of_word"] == laurent_path
-        assert (_integer_closure_det(rep, word, 1) is None) == laurent_path
+        assert (_integer_closure_det(rep, word) is None) == laurent_path
 
 
 def _closes_to_a_knot(word):
@@ -612,7 +612,7 @@ def test_integer_closure_det_matches_the_laurent_path_on_many_strands():
             word = W(n, [rng.choice((1, -1)) * rng.randint(1, n - 1)
                          for _ in range(rng.randint(3 * n, 5 * n))])
             if not _inside_gate(rep, word):
-                assert _integer_closure_det(rep, word, 1) is None
+                assert _integer_closure_det(rep, word) is None
             elif _closes_to_a_knot(word):
                 knots.append(word)
             else:
@@ -621,10 +621,9 @@ def test_integer_closure_det_matches_the_laurent_path_on_many_strands():
     nonzero = 0
     for word in words:
         rep = reps.burau_reduced(word.strands, "conjugated")
-        for s in (1, -1):
-            got = _integer_closure_det(rep, word, s)
-            assert got == _laurent_closure_det(rep, word, s), (str(word), s)
-        nonzero += not _integer_closure_det(rep, word, 1).is_zero()
+        got = _integer_closure_det(rep, word)
+        assert got == _laurent_closure_det(rep, word), str(word)
+        nonzero += not got.is_zero()
     assert len(words) == 37 and 2 * nonzero >= len(words), nonzero
 
 

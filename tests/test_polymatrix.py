@@ -780,6 +780,39 @@ def test_integer_det_matches_rational_elimination():
     assert min(kinds.values()) >= 20, kinds
 
 
+def test_integer_and_laurent_dets_share_one_elimination_and_keep_their_ring(monkeypatch):
+    # a dense rank-1 matrix, whose trailing block empties after step 0; a
+    # singular sparse one, a 2 x 2 block above a singular 3 x 3 block; and
+    # one whose first pivot in either ring is (0, 1), one column swap, which
+    # gives a negative determinant.  integer_det gives an int and det a
+    # LaurentPoly, each block runs through the one polymatrix._bareiss with
+    # its ring's pivot size, and neither writes its argument
+    seen = []
+    bareiss = polymatrix._bareiss
+
+    def counting_bareiss(m, size, update, zero):
+        seen.append((len(m), size))
+        return bareiss(m, size, update, zero)
+
+    monkeypatch.setattr(polymatrix, "_bareiss", counting_bareiss)
+    cases = (([[1, 2, 3], [2, 4, 6], [3, 6, 9]], 0, [3]),
+             ([[2, 1, 0, 0, 5], [1, 3, 0, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 1, 1],
+               [0, 0, 1, 2, 1]], 0, [2, 3]),
+             ([[0, 1, 2], [1, 3, 4], [2, 1, 1]], -3, [3]))
+    for rows, want, blocks in cases:
+        kept = [row[:] for row in rows]
+        del seen[:]
+        got = integer_det(rows)
+        assert type(got) is int and got == want and rows == kept
+        assert seen == [(b, int.bit_length) for b in blocks]
+        a = PolyMatrix(rows)
+        del seen[:]
+        got = a.det()
+        assert type(got) is LaurentPoly and got == LaurentPoly.const(want)
+        assert a == PolyMatrix(kept)
+        assert seen == [(b, len) for b in blocks]
+
+
 def test_dense_det_matches_the_oracle_without_the_split(monkeypatch):
     # a matrix with no zero entry is one strongly connected block, so det
     # takes it whole and never builds the split

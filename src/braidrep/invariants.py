@@ -159,28 +159,28 @@ def _integer_closure(rep, word):
 
     Line i of rho(word) has entries whose 1-norms add up to at most sums[i]
     (reps.word_norm_bound), so line i of rho(word) - I has them add up to
-    at most sums[i] + 1, and as a line's 2-norm is at most its 1-norm,
-    K = hadamard_bits of the one-entry rows [sums[i] + 1] puts every
+    at most sums[i] + 1, and as the squares of those 1-norms add up to at
+    most (sums[i] + 1)^2, K = hadamard_bits of those squares puts every
     coefficient of the determinant below 2^(K - 1).  Line i at t = 2^K is
-    t^-offsets[i] times the ints of image_at_power_of_two, and subtracting
-    I takes 2^(K offsets[i]) off its diagonal entry, so the determinant
-    is t^-(sum of offsets) times the polynomial whose value at 2^K is
-    integer_det of those lines; every offset is at least 0, so that
-    polynomial has no negative power of t, and the shift is -(sum of
-    offsets), whether the lines are rows or columns.  The gate,
-    laurent.integer_closure_fits, reads the dimension and the a priori
-    width K (row t-span + 1), the t-span from word_norm_bound.
+    t^-offsets[i] times the ints of image_at_power_of_two, whose lines
+    this function owns, so subtracting I takes 2^(K offsets[i]) off each
+    diagonal entry in place, and the determinant is t^-(sum of offsets)
+    times the polynomial whose value at 2^K is integer_det of those lines;
+    every offset is at least 0, so that polynomial has no negative power
+    of t, and the shift is -(sum of offsets), whether the lines are rows
+    or columns.  The gate, laurent.integer_closure_fits, reads the
+    dimension and the a priori width K (row t-span + 1), the t-span from
+    word_norm_bound.
     """
     letters = letter_t_lines(rep, word)
     sums, los, his = word_norm_bound(rep, letters)
-    bits = hadamard_bits([[total + 1] for total in sums])
+    bits = hadamard_bits([(total + 1) ** 2 for total in sums])
     if not integer_closure_fits(rep.dim, bits * (max(h - l for l, h in zip(los, his)) + 1)):
         return None
     lines, offsets = image_at_power_of_two(rep, letters, bits)
-    rows = [list(line) for line in lines]
-    for i, row in enumerate(rows):
-        row[i] -= 1 << bits * offsets[i]
-    return integer_det(rows), bits, -sum(offsets)
+    for i, line in enumerate(lines):
+        line[i] -= 1 << bits * offsets[i]
+    return integer_det(lines), bits, -sum(offsets)
 
 
 def alexander(word):

@@ -816,22 +816,18 @@ def integer_closure_fits(dim, width):
     return width * (dim - 1) ** 2 <= INTEGER_CLOSURE_BITS * (8 if dim == 2 else 1)
 
 
-def hadamard_bits(norm_rows):
+def hadamard_bits(row_squares):
     """The slot width bits = bit_length(B) + 1 for B = ceil(sqrt(prod_i
-    sum_j n_ij^2)), given rows of nonnegative ints n_ij, each row with a
-    nonzero one, that bound the 1-norms of a square matrix's entries.  A
-    one-entry row [n_i] may bound a whole row's 1-norms added up instead
-    (invariants._integer_closure), since a row's 2-norm is at most that.
+    r_i)), given one positive int r_i per row of a square matrix, at least
+    the sum of the squared 1-norms of the row's entries.
 
-    On the torus |t| = |q| = 1 each entry x has |x| <= |x|_1 <= n_ij, so by
+    On the torus |t| = |q| = 1 each entry x has |x| <= |x|_1, so by
     Hadamard's inequality |det| is at most B there, and so is every
     coefficient of det, being an average of det times a monomial over the
     torus.  So every coefficient has |c| < 2^(bits - 1), as expand_t
     needs.  No degree bound enters, and nothing is approximate.
     """
-    bound = 1
-    for row in norm_rows:
-        bound *= sum(n * n for n in row)
+    bound = math.prod(row_squares)
     return (math.isqrt(bound - 1) + 1).bit_length() + 1
 
 
@@ -843,15 +839,15 @@ def collapse_t(rows):
     Row i times t^-lo_i, lo_i its least t-exponent, lies in Z[t, q^+-1],
     and images holds its image; the determinant of the block is
     expand_t(det(images), bits, shift) with shift the sum of the lo_i.
-    bits is hadamard_bits of the entries' 1-norms.  One loop over each row
-    reads its t-range and 1-norms from the exponents and coefficients, so
-    the gate is checked before any shift and an entry t^(10**12) costs
-    nothing.
+    bits is hadamard_bits of each row's sum of squared entry 1-norms.  One
+    loop over each row reads its t-range and that sum from the exponents
+    and coefficients, so the gate is checked before any shift and an entry
+    t^(10**12) costs nothing.
     """
-    los, span, norm_rows = [], 0, []
+    los, span, row_squares = [], 0, []
     for row in rows:
         lo = hi = None
-        row_norms = []
+        square = 0
         for x in row:
             terms = x._terms
             if terms:
@@ -862,11 +858,11 @@ def collapse_t(rows):
                         lo = et
                     elif et > hi:
                         hi = et
-                row_norms.append(sum(map(abs, terms.values())))
+                square += sum(map(abs, terms.values())) ** 2
         los.append(lo)
         span = max(span, hi - lo)
-        norm_rows.append(row_norms)
-    bits = hadamard_bits(norm_rows)
+        row_squares.append(square)
+    bits = hadamard_bits(row_squares)
     if bits * (span + 1) not in COLLAPSE_BITS:
         return None
     return [_collapse_row(row, lo, bits) for row, lo in zip(rows, los)], bits, sum(los)

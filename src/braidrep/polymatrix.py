@@ -16,7 +16,8 @@ bound, so the read-back is exact, and owns the gate that refuses a block.
 integer_det takes a matrix of Python ints, for closures built at an
 integer point of t.  The block split (_split_det) and the pivoted
 elimination (_bareiss) are written once for both rings: each ring passes
-in only its pivot size (terms, or bits) and its row update.
+in only its pivot size (terms, or bits) and its row update.  Neither
+determinant writes its argument: _split_det hands each block on as a copy.
 Products pair only nonzero entries of both factors.  Inverses run
 fraction-free Gauss-Jordan elimination on [A | I], the same exact
 divisions as Bareiss, over the nonzero entries of each row only.
@@ -100,7 +101,7 @@ def _split_det(m, block_det):
     return out
 
 
-def _bareiss(m, size, update, zero):
+def _bareiss(m, size, update):
     """Determinant of the square list of rows m, which it overwrites, by
     fraction-free Bareiss elimination with full pivoting, over any ring
     whose entries size and update read.
@@ -119,8 +120,9 @@ def _bareiss(m, size, update, zero):
     row after column k, with pivot = pivot_row[k], lead = row[k], y the
     pivot row's entry in x's column and prev the previous pivot, or None at
     step 0, whose divisor is 1.  A trailing block with no nonzero entry
-    gives zero: on a block of rank r that happens after r steps, every
-    later entry being a minor of order above r.
+    gives its corner m[k][k], which is the ring's zero: on a block of rank
+    r that happens after r steps, every later entry being a minor of order
+    above r.
     """
     n = len(m)
     sign = 1
@@ -134,7 +136,7 @@ def _bareiss(m, size, update, zero):
                 if s and (best is None or s < best):
                     best, pi, pj = s, i, j
         if best is None:
-            return zero
+            return m[k][k]
         if pi != k:
             m[k], m[pi] = m[pi], m[k]
             sign = -sign
@@ -155,7 +157,7 @@ def _bareiss_det(m):
     fewest terms, and each new entry is one sum_of_products, divided by
     the previous pivot from step 1 on.  det hands over only strongly
     connected blocks, which have no zero row or column."""
-    return _bareiss(m, len, _laurent_update, ZERO)
+    return _bareiss(m, len, _laurent_update)
 
 
 def _laurent_update(row, pivot_row, k, prev):
@@ -204,7 +206,7 @@ def integer_det(m):
     the block split of PolyMatrix.det (_split_det), each block by _bareiss
     on ints, which pivots on the entry with the fewest bits and divides by
     the previous pivot with //, exact because every interior division is."""
-    return _split_det(m, lambda rows: _bareiss(rows, int.bit_length, _integer_update, 0))
+    return _split_det(m, lambda rows: _bareiss(rows, int.bit_length, _integer_update))
 
 
 def _integer_update(row, pivot_row, k, prev):

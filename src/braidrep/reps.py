@@ -16,7 +16,7 @@ over the same changed lines serve representations with no q, with no
 product of polynomials, both over one letter_t_lines of the word:
 word_norm_bound bounds each line by one number, the sum of its entries'
 1-norms, and a t-range, and image_at_power_of_two builds the image at
-t = 2^bits as one int per entry.
+t = 2^bits as one int per entry, each line a new list that its caller owns.
 
 Symmetric powers are quantized by one rule: the p-th power of a
 transvection I + s*e_ij carries the Gaussian binomial [a choose b]_q s^b
@@ -228,12 +228,10 @@ def image_of_word(rep, word):
 
 def letter_t_lines(rep, word):
     """Representation._letter_t_lines of each letter of a braid word
-    (BraidWord or text), in the order a word image applies them, each
-    distinct letter read once.  The walks below take this list, so two
-    walks parse the word once."""
-    letters = _applied_letters(rep, word)
-    changed = {x: rep._letter_t_lines(x) for x in set(letters)}
-    return [changed[x] for x in letters]
+    (BraidWord or text), in the order a word image applies them; the
+    representation keeps each letter's lines, so a letter is read once.
+    The walks below take this list, so two walks parse the word once."""
+    return [rep._letter_t_lines(x) for x in _applied_letters(rep, word)]
 
 
 def word_norm_bound(rep, letters):
@@ -277,7 +275,8 @@ def image_at_power_of_two(rep, letters, bits):
     largest offsets[k] - lo_k, never below 0, and each term adds c_j times
     line k shifted left by bits times the t-power it lacks.  Only shifts
     and small multipliers enter.  The walk is word_norm_bound's, and its
-    offsets are -los."""
+    offsets are -los.  Every line a letter builds is a new list, so no two
+    returned lines share one and the caller may write them in place."""
     d = rep.dim
     lines = [[int(i == c) for c in range(d)] for i in range(d)]
     offsets = [0] * d
@@ -296,10 +295,8 @@ def image_at_power_of_two(rep, letters, bits):
                     shift = bits * (base + j)
                     if c != 1:
                         part = [c * y << shift for y in src]
-                    elif shift:
-                        part = [y << shift for y in src]
                     else:
-                        part = src
+                        part = [y << shift for y in src]
                     line = part if line is None else list(map(add, line, part))
             new.append((i, line, offset))
         for i, line, offset in new:

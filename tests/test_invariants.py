@@ -487,7 +487,7 @@ def _closure_words(rng, n, length):
 def _gate_width(rep, word):
     """The a priori width K (row t-span + 1) that the integer path's gate reads."""
     sums, los, his = reps.word_norm_bound(rep, reps.letter_t_lines(rep, word))
-    bits = laurent.hadamard_bits([[total + 1] for total in sums])
+    bits = laurent.hadamard_bits([(total + 1) ** 2 for total in sums])
     return bits * (max(h - l for l, h in zip(los, his)) + 1)
 
 
@@ -546,6 +546,18 @@ def test_image_at_power_of_two_is_the_word_image_at_that_point():
                 for line, offset, want in zip(lines, offsets, expected):
                     assert line == [sum(c << bits * (et + offset) for (et, _), c in e.sorted_terms())
                                     for e in want], (n, form, str(word), bits)
+
+
+def test_the_integer_walk_hands_over_lines_it_owns():
+    # the letter's row 0 is a single 1 at column 1, so the walk's new row 0
+    # is row 1 unshifted; it must come back as a list of its own, since
+    # _integer_closure subtracts I from the returned lines in place
+    rep = reps.Representation(2, [PolyMatrix([[0, 1], [0, 1]])], "shared-row")
+    word = W.parse("1", 2)
+    lines, offsets = reps.image_at_power_of_two(rep, reps.letter_t_lines(rep, word), 8)
+    assert rep._by_rows and lines == [[0, 1], [0, 1]] and offsets == [0, 0]
+    assert lines[0] is not lines[1]
+    assert _integer_closure_det(rep, word) == _laurent_closure_det(rep, word)
 
 
 def test_word_norm_bound_is_met_without_cancellation():

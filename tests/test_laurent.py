@@ -676,15 +676,16 @@ def test_expand_reads_a_coefficient_of_many_digits():
 
 def test_hadamard_bits_is_one_more_than_the_bound_needs():
     # B = ceil(sqrt(prod of row sums of squares)); 2^(bits - 2) <= B < 2^(bits - 1)
-    assert hadamard_bits([[1]]) == 2
-    assert hadamard_bits([[3, 4], [0, 5]]) == 6
-    assert hadamard_bits([[1, 1], [1, 1]]) == 3
-    assert hadamard_bits([[7, 0], [0, 9]]) == 7
+    assert hadamard_bits([1]) == 2
+    assert hadamard_bits([25, 25]) == 6  # [[3, 4], [0, 5]]
+    assert hadamard_bits([2, 2]) == 3  # [[1, 1], [1, 1]]
+    assert hadamard_bits([49, 81]) == 7  # [[7, 0], [0, 9]]
     for rows in ([[2, 3, 5], [7, 11, 13], [1, 0, 1]], [[2 ** 40]], [[1] * 5] * 5):
-        bound = math.prod(sum(x * x for x in row) for row in rows)
+        squares = [sum(x * x for x in row) for row in rows]
+        bound = math.prod(squares)
         b = math.isqrt(bound - 1) + 1
         assert b * b >= bound > (b - 1) ** 2
-        assert 1 << hadamard_bits(rows) - 2 <= b < 1 << hadamard_bits(rows) - 1
+        assert 1 << hadamard_bits(squares) - 2 <= b < 1 << hadamard_bits(squares) - 1
 
 
 def test_t_terms_reads_a_q_free_polynomial():

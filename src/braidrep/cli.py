@@ -190,7 +190,11 @@ def run_check(args):
         if check == "markov2-probe":
             return markov2_probe(word)
         if args.conjugators is not None:
-            gs = [BraidWord.parse(piece, n) for piece in args.conjugators.split(";")]
+            pieces = args.conjugators.split(";")
+            for k, piece in enumerate(pieces, 1):
+                if not piece.strip():
+                    raise UsageError("--conjugators entry %d of %d is empty" % (k, len(pieces)))
+            gs = [BraidWord.parse(piece, n) for piece in pieces]
         else:
             gs = _default_conjugators(n)
         return markov1_test(word, gs)

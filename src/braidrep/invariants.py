@@ -33,8 +33,9 @@ The gate laurent.INTEGER_CLOSURE_BITS keeps long words on many strands,
 where the a priori K is too wide to pay, on the Laurent path, and
 Krammer closures (lk has q) never try it.
 
-The representation and den depend only on the invariant and the strand
-count, so a process builds them once per pair; a call computes only num.
+Neither den depends on the word: Alexander's is the closed form that
+Burau's theorem gives (_alexander_data), and Krammer's is computed once
+per strand count (_krammer_data).  A call computes only num.
 """
 
 import functools
@@ -48,7 +49,9 @@ from .reps import (burau_reduced, image_at_power_of_two, image_of_word, letter_t
 
 
 class InvariantError(Exception):
-    """A determinant ratio that should collapse to a polynomial did not."""
+    """An Alexander determinant ratio that is not a Laurent polynomial.  By
+    Burau's theorem (see _alexander_data) reduced Burau gives none for any
+    braid, links included, so this guards the theorem."""
 
 
 class AlexanderResult:
@@ -85,10 +88,6 @@ class KrammerResult:
         return "KrammerResult(%s)" % (self,)
 
 
-def _generator_sweep(n):
-    return BraidWord(n, list(range(1, n)))
-
-
 def _normalize_alexander(p):
     if p.is_zero():
         return p
@@ -100,49 +99,38 @@ def _normalize_alexander(p):
 
 
 @functools.lru_cache(maxsize=None)
-def _closure_data(invariant, n):
-    """The representation behind an invariant on n strands and its sweep
-    denominator det(rho(sigma_1 ... sigma_(n-1)) - I), built once per pair.
-    For the Krammer invariant the representation is lk(n) itself; the sign
-    character is applied per word by _closure."""
-    rep = burau_reduced(n, "conjugated") if invariant == "alexander" else lk(n, "new")
-    return rep, _closure_det(invariant, rep, _generator_sweep(n))
+def _alexander_data(n):
+    """Reduced Burau psi on n strands, its sweep denominator
+    den = det(psi(sigma_1 ... sigma_(n-1)) - I) and t_terms(den), built once
+    per n.  By Burau's theorem (J. Birman, Braids, Links, and Mapping Class
+    Groups, 1974, ch. 3), det(I - psi(w)) is (1 + t + ... + t^(n-1)) times
+    the Alexander polynomial of the closure of w, up to a unit, for every
+    braid w.  The sweep closes to the unknot, and psi(sigma_1 ...
+    sigma_(n-1)) has characteristic polynomial x^(n-1) + t x^(n-2) + ... +
+    t^(n-1), so den = (-1)^(n-1) (1 + t + ... + t^(n-1)) exactly."""
+    den = LaurentPoly({(k, 0): (-1) ** (n - 1) for k in range(n)})
+    return burau_reduced(n, "conjugated"), den, t_terms(den)
 
 
 @functools.lru_cache(maxsize=None)
-def _alexander_den(n):
-    """The Alexander sweep denominator on n strands as laurent.t_terms reads
-    it, for laurent.divide_at_power_of_two; built once per n."""
-    return t_terms(_closure_data("alexander", n)[1])
+def _krammer_data(n):
+    """lk(n) and the Krammer sweep denominator, the closure determinant of
+    sigma_1 ... sigma_(n-1) (_laurent_closure with its sign), built once
+    per n."""
+    rep = lk(n, "new")
+    return rep, _laurent_closure(rep, BraidWord(n, list(range(1, n))), (-1) ** (n - 1))
 
 
-def _closure_det(invariant, rep, word):
-    """det(rho(word) - I) as a LaurentPoly."""
-    return _read_back(_closure(invariant, rep, word))
-
-
-def _read_back(det):
-    """A determinant from _closure as a LaurentPoly: the triple of the
-    integer path read back by expand_t."""
-    return det if isinstance(det, LaurentPoly) else expand_t(LaurentPoly.const(det[0]), *det[1:])
-
-
-def _closure(invariant, rep, word):
-    """det(rho(word) - I): as the triple (d, bits, shift) of
-    _integer_closure for an Alexander closure the gate accepts, otherwise
-    as the LaurentPoly PolyMatrix.det gives with s subtracted on the
-    diagonal of the word image.  Krammer closures (lk has q) never try it.
+def _laurent_closure(rep, word, s):
+    """s^dim det(rho(word) - s I) as the LaurentPoly PolyMatrix.det gives,
+    with s subtracted on the diagonal of the word image.
 
     For the Krammer invariant rho is lk tensored with the sign character,
     which scales the image of a word of length L by s = (-1)^L.  So
     det(s lk(w) - I) = s^dim det(lk(w) - s I): the sign is applied once per
-    word, and the generator images stay as lk builds them.
+    word, and the generator images stay as lk builds them.  alexander
+    passes s = 1.
     """
-    if invariant == "alexander":
-        det = _integer_closure(rep, word)
-        if det is not None:
-            return det
-    s = -1 if invariant == "krammer" and len(word.letters) % 2 else 1
     m = image_of_word(rep, word)
     shift = LaurentPoly.const(-s)
     for i, row in enumerate(m.data):
@@ -187,25 +175,29 @@ def alexander(word):
     """Alexander polynomial of the closure of a braid word.
 
     Divides det(rho(word) - I) by den = det(rho(sigma_1..sigma_(n-1)) - I)
-    where rho is the reduced Burau representation.  The numerator is
+    where rho is the reduced Burau representation and den is the closed
+    form of Burau's theorem (see _alexander_data).  The numerator is
     integer linear algebra at t = 2^K, with K read from the letters before
     any product, unless the gate laurent.INTEGER_CLOSURE_BITS sends a long
     word on many strands to the Laurent path (see _integer_closure).  On
     the integer path the division is too: laurent.divide_at_power_of_two
     divides the determinant's value by den's at 2^K and reads the quotient
     and its normal form off the digits once.  When it proves nothing (a
-    nonzero remainder or a failed bound), or on the Laurent path, the
-    numerator is a LaurentPoly divided in a canonical PolyFraction.  Raises
-    InvariantError when the division is not exact (the ratio then fails to
-    be a polynomial, which happens for some multi-component closures).
+    failed bound), or on the Laurent path, the numerator is a LaurentPoly
+    divided in a canonical PolyFraction.  By Burau's theorem the ratio is a
+    Laurent polynomial for every braid, links included; InvariantError, if
+    the division is not exact, guards the theorem.
     """
-    rep, den = _closure_data("alexander", word.strands)
-    num = _closure("alexander", rep, word)
-    if not isinstance(num, LaurentPoly):
-        quotient = divide_at_power_of_two(*num, _alexander_den(word.strands))
+    rep, den, den_terms = _alexander_data(word.strands)
+    closure = _integer_closure(rep, word)
+    if closure is None:
+        num = _laurent_closure(rep, word, 1)
+    else:
+        quotient = divide_at_power_of_two(*closure, den_terms)
         if quotient is not None:
             return AlexanderResult(PolyFraction(quotient[0]), quotient[1])
-    raw = PolyFraction(_read_back(num), den)
+        num = expand_t(LaurentPoly.const(closure[0]), *closure[1:])
+    raw = PolyFraction(num, den)
     if not raw.is_polynomial():
         raise InvariantError("determinant ratio %s is not a polynomial" % (raw,))
     return AlexanderResult(raw, _normalize_alexander(raw.num))
@@ -216,11 +208,11 @@ def krammer_fraction(word):
 
     Uses the two-row representation tensored with the sign character, that
     is lk with negated generator images, applied once per word of L letters
-    by _closure as s^dim det(lk(word) - s I), s = (-1)^L.  collapsed carries
-    the polynomial value when the denominator divides exactly.
+    by _laurent_closure as s^dim det(lk(word) - s I), s = (-1)^L.  collapsed
+    carries the polynomial value when the denominator divides exactly.
     """
-    rep, den = _closure_data("krammer", word.strands)
-    fraction = PolyFraction(_closure_det("krammer", rep, word), den)
+    rep, den = _krammer_data(word.strands)
+    fraction = PolyFraction(_laurent_closure(rep, word, (-1) ** len(word.letters)), den)
     return KrammerResult(fraction, fraction.num if fraction.is_polynomial() else None)
 
 

@@ -312,6 +312,19 @@ def test_verify_markov1(capsys):
     assert "markov1" in out
 
 
+@pytest.mark.parametrize("conjugators,message", [
+    ("", "entry 1 of 1 is empty"),
+    ("2;", "entry 2 of 2 is empty"),
+    (";", "entry 1 of 2 is empty"),
+    ("2; ;1 -2", "entry 2 of 3 is empty"),
+])
+def test_verify_markov1_rejects_an_empty_conjugator(capsys, conjugators, message):
+    # an empty piece would parse as the identity braid, a case that cannot fail
+    code, out, err = run_exit(capsys, "verify", "--strands", "3", "--check", "markov1",
+                              "--word", "1 1 2", "--conjugators", conjugators)
+    assert (code, out, err) == (2, "", "braidrep: --conjugators %s\n" % message)
+
+
 def test_verify_markov2_probe(capsys):
     code, out, _ = run(capsys, "verify", "--strands", "2",
                        "--check", "markov2-probe", "--word", "1 1 1")

@@ -8,7 +8,8 @@ import pytest
 from braidrep import invariants as inv
 from braidrep import laurent
 from braidrep.braid import BraidWord
-from braidrep.laurent import ONE, PolyFraction, Q, T, ZERO, parse_poly
+from braidrep.cli import MAX_SIZE
+from braidrep.laurent import LaurentPoly, ONE, PolyFraction, Q, T, ZERO, parse_poly
 from braidrep.polymatrix import PolyMatrix
 from braidrep import reps
 from braidrep.reps import image_of_word, lk
@@ -155,7 +156,7 @@ def test_krammer_fraction_of_an_eight_strand_word():
 def test_numerator_det_of_a_heavy_four_strand_word_divides_little(divisors):
     # 6x6 Bareiss: no division at the first step, and none by 1 at all; the
     # unpivoted elimination made 55 divisions, 25 of them by 1
-    rep, _den = inv._closure_data("krammer", 4)
+    rep, _den = inv._krammer_data(4)
     m = image_of_word(rep, W4) - PolyMatrix.identity(rep.dim)
     divisors.clear()
     m.det()
@@ -226,7 +227,7 @@ def test_three_strand_krammer_identities(monkeypatch):
         assert num == tr - _bar(tr), str(word)
         assert _trace(image_of_word(rep, word.inverse())) == _bar(tr), str(word)
         k = inv.krammer_fraction(word).fraction
-        assert k == PolyFraction(num, inv._closure_data("krammer", 3)[1]), str(word)
+        assert k == PolyFraction(num, inv._krammer_data(3)[1]), str(word)
         assert inv.krammer_fraction(word.inverse()).fraction == -k, str(word)
         assert num.substitute(T, ONE).num.is_zero(), str(word)
         nonzero.append(len(word.letters) if num else 0)
@@ -351,12 +352,13 @@ def test_short_words_leave_the_kept_generator_images_alone(invariant):
     # "2 1 2 -1 -2 -1" is the identity braid, and a product hands back an
     # entry itself where a column is a unit vector, so the last image
     # holds entries of the kept images themselves
-    fresh, _den = inv._closure_data.__wrapped__(invariant, 3)
+    data = inv._alexander_data if invariant == "alexander" else inv._krammer_data
+    fresh = data.__wrapped__(3)[0]
     compute = inv.alexander if invariant == "alexander" else inv.krammer_fraction
     aliased = "2 1 2 -1 -2 -1 2 1"
     for text in ("1", "-2", "", "2", "-2 -1", aliased):
         compute(W.parse(text, 3))
-    rep, _den = inv._closure_data(invariant, 3)
+    rep = data(3)[0]
     kept = {id(e) for g in rep.gen_images + list(rep._inverses.values()) for r in g.data for e in r}
     assert any(id(e) in kept for r in image_of_word(rep, W.parse(aliased, 3)).data for e in r)
     assert rep.gen_images == fresh.gen_images
@@ -434,8 +436,13 @@ def _counted(fn, counts, name):
     return wrapper
 
 
+def _clear_closure_data():
+    inv._alexander_data.cache_clear()
+    inv._krammer_data.cache_clear()
+
+
 def test_markov1_builds_each_representation_once(monkeypatch):
-    inv._closure_data.cache_clear()
+    _clear_closure_data()
     counts = {"lk": 0, "burau_reduced": 0}
     monkeypatch.setattr(inv, "lk", _counted(inv.lk, counts, "lk"))
     monkeypatch.setattr(inv, "burau_reduced", _counted(inv.burau_reduced, counts, "burau_reduced"))
@@ -458,10 +465,10 @@ def test_stored_closure_data_gives_the_values_of_a_fresh_build():
     plan = [(invariant, W.parse(text, n))
             for n in (3, 4, 3) for text in words[n]
             for invariant in (inv.alexander, inv.krammer_fraction)]
-    inv._closure_data.cache_clear()
+    _clear_closure_data()
     stored = [_values(invariant, word) for invariant, word in plan]
     for (invariant, word), value in zip(plan, stored):
-        inv._closure_data.cache_clear()
+        _clear_closure_data()
         assert _values(invariant, word) == value, (invariant.__name__, str(word))
 
 
@@ -474,7 +481,7 @@ def _laurent_closure_det(rep, word):
 def _integer_closure_det(rep, word):
     """det(rho(word) - I) from the integer path, read back, or None."""
     closure = inv._integer_closure(rep, word)
-    return None if closure is None else inv._read_back(closure)
+    return None if closure is None else laurent.expand_t(LaurentPoly.const(closure[0]), *closure[1:])
 
 
 def _closure_words(rng, n, length):
@@ -584,10 +591,11 @@ def test_the_gate_decides_which_path_an_alexander_closure_takes(monkeypatch):
     counts = {"image_of_word": 0}
     monkeypatch.setattr(inv, "image_of_word", _counted(image_of_word, counts, "image_of_word"))
     for word, laurent_path in ((inside, False), (refused, True)):
-        rep = reps.burau_reduced(word.strands, "conjugated")
+        rep, den, _ = inv._alexander_data(word.strands)
         assert _inside_gate(rep, word) != laurent_path
         counts["image_of_word"] = 0
-        assert inv._closure_det("alexander", rep, word) == _laurent_closure_det(rep, word)
+        want = PolyFraction(_laurent_closure_det(rep, word), den)
+        assert inv.alexander(word).raw_fraction == want
         assert counts["image_of_word"] == laurent_path
         assert (_integer_closure_det(rep, word) is None) == laurent_path
 
@@ -688,9 +696,10 @@ def test_alexander_integer_quotient_matches_the_laurent_path(monkeypatch):
 
 
 def test_a_ratio_that_is_no_polynomial_raises_one_error_on_either_path(monkeypatch):
-    # a 1 x 1 representation with no q on 3 strands, both generators -t:
-    # den = t^2 - 1 and num = -t - 1 for sigma_1, so the integer quotient
-    # leaves a remainder and the word takes the Laurent path's division
+    # a 1 x 1 representation with no q on 3 strands, both generators -t,
+    # breaks Burau's theorem: num = -t - 1 for sigma_1 against the closed
+    # form den = t^2 + t + 1, so the integer quotient leaves a remainder
+    # and the word takes the Laurent path's division
     rep = reps.Representation(3, [PolyMatrix([[-T]])] * 2, "abelian")
     monkeypatch.setattr(inv, "burau_reduced", lambda n, form: rep)
     quotients = []
@@ -700,9 +709,8 @@ def test_a_ratio_that_is_no_polynomial_raises_one_error_on_either_path(monkeypat
         return quotients[-1]
 
     monkeypatch.setattr(inv, "divide_at_power_of_two", recorded)
-    text = "determinant ratio (-t - 1) / (t^2 - 1) is not a polynomial"
-    inv._closure_data.cache_clear()
-    inv._alexander_den.cache_clear()
+    text = "determinant ratio (-t - 1) / (t^2 + t + 1) is not a polynomial"
+    inv._alexander_data.cache_clear()
     try:
         for fits in (inv.integer_closure_fits, lambda dim, width: False):
             monkeypatch.setattr(inv, "integer_closure_fits", fits)
@@ -711,5 +719,47 @@ def test_a_ratio_that_is_no_polynomial_raises_one_error_on_either_path(monkeypat
             assert str(err.value) == text
         assert quotients == [None]
     finally:
-        inv._closure_data.cache_clear()
-        inv._alexander_den.cache_clear()
+        inv._alexander_data.cache_clear()
+
+
+def test_the_alexander_sweep_denominator_is_the_burau_closed_form():
+    # Burau's theorem with its unit, up to the largest strand count the CLI
+    # takes: det(psi(sigma_1 ... sigma_(n-1)) - I) = (-1)^(n-1) (1 + ... + t^(n-1))
+    for n in range(2, MAX_SIZE + 1):
+        rep, den, _ = inv._alexander_data(n)
+        sweep = image_of_word(rep, W(n, list(range(1, n))))
+        assert den == (sweep - PolyMatrix.identity(n - 1)).det(), n
+
+
+def test_the_first_alexander_call_on_a_strand_count_takes_one_determinant(monkeypatch):
+    # the closed-form denominator needs no sweep image and no determinant,
+    # so a fresh strand count costs only the numerator's, on either path
+    rng = random.Random(1)
+    inside = W(7, [rng.choice((1, -1)) * rng.randint(1, 6) for _ in range(80)])
+    refused = W(16, [rng.choice((1, -1)) * rng.randint(1, 15) for _ in range(120)])
+    counts = {"det": 0, "integer_det": 0, "image_of_word": 0}
+    monkeypatch.setattr(PolyMatrix, "det", _counted(PolyMatrix.det, counts, "det"))
+    monkeypatch.setattr(inv, "integer_det", _counted(inv.integer_det, counts, "integer_det"))
+    monkeypatch.setattr(inv, "image_of_word", _counted(image_of_word, counts, "image_of_word"))
+    inv._alexander_data.cache_clear()
+    for word, laurent_path in ((inside, False), (refused, True)):
+        counts.update(dict.fromkeys(counts, 0))
+        inv.alexander(word)
+        assert counts == {"det": laurent_path, "integer_det": not laurent_path,
+                          "image_of_word": laurent_path}, word.strands
+
+
+def test_the_krammer_sweep_denominator_has_its_measured_closed_form():
+    # eps (q t^n - 1)^a (q t^n + 1)^(n - 1 - a), found by factoring, not
+    # proved, so _krammer_data still computes it: odd n has a = (n - 1)/2
+    # and eps = 1, n = 0 mod 4 has a = n/2 and eps = 1, n = 2 mod 4 has
+    # a = n/2 - 1 and eps = -1
+    for n in range(2, 13):
+        if n % 2:
+            a, eps = (n - 1) // 2, 1
+        elif n % 4 == 0:
+            a, eps = n // 2, 1
+        else:
+            a, eps = n // 2 - 1, -1
+        x = Q * T ** n
+        assert inv._krammer_data(n)[1] == eps * (x - ONE) ** a * (x + ONE) ** (n - 1 - a), n

@@ -82,15 +82,75 @@ class BraidWord:
         """g * self * g^-1."""
         return g * self * g.inverse()
 
-    def free_reduce(self):
-        """Cancel adjacent sigma_i sigma_i^-1 pairs (free reduction only)."""
-        stack = []
-        for x in self.letters:
-            if stack and stack[-1] == -x:
-                stack.pop()
+    def free_reduce(self, cyclic=False):
+        """The word with every pair of inverse letters cancelled that meet by
+        far commutation, sigma_i sigma_j = sigma_j sigma_i for |i - j| >= 2;
+        with cyclic set, also cancelled across the two ends of the word.
+
+        This is reduction in the group with only the far-commutation
+        relations (a right-angled Artin group), of which the braid group is a
+        quotient, so the result is the same braid, and with cyclic set a
+        conjugate of it.  Letters go in pairs, so the length keeps its
+        parity.  One pass left to right keeps, for each index i, the last
+        kept letter of index i, each kept letter pointing at the one before
+        it: a letter x of index i cancels that last one when it is -x and no
+        kept letter of index i - 1 or i + 1 stands after it (C. Wrathall,
+        J. Symb. Comput. 6, 1988).  No such pair is left.  The cyclic step
+        then cancels the first kept letter of index i against the last one
+        when they are inverse and no kept letter of index i - 1 or i + 1
+        stands before the first or after the last: that strips a
+        conjugating letter, and only the indices i - 1, i and i + 1 need
+        another look (J. Crisp, E. Godelle and B. Wiest, J. Topology 2,
+        2009).  Both steps take time linear in the length of the word plus
+        the number of strands, and reducing the result again changes
+        nothing; a word with nothing to cancel comes back as itself."""
+        letters = self.letters
+        n, end = self.strands, len(letters)
+        # last[i]: the position of the last kept letter of index i, or -1,
+        # which never passes the first test below; below[p]: that of the
+        # kept letter of index |letters[p]| before p
+        last = [-1] * (n + 1)
+        below = [-1] * end
+        kept = list(letters)
+        for p, x in enumerate(letters):
+            i = x if x > 0 else -x
+            top = last[i]
+            if top > last[i - 1] and top > last[i + 1] and kept[top] == -x:
+                last[i] = below[top]
+                kept[top] = kept[p] = 0
             else:
-                stack.append(x)
-        return BraidWord(self.strands, stack)
+                below[p] = top
+                last[i] = p
+        if cyclic:
+            # first[i]: the position of the first kept letter of index i, or
+            # end; above[p]: that of the kept letter of the same index after p
+            first = [end] * (n + 1)
+            above = [end] * end
+            for i in range(1, n):
+                p = last[i]
+                while p >= 0:
+                    first[i] = p
+                    if below[p] >= 0:
+                        above[below[p]] = p
+                    p = below[p]
+            todo = list(range(1, n))
+            while todo:
+                i = todo.pop()
+                head, tail = first[i], last[i]
+                if (head < tail and kept[head] == -kept[tail]
+                        and first[i - 1] > head < first[i + 1]
+                        and last[i - 1] < tail > last[i + 1]):
+                    kept[head] = kept[tail] = 0
+                    if above[head] == tail:
+                        first[i], last[i] = end, -1
+                    else:
+                        first[i], last[i] = above[head], below[tail]
+                    todo += (i - 1, i, i + 1)
+        if 0 not in kept:
+            return self
+        word = BraidWord.__new__(BraidWord)
+        word.strands, word.letters = n, tuple([x for x in kept if x])
+        return word
 
     def exponent_sum(self):
         return sum(1 if x > 0 else -1 for x in self.letters)

@@ -48,7 +48,7 @@ def _parse_lambdas(text):
     for r, piece in enumerate(pieces):
         piece = piece.strip()
         if not piece:
-            raise UsageError("empty entry in --lambda list")
+            raise UsageError("--lambda entry lambda_%d is empty" % r)
         entry = parse_poly(piece)
         big = max(map(abs, entry.min_exponents() + entry.max_exponents()))
         if big > MAX_LAMBDA_EXPONENT:

@@ -36,13 +36,24 @@ Krammer closures (lk has q) never try it.
 Neither den depends on the word: Alexander's is the closed form that
 Burau's theorem gives (_alexander_data), and Krammer's is computed once
 per strand count (_krammer_data).  A call computes only num.
+
+Both values are conjugacy invariants, so before any matrix a call
+cancels the word's letters with BraidWord.free_reduce(cyclic=True):
+pairs of inverse letters that meet by far commutation, and pairs that
+meet across the two ends of the word, which conjugates the braid.  Every
+representation sends equal braids to equal images, and conjugate braids
+to conjugate ones, so num does not change; letters go in pairs, so
+neither does the parity of L and with it the Krammer sign.  A word left
+without some generator sigma_i closes to a split link, whose Alexander
+polynomial is 0, so alexander answers it without a matrix.  The Krammer
+value of a split closure need not be 0, so krammer_fraction computes it.
 """
 
 import functools
 
 from .braid import BraidWord, CheckReport
-from .laurent import (LaurentPoly, PolyFraction, Q, T, divide_at_power_of_two, exact_rational,
-                      expand_t, hadamard_bits, integer_closure_fits, t_terms)
+from .laurent import (LaurentPoly, PolyFraction, Q, T, ZERO, divide_at_power_of_two,
+                      exact_rational, expand_t, hadamard_bits, integer_closure_fits, t_terms)
 from .polymatrix import integer_det
 from .reps import (burau_reduced, image_at_power_of_two, image_of_word, letter_t_lines, lk,
                    word_norm_bound)
@@ -187,7 +198,14 @@ def alexander(word):
     divided in a canonical PolyFraction.  By Burau's theorem the ratio is a
     Laurent polynomial for every braid, links included; InvariantError, if
     the division is not exact, guards the theorem.
+
+    The word is first reduced cyclically (see the module docstring); one
+    that is then left without some generator answers raw 0/1 and
+    normalized 0, the values its determinant gives, at once.
     """
+    word = word.free_reduce(cyclic=True)
+    if len({abs(x) for x in word.letters}) < word.strands - 1:
+        return AlexanderResult(PolyFraction(ZERO), ZERO)
     rep, den, den_terms = _alexander_data(word.strands)
     closure = _integer_closure(rep, word)
     if closure is None:
@@ -208,16 +226,25 @@ def krammer_fraction(word):
 
     Uses the two-row representation tensored with the sign character, that
     is lk with negated generator images, applied once per word of L letters
-    by _laurent_closure as s^dim det(lk(word) - s I), s = (-1)^L.  collapsed
-    carries the polynomial value when the denominator divides exactly.
+    by _laurent_closure as s^dim det(lk(word) - s I), s = (-1)^L, on the
+    word reduced cyclically, which keeps the parity of L (see the module
+    docstring).  collapsed carries the polynomial value when the
+    denominator divides exactly.
     """
     rep, den = _krammer_data(word.strands)
+    word = word.free_reduce(cyclic=True)
     fraction = PolyFraction(_laurent_closure(rep, word, (-1) ** len(word.letters)), den)
     return KrammerResult(fraction, fraction.num if fraction.is_polynomial() else None)
 
 
 def markov1_test(word, conjugators):
-    """Conjugation invariance of both invariants, checked exactly."""
+    """Conjugation invariance of both invariants, checked exactly.
+
+    Both invariants reduce a word cyclically before any matrix, so a
+    conjugate by a generator or by its inverse mostly reduces back to the
+    word itself, and such a case compares a value with itself.  The
+    matrix-level identity, that the closure determinants of the unreduced
+    words agree, is pinned by the tests."""
     base_k = krammer_fraction(word).fraction
     base_a = alexander(word).raw_fraction
     report = CheckReport("markov1(%s on %d strands)" % (word, word.strands))

@@ -5,7 +5,10 @@ square matrices whose columns are the images of basis vectors, the image of
 a word is the product of its letters' images from left to right, and every
 generator image is invertible over the Laurent ring.  A representation
 stores the generator images; the image of an inverse letter sigma_i^-1 is
-computed the first time a word uses it, then kept.  A word image is kept
+computed the first time a word uses it, then kept.  Before any matrix a
+word loses the pairs of inverse letters that meet by far commutation
+(BraidWord.free_reduce): they are the same braid, so the image is the
+same matrix, and fewer letters are applied.  A word image is kept
 as a list of rows or of columns and applies each letter only to the lines
 where its image differs from the identity (image_of_word), never as a
 whole-matrix product.  A changed line with a single entry 1 is the old line
@@ -167,7 +170,8 @@ class Representation:
 
 
 def _applied_letters(rep, word):
-    """The letters of a braid word (BraidWord or text) in the order a word
+    """The letters of a braid word (BraidWord or text) left after
+    BraidWord.free_reduce, which gives the same braid, in the order a word
     image applies them: right to left by rows, left to right by columns
     (Representation._orient, which this runs)."""
     if isinstance(word, str):
@@ -175,12 +179,17 @@ def _applied_letters(rep, word):
     if word.strands != rep.strands:
         raise ValueError("word on %d strands fed to a representation on %d"
                          % (word.strands, rep.strands))
-    return word.letters[::-1] if rep._orient() else word.letters
+    letters = word.free_reduce().letters
+    return letters[::-1] if rep._orient() else letters
 
 
 def image_of_word(rep, word):
     """Image of a braid word (BraidWord or text) under the representation;
     an inverse letter is inverted the first time a word uses it, then kept.
+    The letters applied are those of the word with the pairs of inverse
+    letters cancelled that meet by far commutation (_applied_letters): the
+    same braid, so the same image as the product of every letter's image,
+    and a pair such as sigma_1 sigma_1^-1 inverts nothing.
 
     The image is kept as a list of lines: its rows, or its columns, which
     are transposed back once at the end.  Each letter replaces only the
@@ -228,9 +237,10 @@ def image_of_word(rep, word):
 
 def letter_t_lines(rep, word):
     """Representation._letter_t_lines of each letter of a braid word
-    (BraidWord or text), in the order a word image applies them; the
-    representation keeps each letter's lines, so a letter is read once.
-    The walks below take this list, so two walks parse the word once."""
+    (BraidWord or text) that _applied_letters keeps, in the order a word
+    image applies them; the representation keeps each letter's lines, so
+    a letter is read once.  The walks below take this list, so two walks
+    parse the word once."""
     return [rep._letter_t_lines(x) for x in _applied_letters(rep, word)]
 
 

@@ -62,6 +62,34 @@ def product_image_of_word(rep, word):
     return out
 
 
+def scanned_free_reduce(letters, cyclic=False):
+    """The letters of a braid word with inverse pairs cancelled by search:
+    while some letter has an inverse letter before it with no letter of
+    the same or a neighbouring index between them, the first such pair is
+    deleted.  With cyclic set, while the word has a letter with no letter
+    of the same or a neighbouring index before it and its inverse with no
+    such letter after it, that pair is deleted too, and the search starts
+    over.  Quadratic time or worse; each deletion keeps the braid, or its
+    conjugacy class when cyclic."""
+
+    def blocks(x, y):
+        return abs(abs(x) - abs(y)) <= 1
+
+    w = list(letters)
+    while True:
+        pair = next(((p, q) for q in range(len(w)) for p in range(q - 1, -1, -1)
+                     if w[p] == -w[q] and not any(blocks(w[k], w[q]) for k in range(p + 1, q))),
+                    None)
+        if pair is None and cyclic:
+            pair = next(((p, q) for p in range(len(w)) for q in range(len(w) - 1, p, -1)
+                         if w[p] == -w[q] and not any(blocks(w[k], w[p]) for k in range(p))
+                         and not any(blocks(w[k], w[q]) for k in range(q + 1, len(w)))),
+                        None)
+        if pair is None:
+            return w
+        del w[pair[1]], w[pair[0]]
+
+
 def unsplit_det(a):
     """Determinant by the library's pivoted Bareiss on the whole matrix, not
     split into the strongly connected blocks of its nonzero pattern."""

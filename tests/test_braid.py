@@ -1,3 +1,6 @@
+import random
+import timeit
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,7 +9,9 @@ from braidrep.laurent import T
 from braidrep.braid import (MAX_WORD_LETTERS, BraidWord, CheckReport,
                             check_braid_relations)
 from braidrep.invariants import markov1_test
-from braidrep.reps import burau_reduced, burau_unreduced
+from braidrep.polymatrix import PolyMatrix
+from braidrep.reps import burau_reduced, burau_unreduced, lk
+from oracles import product_image_of_word, scanned_free_reduce
 
 
 def test_construction_and_range_checks():
@@ -76,6 +81,87 @@ def test_conjugate():
 def test_free_reduce():
     w = BraidWord(3, [1, 2, -2, -1, 2])
     assert w.free_reduce().letters == (2,)
+
+
+def test_free_reduce_cancels_past_far_letters_and_cyclically():
+    # sigma_1 commutes with sigma_3 and sigma_4 but not with sigma_2
+    assert BraidWord(5, [1, 3, 4, -1, 2]).free_reduce().letters == (3, 4, 2)
+    assert BraidWord(5, [1, 2, -1]).free_reduce().letters == (1, 2, -1)
+    assert BraidWord(5, [1, 3, 1, -3, 1]).free_reduce().letters == (1, 1, 1)
+    # across the two ends: a conjugate, so only when asked for
+    assert BraidWord(5, [1, 2, -1]).free_reduce(cyclic=True).letters == (2,)
+    assert BraidWord(5, [3, 1, 2, -3]).free_reduce(cyclic=True).letters == (1, 2)
+    assert BraidWord(5, [2, 1, -2]).free_reduce(cyclic=True).letters == (1,)
+    assert BraidWord(5, [1, -2, -1]).free_reduce(cyclic=True).letters == (-2,)
+    # sigma_2 stands between sigma_1 and the end, so nothing cancels
+    assert BraidWord(5, [1, 3, -1, 2]).free_reduce(cyclic=True).letters == (3, 2)
+    w = BraidWord(4, [1, 2, 3])
+    assert w.free_reduce() is w and w.free_reduce(cyclic=True) is w
+
+
+def _seeded_words(rng):
+    """Words on n = 2..7 strands, L = 0..30: plain draws, draws from a few
+    far-apart indices, and u w u^-1."""
+    words = []
+    for n in range(2, 8):
+        for length in range(31):
+            words.append([rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)])
+            far = range(1, n, 2)
+            words.append([rng.choice((1, -1)) * rng.choice(far) for _ in range(length)])
+            u = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length // 3)]
+            w = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length - 2 * len(u))]
+            words.append(u + w + [-x for x in reversed(u)])
+    return [BraidWord(max(2, max(map(abs, letters), default=1) + 1 + k % 2), letters)
+            for k, letters in enumerate(words)]
+
+
+def test_free_reduce_is_shortest_keeps_parity_and_is_final():
+    # the search oracle finds a pair wherever one is left, so equal lengths
+    # say that the linear passes leave none
+    words = _seeded_words(random.Random(27))
+    shorter = cyclic_shorter = 0
+    for w in words:
+        r, c = w.free_reduce(), w.free_reduce(cyclic=True)
+        assert len(r) == len(scanned_free_reduce(w.letters)), w
+        assert len(c) == len(scanned_free_reduce(w.letters, cyclic=True)), w
+        assert len(w) >= len(r) >= len(c) and len(w) % 2 == len(r) % 2 == len(c) % 2, w
+        assert r.free_reduce() == r and c.free_reduce() == c == c.free_reduce(cyclic=True), w
+        assert r.strands == c.strands == w.strands
+        shorter += len(r) < len(w)
+        cyclic_shorter += len(c) < len(r)
+    assert shorter > len(words) // 2 and cyclic_shorter > len(words) // 10
+
+
+def test_free_reduce_keeps_the_image_and_the_closure():
+    # the linear pass gives the same matrix under lk and reduced Burau, and
+    # the cyclic one a conjugate, so the same closure determinant
+    rng = random.Random(28)
+    for n in (3, 4, 5):
+        reps = (burau_reduced(n, "conjugated"), lk(n))
+        for w in [wd for wd in _seeded_words(rng) if wd.strands == n][:12]:
+            for rep in reps:
+                eye = PolyMatrix.identity(rep.dim)
+                want = product_image_of_word(rep, w)
+                assert product_image_of_word(rep, w.free_reduce()) == want, (n, w)
+                cyclic = product_image_of_word(rep, w.free_reduce(cyclic=True))
+                assert (cyclic - eye).det() == (want - eye).det(), (n, w)
+
+
+def test_free_reduce_takes_linear_time():
+    # 1 (3 5)^2 -1 on 16 strands: each sigma_1 cancels with the sigma_1^-1
+    # before it across the far letters, so a pass that scans back for an
+    # inverse letter walks the whole kept word every time.  Four times the
+    # letters must cost about four times the time, not sixteen
+    pattern = [1, 3, 5, 3, 5, -1]
+    words = [BraidWord(16, (pattern * 1700)[:size]) for size in (2500, 10000)]
+
+    def best(word, cyclic):
+        return min(timeit.repeat(lambda: word.free_reduce(cyclic), number=1, repeat=7))
+
+    for cyclic in (False, True):
+        small, large = (best(word, cyclic) for word in words)
+        assert large < 8 * small, (cyclic, small, large)
+    assert words[1].free_reduce(cyclic=True).letters == (3, 5, 3, 5) * 1666 + (1, 3, 5, 3)
 
 
 def test_exponent_sum():

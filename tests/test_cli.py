@@ -91,6 +91,12 @@ def test_rep_qpascal_malformed_lambda(capsys, spec, pos):
     assert "position %d" % pos in err
 
 
+@pytest.mark.parametrize("spec, r", [("t,,1", 1), (",t,1", 0), ("t,-t, ", 2)])
+def test_rep_qpascal_names_an_empty_lambda_entry(capsys, spec, r):
+    code, out, err = run_exit(capsys, "rep", "--rep", "qpascal", "--lambda=" + spec)
+    assert (code, out, err) == (2, "", "braidrep: --lambda entry lambda_%d is empty\n" % r)
+
+
 def test_rep_qpascal_rejects_the_conjugated_form(capsys):
     code, out, err = run_exit(capsys, "rep", "--rep", "qpascal", "--form", "conjugated",
                               "--lambda=t^2,-t,1")

@@ -600,6 +600,84 @@ def test_the_gate_decides_which_path_an_alexander_closure_takes(monkeypatch):
         assert (_integer_closure_det(rep, word) is None) == laurent_path
 
 
+def _closure_test_words(rng, n, lengths):
+    """Seeded words on n strands: a plain draw of each length, one whose
+    inverse pairs meet past far letters, and u w u^-1."""
+    words = []
+    for length in lengths:
+        words.append(W(n, [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)]))
+        far = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)]
+        if far and n > 3:
+            far = [1] + far[: length // 2] + [3, -1] + far[length // 2:]
+        words.append(W(n, far))
+        u = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(1 + length // 3)]
+        words.append(W(n, u + [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)]
+                       + [-x for x in reversed(u)]))
+    return words
+
+
+def test_closures_of_unreduced_words_give_the_public_invariants():
+    # alexander and krammer_fraction cancel letters, across the two ends of
+    # the word too, before any matrix; the determinant of the product of
+    # every letter's image, and _laurent_closure and _integer_closure of the
+    # words as drawn, must give their values term for term
+    rng = random.Random(2727)
+    from oracles import product_image_of_word
+    cancelled = 0
+    for n in range(2, 8):
+        rep, den, _ = inv._alexander_data(n)
+        eye = PolyMatrix.identity(rep.dim)
+        for word in _closure_test_words(rng, n, (0, 1, 4, 7, 10, 15)):
+            det = (product_image_of_word(rep, word) - eye).det()
+            assert inv._laurent_closure(rep, word, 1) == det == _integer_closure_det(rep, word)
+            want = PolyFraction(det, den)
+            got = inv.alexander(word)
+            assert got.raw_fraction.num._terms == want.num._terms, str(word)
+            assert got.raw_fraction.den._terms == want.den._terms, str(word)
+            assert got.normalized._terms == inv._normalize_alexander(want.num)._terms
+            cancelled += len(word.free_reduce(cyclic=True)) < len(word)
+        rep, den = inv._krammer_data(n)
+        for word in _closure_test_words(rng, n, (0, 1, 3, 6) if n < 6 else (1, 2)):
+            s = (-1) ** len(word)
+            det = (product_image_of_word(rep, word) - PolyMatrix.identity(rep.dim).scale(s)).det()
+            if s < 0 and rep.dim % 2:
+                det = -det
+            assert inv._laurent_closure(rep, word, s) == det, str(word)
+            want = PolyFraction(det, den)
+            got = inv.krammer_fraction(word)
+            assert got.fraction.num._terms == want.num._terms, str(word)
+            assert got.fraction.den._terms == want.den._terms, str(word)
+            assert got.collapsed == (want.num if want.is_polynomial() else None)
+            cancelled += len(word.free_reduce(cyclic=True)) < len(word)
+    assert cancelled > 60, cancelled
+
+
+def test_the_split_shortcut_equals_the_matrix_result_on_both_sides_of_the_gate(monkeypatch):
+    # words that miss a generator, as drawn or once cancelled, inside the
+    # integer path's gate and refused by it: both paths give det 0, and
+    # alexander gives the same 0/1 and 0 with no walk and no word image
+    rng = random.Random(2728)
+    words = [W(3, [2, 1, -2]), W(5, [1, 2, 4, -2, 3]), W(5, [4, 1, -4, 3, 2, -3])]
+    for n, length in ((4, 12), (7, 30), (16, 120), (16, 200)):
+        gens = [i for i in range(1, n) if i != n // 2]
+        words.append(W(n, [rng.choice((1, -1)) * rng.choice(gens) for _ in range(length)]))
+    sides = set()
+    for word in words:
+        rep, den, _ = inv._alexander_data(word.strands)
+        sides.add(_inside_gate(rep, word))
+        assert _integer_closure_det(rep, word) in (ZERO, None)
+        assert _laurent_closure_det(rep, word) == ZERO
+    assert sides == {True, False}
+    counts = {"image_of_word": 0, "letter_t_lines": 0}
+    for name in counts:
+        monkeypatch.setattr(inv, name, _counted(getattr(inv, name), counts, name))
+    for word in words:
+        got = inv.alexander(word)
+        assert got.raw_fraction.num._terms == ZERO._terms and got.normalized._terms == ZERO._terms
+        assert got.raw_fraction.den._terms == ONE._terms
+    assert counts == {"image_of_word": 0, "letter_t_lines": 0}
+
+
 def _closes_to_a_knot(word):
     """Whether the closure of a word has one component: its permutation is
     one cycle through every strand."""
@@ -618,12 +696,15 @@ def test_integer_closure_det_matches_the_laurent_path_on_many_strands():
     # is never 0 (a knot's Alexander polynomial is +-1 at t = 1), and the
     # first two others, which at many strands mostly miss a generator or
     # split.  Words the gate refuses are skipped.  The 80-letter 10-strand
-    # word of CI's scaling job, its width near the gate's limit at d = 9,
-    # comes first
+    # word of CI's scaling job comes first: its 3160-bit width was near the
+    # gate's limit of 3906 at d = 9, and with letters cancelled the walks
+    # read 1962 bits, and alexander, which also cancels across the two ends
+    # of the word, 1246
     ci = random.Random(1)
     words = [W(10, [ci.choice((1, -1)) * ci.randint(1, 9) for _ in range(80)])]
     rep = reps.burau_reduced(10, "conjugated")
-    assert _gate_width(rep, words[0]) == 3160 and laurent.integer_closure_fits(9, 3160)
+    assert _gate_width(rep, words[0]) == 1962 and laurent.integer_closure_fits(9, 1962)
+    assert _gate_width(rep, words[0].free_reduce(cyclic=True)) == 1246
     rng = random.Random(2323)
     for n in range(8, 17):
         rep = reps.burau_reduced(n, "conjugated")
@@ -682,7 +763,10 @@ def test_alexander_integer_quotient_matches_the_laurent_path(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(inv, "divide_at_power_of_two", recorded)
         got = [inv.alexander(word) for word in words]
-    assert len(quotients) == len(words) and None not in quotients
+    # a word whose cyclic reduction misses a generator is answered 0 before
+    # any division
+    whole = [w for w in words if len({abs(x) for x in w.free_reduce(cyclic=True)}) == w.strands - 1]
+    assert len(quotients) == len(whole) > 150 and None not in quotients
     with monkeypatch.context() as m:
         m.setattr(inv, "integer_closure_fits", lambda dim, width: False)
         want = [inv.alexander(word) for word in words]
@@ -697,9 +781,11 @@ def test_alexander_integer_quotient_matches_the_laurent_path(monkeypatch):
 
 def test_a_ratio_that_is_no_polynomial_raises_one_error_on_either_path(monkeypatch):
     # a 1 x 1 representation with no q on 3 strands, both generators -t,
-    # breaks Burau's theorem: num = -t - 1 for sigma_1 against the closed
-    # form den = t^2 + t + 1, so the integer quotient leaves a remainder
-    # and the word takes the Laurent path's division
+    # breaks Burau's theorem: num = t^2 - 1 for sigma_1 sigma_2 against the
+    # closed form den = t^2 + t + 1, so the integer quotient leaves a
+    # remainder and the word takes the Laurent path's division.  The word
+    # uses both generators: one that misses a generator is answered 0
+    # before any matrix
     rep = reps.Representation(3, [PolyMatrix([[-T]])] * 2, "abelian")
     monkeypatch.setattr(inv, "burau_reduced", lambda n, form: rep)
     quotients = []
@@ -709,13 +795,13 @@ def test_a_ratio_that_is_no_polynomial_raises_one_error_on_either_path(monkeypat
         return quotients[-1]
 
     monkeypatch.setattr(inv, "divide_at_power_of_two", recorded)
-    text = "determinant ratio (-t - 1) / (t^2 + t + 1) is not a polynomial"
+    text = "determinant ratio (t^2 - 1) / (t^2 + t + 1) is not a polynomial"
     inv._alexander_data.cache_clear()
     try:
         for fits in (inv.integer_closure_fits, lambda dim, width: False):
             monkeypatch.setattr(inv, "integer_closure_fits", fits)
             with pytest.raises(inv.InvariantError) as err:
-                inv.alexander(W.parse("1", 3))
+                inv.alexander(W.parse("1 2", 3))
             assert str(err.value) == text
         assert quotients == [None]
     finally:

@@ -153,8 +153,11 @@ def test_singular_generator_fails_only_when_inverted():
     assert rep.image("1 1 1") == g * g * g
     with pytest.raises(ArithmeticError, match="singular over the Laurent ring"):
         rep.sigma(-1)
+    # "1 -1" cancels before any matrix, so it inverts nothing; "1 -1 -1"
+    # keeps an inverse letter
+    assert rep.image("1 -1") == PolyMatrix.identity(2)
     with pytest.raises(ArithmeticError, match="singular over the Laurent ring"):
-        rep.image("1 -1")
+        rep.image("1 -1 -1")
     # a failed inversion is not kept: each request raises again
     with pytest.raises(ArithmeticError, match="singular over the Laurent ring"):
         rep.sigma(-1)
@@ -178,15 +181,27 @@ CONSTRUCTORS = {
 
 @pytest.mark.parametrize("name", CONSTRUCTORS)
 def test_word_image_matches_the_whole_matrix_product(name):
+    # image_of_word cancels letters first; the oracle multiplies every one
+    # of them, on plain words, words that cancel past far letters, and
+    # u w u^-1
     rep = CONSTRUCTORS[name](4)
     rng = random.Random(15)
     gens = range(1, rep.strands)
     words = [[]] + [[s * i] for i in gens for s in (1, -1)]
     words += [[rng.choice((-1, 1)) * rng.choice(gens) for _ in range(rng.randint(2, 9))]
               for _ in range(8)]
+    words += [[1, 3, -1, 2], [-3, 1, 1, 3, -1], [2, -1, 3, 1, -3, -2]]
+    for _ in range(4):
+        u = [rng.choice((-1, 1)) * rng.choice(gens) for _ in range(rng.randint(1, 3))]
+        w = [rng.choice((-1, 1)) * rng.choice(gens) for _ in range(rng.randint(1, 4))]
+        words.append(u + w + [-x for x in reversed(u)])
+    cancelled = 0
     for letters in words:
-        w = BraidWord(rep.strands, letters)
+        # the 3-strand families drop the letters of sigma_3
+        w = BraidWord(rep.strands, [x for x in letters if abs(x) < rep.strands])
         assert reps.image_of_word(rep, w) == product_image_of_word(rep, w), w
+        cancelled += len(w.free_reduce()) < len(w)
+    assert cancelled >= 3
 
 
 @pytest.mark.parametrize("name", CONSTRUCTORS)

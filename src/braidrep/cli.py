@@ -147,8 +147,9 @@ def cmd_invariant(args):
             why = ("so the closure has at least two components (a knot's Alexander "
                    "polynomial is +-1 at t = 1)")
         else:
-            why = ("and not only for a split closure (the figure-eight knot 1 -2 1 -2 "
-                   "is conjugate to its inverse, and its Krammer value is 0)")
+            why = ("as for every word of even length that misses a generator, but not only "
+                   "then (the figure-eight knot 1 -2 1 -2 is conjugate to its inverse, and its "
+                   "Krammer value is 0)")
         print("braidrep: note: det(rho(word) - I) = 0, so the value is 0: the image "
               "of the word has eigenvalue 1, " + why, file=sys.stderr)
     return 0

@@ -44,9 +44,12 @@ meet across the two ends of the word, which conjugates the braid.  Every
 representation sends equal braids to equal images, and conjugate braids
 to conjugate ones, so num does not change; letters go in pairs, so
 neither does the parity of L and with it the Krammer sign.  A word left
-without some generator sigma_i closes to a split link, whose Alexander
-polynomial is 0, so alexander answers it without a matrix.  The Krammer
-value of a split closure need not be 0, so krammer_fraction computes it.
+without some generator sigma_i (_misses_a_generator) closes to a split
+link, whose Alexander polynomial is 0, so alexander answers it without a
+matrix.  Its Krammer value is 0 when L is even, by a fixed covector of lk
+(see krammer_fraction), so krammer_fraction answers that case without a
+matrix too; when L is odd the value need not be 0 (sigma_1 on 3 strands
+gives (2*t^3*q - 2*t^2*q + 2*t - 2) / (t^6*q^2 - 1)), and it is computed.
 """
 
 import functools
@@ -182,6 +185,11 @@ def _integer_closure(rep, word):
     return integer_det(lines), bits, -sum(offsets)
 
 
+def _misses_a_generator(word):
+    """Whether some generator sigma_i, 1 <= i < n, has no letter in the word."""
+    return len({abs(x) for x in word.letters}) < word.strands - 1
+
+
 def alexander(word):
     """Alexander polynomial of the closure of a braid word.
 
@@ -204,7 +212,7 @@ def alexander(word):
     normalized 0, the values its determinant gives, at once.
     """
     word = word.free_reduce(cyclic=True)
-    if len({abs(x) for x in word.letters}) < word.strands - 1:
+    if _misses_a_generator(word):
         return AlexanderResult(PolyFraction(ZERO), ZERO)
     rep, den, den_terms = _alexander_data(word.strands)
     closure = _integer_closure(rep, word)
@@ -230,10 +238,29 @@ def krammer_fraction(word):
     word reduced cyclically, which keeps the parity of L (see the module
     docstring).  collapsed carries the polynomial value when the
     denominator divides exactly.
+
+    A reduced word of even length that misses some generator sigma_i
+    answers fraction 0 and collapsed 0 at once, with no lk(n) and no sweep
+    denominator built.  Proof: let l_i be the covector that sums the
+    coordinates F_(j,k) with j <= i < k, and take m != i.  The pair
+    (m, m+1) is outside that set, and lk(sigma_m) sends F_(j,k) to one
+    pair with coefficient 1, or to two pairs with coefficients a and c and
+    to (m, m+1) with b or e, or, when (j, k) = (m, m+1), to (m, m+1) with
+    d.  Since m != i, every other pair reached lies on the same side of the
+    set as (j, k), and a + c = t + (1 - t) = 1 (q + (1 - q) in Bigelow's
+    notation), so the entries of column (j, k) in rows of the set add up
+    to 1 when (j, k) is in it and to 0 when it is not: l_i lk(sigma_m) =
+    l_i.  Hence l_i lk(sigma_m)^-1 = l_i too, and l_i lk(w) = l_i for every
+    word w without sigma_i, so lk(w) has eigenvalue 1.  For even L, s = 1
+    and the numerator det(lk(w) - I) is 0.  For odd L it is
+    +-det(lk(w) + I), which l_i does not reach.
     """
-    rep, den = _krammer_data(word.strands)
     word = word.free_reduce(cyclic=True)
-    fraction = PolyFraction(_laurent_closure(rep, word, (-1) ** len(word.letters)), den)
+    s = (-1) ** len(word.letters)
+    if s > 0 and _misses_a_generator(word):
+        return KrammerResult(PolyFraction(ZERO), ZERO)
+    rep, den = _krammer_data(word.strands)
+    fraction = PolyFraction(_laurent_closure(rep, word, s), den)
     return KrammerResult(fraction, fraction.num if fraction.is_polynomial() else None)
 
 

@@ -191,9 +191,9 @@ def test_invariant_empty_word(capsys):
 
 
 DEGENERATE_NOTE = ("braidrep: note: det(rho(word) - I) = 0, so the value is 0: the image "
-                   "of the word has eigenvalue 1, and not only for a split closure (the "
-                   "figure-eight knot 1 -2 1 -2 is conjugate to its inverse, and its "
-                   "Krammer value is 0)\n")
+                   "of the word has eigenvalue 1, as for every word of even length that "
+                   "misses a generator, but not only then (the figure-eight knot 1 -2 1 -2 "
+                   "is conjugate to its inverse, and its Krammer value is 0)\n")
 ALEXANDER_ZERO_NOTE = ("braidrep: note: det(rho(word) - I) = 0, so the value is 0: the image "
                        "of the word has eigenvalue 1, so the closure has at least two "
                        "components (a knot's Alexander polynomial is +-1 at t = 1)\n")

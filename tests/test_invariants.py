@@ -678,6 +678,90 @@ def test_the_split_shortcut_equals_the_matrix_result_on_both_sides_of_the_gate(m
     assert counts == {"image_of_word": 0, "letter_t_lines": 0}
 
 
+def test_the_split_covector_is_fixed_by_every_other_generator():
+    # l_i sums the coordinates F_(j,k) with j <= i < k; for every m != i,
+    # l_i lk(sigma_m) = l_i and l_i lk(sigma_m)^-1 = l_i, exactly, in both
+    # notations: the covector behind krammer_fraction's split shortcut
+    cases = 0
+    for n in range(2, 10):
+        basis = reps.lk_basis(n)
+        for notation in ("new", "bigelow"):
+            rep = lk(n, notation)
+            for i in range(1, n):
+                rows = [p for p, (j, k) in enumerate(basis) if j <= i < k]
+                covector = [ONE if j <= i < k else ZERO for j, k in basis]
+                for m in set(range(1, n)) - {i}:
+                    for g in (rep.sigma(m), rep.sigma(-m)):
+                        image = [sum((g[r, c] for r in rows), ZERO) for c in range(rep.dim)]
+                        assert image == covector, (n, notation, i, m)
+                        cases += 1
+    assert cases == 2 * 2 * sum((n - 1) * (n - 2) for n in range(2, 10)) == 672
+
+
+def _split_words(rng, n, count):
+    """Seeded words on n strands that miss some generator sigma_i once
+    cancelled: letters drawn without sigma_i, some with a pair of sigma_i
+    letters that cancel past far letters or across the two ends of the
+    word, of both parities."""
+    words = []
+    while len(words) < count:
+        i = rng.randint(1, n - 1)
+        others = [m for m in range(1, n) if m != i]
+        length = rng.randint(0, 9 if n < 5 else 5)
+        letters = [rng.choice((1, -1)) * rng.choice(others) for _ in range(length)] if others else []
+        kind = rng.randrange(3)
+        x = rng.choice((1, -1)) * i
+        if kind == 1:
+            at = rng.randint(0, len(letters))
+            far = [m for m in others if abs(m - i) >= 2]
+            middle = [rng.choice((1, -1)) * rng.choice(far)] if far and rng.random() < 0.5 else []
+            letters = letters[:at] + [x] + middle + [-x] + letters[at:]
+        elif kind == 2:
+            u = [x] + [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 2))]
+            letters = u + letters + [-y for y in reversed(u)]
+        words.append(W(n, letters))
+    return words
+
+
+def test_krammer_of_a_word_that_misses_a_generator_is_the_matrix_ratio():
+    # krammer_fraction answers 0 from the letters when the cancelled word
+    # misses a generator and has even length, and computes odd lengths; the
+    # matrix-level ratio of the word as drawn must agree term for term
+    rng = random.Random(2828)
+    parities, after_cancelling, odd_nonzero = [0, 0], 0, 0
+    for n in range(2, 8):
+        rep, den = inv._krammer_data(n)
+        for word in _split_words(rng, n, 110):
+            s = (-1) ** len(word)
+            want = PolyFraction(inv._laurent_closure(rep, word, s), den)
+            got = inv.krammer_fraction(word)
+            assert got.fraction.num._terms == want.num._terms, str(word)
+            assert got.fraction.den._terms == want.den._terms, str(word)
+            assert got.collapsed == (want.num if want.is_polynomial() else None)
+            parities[len(word) % 2] += 1
+            after_cancelling += not inv._misses_a_generator(word)
+            if s > 0:
+                assert want.num.is_zero(), str(word)
+            else:
+                odd_nonzero += not want.num.is_zero()
+    assert sum(parities) == 660 and min(parities) > 200, parities
+    assert after_cancelling > 200 and odd_nonzero > 250, (after_cancelling, odd_nonzero)
+
+
+def test_an_even_split_word_on_16_strands_builds_no_krammer_data(monkeypatch):
+    # the shortcut comes before lk(16) and its sweep denominator, which
+    # took 1.7 s of a one-shot request; an odd split word still builds them
+    def refused(n):
+        raise AssertionError("_krammer_data(%d) built" % n)
+
+    monkeypatch.setattr(inv, "_krammer_data", refused)
+    got = inv.krammer_fraction(W.parse("1 -2 3 5 -5 2 7 9", 16))
+    assert got.fraction.num._terms == ZERO._terms and got.fraction.den._terms == ONE._terms
+    assert got.collapsed._terms == ZERO._terms
+    with pytest.raises(AssertionError, match=r"_krammer_data\(3\) built"):
+        inv.krammer_fraction(W.parse("1", 3))
+
+
 def _closes_to_a_knot(word):
     """Whether the closure of a word has one component: its permutation is
     one cycle through every strand."""
@@ -695,16 +779,17 @@ def test_integer_closure_det_matches_the_laurent_path_on_many_strands():
     # gate: the first two drawn whose closure is a knot, whose determinant
     # is never 0 (a knot's Alexander polynomial is +-1 at t = 1), and the
     # first two others, which at many strands mostly miss a generator or
-    # split.  Words the gate refuses are skipped.  The 80-letter 10-strand
-    # word of CI's scaling job comes first: its 3160-bit width was near the
-    # gate's limit of 3906 at d = 9, and with letters cancelled the walks
-    # read 1962 bits, and alexander, which also cancels across the two ends
-    # of the word, 1246
+    # split.  Words the gate refuses are skipped.  The 113-letter 10-strand
+    # word of CI's scaling job comes first: of the lengths 1..300 of CI's
+    # draw, it cancels to the widest below the gate's limit of 3906 at d = 9,
+    # 3818 bits (73 letters) for the walks and for alexander, which also
+    # cancels across the two ends of the word; 114 letters read 3956
     ci = random.Random(1)
-    words = [W(10, [ci.choice((1, -1)) * ci.randint(1, 9) for _ in range(80)])]
+    words = [W(10, [ci.choice((1, -1)) * ci.randint(1, 9) for _ in range(113)])]
     rep = reps.burau_reduced(10, "conjugated")
-    assert _gate_width(rep, words[0]) == 1962 and laurent.integer_closure_fits(9, 1962)
-    assert _gate_width(rep, words[0].free_reduce(cyclic=True)) == 1246
+    assert _gate_width(rep, words[0]) == 3818 and laurent.integer_closure_fits(9, 3818)
+    assert _gate_width(rep, words[0].free_reduce(cyclic=True)) == 3818
+    assert not laurent.integer_closure_fits(9, 3956)
     rng = random.Random(2323)
     for n in range(8, 17):
         rep = reps.burau_reduced(n, "conjugated")

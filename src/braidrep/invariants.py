@@ -24,14 +24,11 @@ gives K (laurent.hadamard_bits), reps.image_at_power_of_two builds the
 image at t = 2^K as one Python int per entry, and polymatrix.integer_det
 runs on those ints the block split and the Bareiss elimination that
 PolyMatrix.det runs on Krammer closures, each ring with its own pivot
-size and row update.  The Alexander quotient stays on the integer too:
-laurent.divide_at_power_of_two divides that determinant by den's value
-at 2^K and reads the quotient's balanced base 2^K digits once, as the
-raw quotient and as its normal form.  Only when that proves nothing does
-laurent.expand_t read the determinant back for a PolyFraction to divide.
-The gate laurent.INTEGER_CLOSURE_BITS keeps long words on many strands,
-where the a priori K is too wide to pay, on the Laurent path, and
-Krammer closures (lk has q) never try it.
+size and row update.  The gate laurent.INTEGER_CLOSURE_BITS keeps long
+words on many strands, where the a priori K is too wide to pay, on the
+Laurent path, and Krammer closures (lk has q) never try it.  Either way
+alexander lists num's coefficients in t, and one division by den, exact
+by Burau's theorem, finishes it (laurent.divide_by_sweep).
 
 Neither den depends on the word: Alexander's is the closed form that
 Burau's theorem gives (_alexander_data), and Krammer's is computed once
@@ -55,8 +52,8 @@ gives (2*t^3*q - 2*t^2*q + 2*t - 2) / (t^6*q^2 - 1)), and it is computed.
 import functools
 
 from .braid import BraidWord, CheckReport
-from .laurent import (LaurentPoly, PolyFraction, Q, T, ZERO, divide_at_power_of_two,
-                      exact_rational, expand_t, hadamard_bits, integer_closure_fits, t_terms)
+from .laurent import (LaurentPoly, PolyFraction, Q, T, ZERO, divide_by_sweep, exact_rational,
+                      hadamard_bits, integer_closure_fits, t_coefficients, t_digits)
 from .polymatrix import integer_det
 from .reps import (burau_reduced, image_at_power_of_two, image_of_word, letter_t_lines, lk,
                    word_norm_bound)
@@ -65,7 +62,8 @@ from .reps import (burau_reduced, image_at_power_of_two, image_of_word, letter_t
 class InvariantError(Exception):
     """An Alexander determinant ratio that is not a Laurent polynomial.  By
     Burau's theorem (see _alexander_data) reduced Burau gives none for any
-    braid, links included, so this guards the theorem."""
+    braid, links included: this is raised only if laurent.divide_by_sweep
+    leaves a remainder, and guards the theorem."""
 
 
 class AlexanderResult:
@@ -102,28 +100,19 @@ class KrammerResult:
         return "KrammerResult(%s)" % (self,)
 
 
-def _normalize_alexander(p):
-    if p.is_zero():
-        return p
-    et, _eq = p.min_exponents()
-    shifted = p.times_term(1, -et, 0)
-    if shifted.coeff() < 0:
-        shifted = -shifted
-    return shifted
-
-
 @functools.lru_cache(maxsize=None)
 def _alexander_data(n):
-    """Reduced Burau psi on n strands, its sweep denominator
-    den = det(psi(sigma_1 ... sigma_(n-1)) - I) and t_terms(den), built once
-    per n.  By Burau's theorem (J. Birman, Braids, Links, and Mapping Class
-    Groups, 1974, ch. 3), det(I - psi(w)) is (1 + t + ... + t^(n-1)) times
-    the Alexander polynomial of the closure of w, up to a unit, for every
+    """Reduced Burau psi on n strands and its sweep denominator
+    den = det(psi(sigma_1 ... sigma_(n-1)) - I), built once per n.  By
+    Burau's theorem (J. Birman, Braids, Links, and Mapping Class Groups,
+    1974, ch. 3), det(I - psi(w)) is (1 + t + ... + t^(n-1)) times the
+    Alexander polynomial of the closure of w, up to a unit, for every
     braid w.  The sweep closes to the unknot, and psi(sigma_1 ...
     sigma_(n-1)) has characteristic polynomial x^(n-1) + t x^(n-2) + ... +
-    t^(n-1), so den = (-1)^(n-1) (1 + t + ... + t^(n-1)) exactly."""
+    t^(n-1), so den = (-1)^(n-1) (1 + t + ... + t^(n-1)) exactly, the
+    divisor of laurent.divide_by_sweep."""
     den = LaurentPoly({(k, 0): (-1) ** (n - 1) for k in range(n)})
-    return burau_reduced(n, "conjugated"), den, t_terms(den)
+    return burau_reduced(n, "conjugated"), den
 
 
 @functools.lru_cache(maxsize=None)
@@ -198,14 +187,14 @@ def alexander(word):
     form of Burau's theorem (see _alexander_data).  The numerator is
     integer linear algebra at t = 2^K, with K read from the letters before
     any product, unless the gate laurent.INTEGER_CLOSURE_BITS sends a long
-    word on many strands to the Laurent path (see _integer_closure).  On
-    the integer path the division is too: laurent.divide_at_power_of_two
-    divides the determinant's value by den's at 2^K and reads the quotient
-    and its normal form off the digits once.  When it proves nothing (a
-    failed bound), or on the Laurent path, the numerator is a LaurentPoly
-    divided in a canonical PolyFraction.  By Burau's theorem the ratio is a
-    Laurent polynomial for every braid, links included; InvariantError, if
-    the division is not exact, guards the theorem.
+    word on many strands to the Laurent path (see _integer_closure).  The
+    integer path reads the determinant's coefficients as its balanced
+    base 2^K digits (laurent.t_digits), the Laurent path as the terms of
+    a LaurentPoly (laurent.t_coefficients), and laurent.divide_by_sweep
+    divides that one list by den and builds the quotient and its normal
+    form.  By Burau's theorem the ratio is a Laurent polynomial for every
+    braid, links included; InvariantError, if the division leaves a
+    remainder, guards the theorem.
 
     The word is first reduced cyclically (see the module docstring); one
     that is then left without some generator answers raw 0/1 and
@@ -214,19 +203,18 @@ def alexander(word):
     word = word.free_reduce(cyclic=True)
     if _misses_a_generator(word):
         return AlexanderResult(PolyFraction(ZERO), ZERO)
-    rep, den, den_terms = _alexander_data(word.strands)
+    rep, den = _alexander_data(word.strands)
     closure = _integer_closure(rep, word)
     if closure is None:
-        num = _laurent_closure(rep, word, 1)
+        coeffs, shift = t_coefficients(_laurent_closure(rep, word, 1))
     else:
-        quotient = divide_at_power_of_two(*closure, den_terms)
-        if quotient is not None:
-            return AlexanderResult(PolyFraction(quotient[0]), quotient[1])
-        num = expand_t(LaurentPoly.const(closure[0]), *closure[1:])
-    raw = PolyFraction(num, den)
-    if not raw.is_polynomial():
-        raise InvariantError("determinant ratio %s is not a polynomial" % (raw,))
-    return AlexanderResult(raw, _normalize_alexander(raw.num))
+        d, bits, shift = closure
+        coeffs = t_digits(d, bits)
+    quotient = divide_by_sweep(coeffs, shift, word.strands)
+    if quotient is None:
+        num = LaurentPoly({(shift + i, 0): c for i, c in enumerate(coeffs)})
+        raise InvariantError("determinant ratio %s is not a polynomial" % (PolyFraction(num, den),))
+    return AlexanderResult(PolyFraction(quotient[0]), quotient[1])
 
 
 def krammer_fraction(word):

@@ -45,10 +45,10 @@ further and loses t before its first letter: t_terms reads each generator
 entry as a polynomial in t, the word image is built at t = 2^bits as
 integers, and hadamard_bits, the same bound, sizes bits from 1-norm bounds
 read off the letters; INTEGER_CLOSURE_BITS is that path's gate (see
-invariants._integer_closure).  divide_at_power_of_two finishes such a
-closure on the integer: it divides the determinant's value by the
-denominator's at t = 2^bits and reads the quotient's digits once, exact
-when their size times the denominator's 1-norm is below 2^(bits - 1).
+invariants._integer_closure).  divide_by_sweep divides a list of
+coefficients in t, the digits of such a determinant (t_digits) or a
+LaurentPoly's (t_coefficients), by 1 + t + ... + t^(n-1), which Burau's
+theorem makes exact (see invariants._alexander_data).
 
 PolyFraction keeps num/den pairs in a value-preserving canonical form and
 compares by cross multiplication.  No multivariate gcd is computed anywhere;
@@ -898,20 +898,31 @@ def expand_t(p, bits, shift):
     t -> 2^bits is p, for p in Z[q^+-1].  Each coefficient of p is
     sum_a c_a 2^(bits a) over the t-exponents a >= 0 of f's terms with that
     q-exponent, and it is read back as its balanced base 2^bits digits
-    (_read_digits), which are the c_a exactly when every
+    (t_digits), which are the c_a exactly when every
     |c_a| < 2^(bits - 1)."""
     terms = {}
     for (_, eq), c in p._terms.items():
-        _read_digits(c, bits, c.bit_length() // bits + 2, terms, shift, eq)
+        for et, digit in enumerate(t_digits(c, bits), shift):
+            if digit:
+                terms[(et, eq)] = digit
     out = LaurentPoly.__new__(LaurentPoly)
     out._terms = terms
     return out
 
 
-def _read_digits(c, bits, n, terms, et, eq):
-    """Put the n lowest balanced base 2^bits digits of c into terms, as the
-    coefficients of t^et ... t^(et + n - 1) q^eq, and return what is left
-    above them.  Digit j is ((c_j + half) & mask) - half with c_0 = c and
+def t_digits(d, bits):
+    """The balanced base 2^bits digits of the int d, lowest first, maybe
+    with zeros on top: f's coefficients, if f(2^bits) = d and each is below
+    2^(bits - 1) in absolute value."""
+    digits = []
+    _read_digits(d, bits, d.bit_length() // bits + 2, digits)
+    return digits
+
+
+def _read_digits(c, bits, n, digits):
+    """Append the n lowest balanced base 2^bits digits of c to the list
+    digits, and return what is left above them.  Digit j is
+    ((c_j + half) & mask) - half with c_0 = c and
     c_(j+1) = (c_j - digit) >> bits, half = 2^(bits - 1); it depends only
     on c mod 2^(bits (j + 1)).  So more than 32 digits split in two: the
     low half is read from c's low bits, and the carry it leaves (0 or 1) is
@@ -921,58 +932,57 @@ def _read_digits(c, bits, n, terms, et, eq):
     if n > 32:
         h = n // 2
         low = bits * h
-        carry = _read_digits(c & ((1 << low) - 1), bits, h, terms, et, eq)
-        return _read_digits((c >> low) + carry, bits, n - h, terms, et + h, eq)
+        carry = _read_digits(c & ((1 << low) - 1), bits, h, digits)
+        return _read_digits((c >> low) + carry, bits, n - h, digits)
     half = 1 << (bits - 1)
     mask = (1 << bits) - 1
-    for et in range(et, et + n):
+    append = digits.append
+    for _ in range(n):
         digit = ((c + half) & mask) - half
-        if digit:
-            terms[(et, eq)] = digit
+        append(digit)
         c = (c - digit) >> bits
     return c
 
 
-def divide_at_power_of_two(d, bits, shift, den):
-    """(t^shift f / den, its normal form) for the polynomial f in Z[t] whose
-    value at t = 2^bits is the int d, every coefficient of f below
-    2^(bits - 1) in absolute value, and den in Z[t^+-1] given as t_terms
-    reads it; or None when this division does not prove den | t^shift f.
-    The normal form is the quotient times the unit +-t^a that makes its
-    least t-exponent 0 and its lowest coefficient positive (0 stays 0).
+def t_coefficients(x):
+    """(coeffs, lo) with x = sum_i coeffs[i] t^(lo + i), for x free of q."""
+    ets = [et for et, _ in x._terms] or [0]
+    lo = min(ets)
+    coeffs = [0] * (max(ets) - lo + 1)
+    for (et, _), c in x._terms.items():
+        coeffs[et - lo] = c
+    return coeffs, lo
 
-    den = t^lo den' with den' in Z[t] of nonzero constant term, and
-    E = den'(2^bits) must not be 0 (it is not when every coefficient of
-    den is below 2^(bits - 1)).  If den divides t^shift f, then f = g den'
-    with g in Z[t] (a negative power of t in g would survive as the lowest
-    term of g den'), so E divides d: a nonzero remainder of d / E proves
-    that den does not.  Otherwise the balanced base 2^bits digits of d / E,
-    read once (_read_digits), are the coefficients of a g in Z[t] with
-    g(2^bits) = d / E.  When max |digit| |den'|_1 < 2^(bits - 1), every
-    coefficient of g den' is below 2^(bits - 1) too, so g den' and f are
-    both the balanced reading of d, hence equal, and the quotient is
-    t^(shift - lo) g.  A failed bound returns None: the caller divides.
-    """
-    lo, _, norm, terms = den
-    quo, rem = divmod(d, sum(c << bits * j for j, c in terms))
-    if rem:
-        return None
-    if not quo:
+
+def divide_by_sweep(coeffs, shift, n):
+    """(t^shift f / den, its normal form) for f = sum_i coeffs[i] t^i and
+    den = (-1)^(n-1) (1 + t + ... + t^(n-1)), or None when den does not
+    divide t^shift f.  The normal form is the quotient times the unit
+    +-t^a that gives it least t-exponent 0 and lowest coefficient > 0.
+
+    f = g (1 + ... + t^(n-1)) + r with deg r < n - 1, so f_i is r_i plus
+    the window g_(i-n+1) + ... + g_i (g_j = 0 off 0..deg g).  Top-down,
+    each g_(i-n+1) is f_i minus the rest of its window, one subtraction a
+    step, and below t^(n-1) r_i = 0 says f_i is the window."""
+    g = [0] * len(coeffs)
+    window = 0
+    for i in range(len(coeffs) - 1, n - 2, -1):
+        c = g[i - n + 1] = coeffs[i] - window
+        window += c - g[i]
+    for i in range(min(n - 1, len(coeffs)) - 1, -1, -1):
+        if coeffs[i] != window:
+            return None
+        window -= g[i]
+    pairs = [(k, c) for k, c in enumerate(g) if c]
+    if not pairs:
         return ZERO, ZERO
-    # g = sign t^low h, h(2^bits) = digits with a positive lowest digit
-    low = ((quo & -quo).bit_length() - 1) // bits
-    digits = quo >> bits * low
-    half = 1 << (bits - 1)
-    sign = -1 if (digits + half) & ((1 << bits) - 1) < half else 1
-    h = {}
-    _read_digits(sign * digits, bits, digits.bit_length() // bits + 2, h, 0, 0)
-    if max(map(abs, h.values())) * norm >> bits - 1:
-        return None
-    shift += low - lo
+    low, c = pairs[0]
+    sign = (-1) ** (n - 1)
+    unit = 1 if c > 0 else -1
     quotient = LaurentPoly.__new__(LaurentPoly)
-    quotient._terms = {(et + shift, 0): sign * c for (et, _), c in h.items()}
+    quotient._terms = {(k + shift, 0): sign * c for k, c in pairs}
     normal = LaurentPoly.__new__(LaurentPoly)
-    normal._terms = h
+    normal._terms = {(k - low, 0): unit * c for k, c in pairs}
     return quotient, normal
 
 

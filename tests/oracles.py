@@ -536,6 +536,15 @@ def digitwise_expand_t(p, bits, shift):
     return LaurentPoly(terms)
 
 
+def normalized_laurent(p):
+    """p times the unit +-t^a that makes its least t-exponent 0 and its
+    coefficient there positive, for p free of q; 0 stays 0."""
+    if p.is_zero():
+        return ZERO
+    lo = p.min_exponents()[0]
+    return p.times_term(1 if p.coeff(lo) > 0 else -1, -lo)
+
+
 def fraction_det(rows):
     """Determinant of a square list of rows of ints by Gaussian elimination
     over the rationals."""

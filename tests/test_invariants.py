@@ -13,7 +13,7 @@ from braidrep.laurent import LaurentPoly, ONE, PolyFraction, Q, T, ZERO, parse_p
 from braidrep.polymatrix import PolyMatrix
 from braidrep import reps
 from braidrep.reps import image_of_word, lk
-from oracles import generalized_char_poly, sign_twisted_krammer_fraction
+from oracles import generalized_char_poly, normalized_laurent, sign_twisted_krammer_fraction
 
 W = BraidWord
 
@@ -591,7 +591,7 @@ def test_the_gate_decides_which_path_an_alexander_closure_takes(monkeypatch):
     counts = {"image_of_word": 0}
     monkeypatch.setattr(inv, "image_of_word", _counted(image_of_word, counts, "image_of_word"))
     for word, laurent_path in ((inside, False), (refused, True)):
-        rep, den, _ = inv._alexander_data(word.strands)
+        rep, den = inv._alexander_data(word.strands)
         assert _inside_gate(rep, word) != laurent_path
         counts["image_of_word"] = 0
         want = PolyFraction(_laurent_closure_det(rep, word), den)
@@ -625,7 +625,7 @@ def test_closures_of_unreduced_words_give_the_public_invariants():
     from oracles import product_image_of_word
     cancelled = 0
     for n in range(2, 8):
-        rep, den, _ = inv._alexander_data(n)
+        rep, den = inv._alexander_data(n)
         eye = PolyMatrix.identity(rep.dim)
         for word in _closure_test_words(rng, n, (0, 1, 4, 7, 10, 15)):
             det = (product_image_of_word(rep, word) - eye).det()
@@ -634,7 +634,7 @@ def test_closures_of_unreduced_words_give_the_public_invariants():
             got = inv.alexander(word)
             assert got.raw_fraction.num._terms == want.num._terms, str(word)
             assert got.raw_fraction.den._terms == want.den._terms, str(word)
-            assert got.normalized._terms == inv._normalize_alexander(want.num)._terms
+            assert got.normalized._terms == normalized_laurent(want.num)._terms
             cancelled += len(word.free_reduce(cyclic=True)) < len(word)
         rep, den = inv._krammer_data(n)
         for word in _closure_test_words(rng, n, (0, 1, 3, 6) if n < 6 else (1, 2)):
@@ -663,7 +663,7 @@ def test_the_split_shortcut_equals_the_matrix_result_on_both_sides_of_the_gate(m
         words.append(W(n, [rng.choice((1, -1)) * rng.choice(gens) for _ in range(length)]))
     sides = set()
     for word in words:
-        rep, den, _ = inv._alexander_data(word.strands)
+        rep, den = inv._alexander_data(word.strands)
         sides.add(_inside_gate(rep, word))
         assert _integer_closure_det(rep, word) in (ZERO, None)
         assert _laurent_closure_det(rep, word) == ZERO
@@ -833,25 +833,26 @@ def test_alexander_reads_its_letters_once_and_krammer_never_walks_them(monkeypat
 
 
 def test_alexander_integer_quotient_matches_the_laurent_path(monkeypatch):
-    # seeded words on n = 2..7 strands, L = 0..30: the quotient read off the
-    # digits at t = 2^K has the term dicts and the normal form of the
-    # Laurent path, which divides the numerator in a canonical PolyFraction
+    # seeded words on n = 2..7 strands, L = 0..30: the quotient divided
+    # from the digits at t = 2^K has the term dicts and the normal form of
+    # the one divided from the Laurent path's terms
     rng = random.Random(2222)
     words = [W(n, [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)])
              for n in range(2, 8) for length in range(31) for _ in range(2)]
-    quotients = []
+    closures = []
+    integer_closure = inv._integer_closure
 
-    def recorded(*args):
-        quotients.append(laurent.divide_at_power_of_two(*args))
-        return quotients[-1]
+    def recorded(rep, word):
+        closures.append(integer_closure(rep, word))
+        return closures[-1]
 
     with monkeypatch.context() as m:
-        m.setattr(inv, "divide_at_power_of_two", recorded)
+        m.setattr(inv, "_integer_closure", recorded)
         got = [inv.alexander(word) for word in words]
     # a word whose cyclic reduction misses a generator is answered 0 before
-    # any division
+    # any closure; every other one here is inside the gate
     whole = [w for w in words if len({abs(x) for x in w.free_reduce(cyclic=True)}) == w.strands - 1]
-    assert len(quotients) == len(whole) > 150 and None not in quotients
+    assert len(closures) == len(whole) > 150 and None not in closures
     with monkeypatch.context() as m:
         m.setattr(inv, "integer_closure_fits", lambda dim, width: False)
         want = [inv.alexander(word) for word in words]
@@ -867,28 +868,22 @@ def test_alexander_integer_quotient_matches_the_laurent_path(monkeypatch):
 def test_a_ratio_that_is_no_polynomial_raises_one_error_on_either_path(monkeypatch):
     # a 1 x 1 representation with no q on 3 strands, both generators -t,
     # breaks Burau's theorem: num = t^2 - 1 for sigma_1 sigma_2 against the
-    # closed form den = t^2 + t + 1, so the integer quotient leaves a
-    # remainder and the word takes the Laurent path's division.  The word
-    # uses both generators: one that misses a generator is answered 0
-    # before any matrix
+    # closed form den = t^2 + t + 1, so the division leaves a remainder,
+    # whether num comes from the digits at t = 2^K or from the Laurent
+    # path's terms.  The word uses both generators: one that misses a
+    # generator is answered 0 before any matrix
     rep = reps.Representation(3, [PolyMatrix([[-T]])] * 2, "abelian")
     monkeypatch.setattr(inv, "burau_reduced", lambda n, form: rep)
-    quotients = []
-
-    def recorded(*args):
-        quotients.append(laurent.divide_at_power_of_two(*args))
-        return quotients[-1]
-
-    monkeypatch.setattr(inv, "divide_at_power_of_two", recorded)
     text = "determinant ratio (t^2 - 1) / (t^2 + t + 1) is not a polynomial"
     inv._alexander_data.cache_clear()
     try:
-        for fits in (inv.integer_closure_fits, lambda dim, width: False):
+        for fits, integer_path in ((inv.integer_closure_fits, True),
+                                   (lambda dim, width: False, False)):
             monkeypatch.setattr(inv, "integer_closure_fits", fits)
+            assert (inv._integer_closure(rep, W.parse("1 2", 3)) is not None) == integer_path
             with pytest.raises(inv.InvariantError) as err:
                 inv.alexander(W.parse("1 2", 3))
             assert str(err.value) == text
-        assert quotients == [None]
     finally:
         inv._alexander_data.cache_clear()
 
@@ -897,7 +892,7 @@ def test_the_alexander_sweep_denominator_is_the_burau_closed_form():
     # Burau's theorem with its unit, up to the largest strand count the CLI
     # takes: det(psi(sigma_1 ... sigma_(n-1)) - I) = (-1)^(n-1) (1 + ... + t^(n-1))
     for n in range(2, MAX_SIZE + 1):
-        rep, den, _ = inv._alexander_data(n)
+        rep, den = inv._alexander_data(n)
         sweep = image_of_word(rep, W(n, list(range(1, n))))
         assert den == (sweep - PolyMatrix.identity(n - 1)).det(), n
 
@@ -925,7 +920,7 @@ def test_the_krammer_sweep_denominator_has_its_measured_closed_form():
     # proved, so _krammer_data still computes it: odd n has a = (n - 1)/2
     # and eps = 1, n = 0 mod 4 has a = n/2 and eps = 1, n = 2 mod 4 has
     # a = n/2 - 1 and eps = -1
-    for n in range(2, 13):
+    for n in range(2, 15):
         if n % 2:
             a, eps = (n - 1) // 2, 1
         elif n % 4 == 0:

@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 
 from braidrep import laurent
 from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, PolyFraction, _collapse_row,
-                              divide_at_power_of_two, exact_div, expand_t, hadamard_bits,
-                              parse_poly, q_binomial, q_factorial, q_natural, q_pochhammer,
-                              sum_of_products, t_terms)
+                              divide_by_sweep, exact_div, expand_t, hadamard_bits, parse_poly,
+                              q_binomial, q_factorial, q_natural, q_pochhammer, sum_of_products,
+                              t_coefficients, t_digits, t_terms)
 from conftest import laurent_polys, nonzero_polys
 from oracles import (convolve, digitwise_expand_t, factorial_bracket_binomial,
-                     longdiv_exact_div, matrix_from_json, poly_from_json, termwise_substitute,
-                     token_parse_poly)
+                     longdiv_exact_div, matrix_from_json, normalized_laurent, poly_from_json,
+                     termwise_substitute, token_parse_poly)
 
 
 def test_basic_arithmetic():
@@ -696,40 +696,73 @@ def test_t_terms_reads_a_q_free_polynomial():
         t_terms(T + Q)
 
 
-def _value_at(f, bits):
-    """f(2^bits) for f in Z[t] with no negative power of t."""
-    return sum(c << bits * et for (et, _), c in f.sorted_terms())
+def _sweep(n):
+    """1 + t + ... + t^(n-1)."""
+    return sum((T ** j for j in range(n)), ZERO)
 
 
-def test_divide_at_power_of_two_reads_the_quotient_and_its_normal_form():
-    # f = t^3 (2 - t) (1 + t + t^2) and den = -t^-1 (1 + t + t^2) at shift
-    # -2: the quotient t^2 (t - 2), and its normal form 2 - t, with lowest
-    # t-exponent 0 and lowest coefficient positive
-    den = -(T ** -1) * (ONE + T + T * T)
-    f = T ** 3 * (2 - T) * (ONE + T + T * T)
-    for bits in (5, 9, 64):
-        quotient, normal = divide_at_power_of_two(_value_at(f, bits), bits, -2, t_terms(den))
-        assert quotient * den == T ** -2 * f
-        assert quotient == T ** 2 * (T - 2) and normal == 2 - T
-    assert divide_at_power_of_two(0, 5, 3, t_terms(den)) == (ZERO, ZERO)
+def _value_at(coeffs, bits):
+    """f(2^bits) for f = sum_i coeffs[i] t^i."""
+    return sum(c << bits * i for i, c in enumerate(coeffs))
 
 
-def test_divide_at_power_of_two_refuses_a_failed_bound():
-    # f = den' = 1 + t + ... + t^7 divides exactly, quotient 1; at 4 bits
-    # max |digit| |den'|_1 = 8 reaches 2^(bits - 1), so nothing is proved,
-    # and at 5 bits it is below 16
-    den = sum((T ** j for j in range(8)), ZERO)
-    assert divide_at_power_of_two(_value_at(den, 4), 4, 0, t_terms(den)) is None
-    assert divide_at_power_of_two(_value_at(den, 5), 5, 0, t_terms(den)) == (ONE, ONE)
-    # (t^2 + 1) / (4t + 1) is no polynomial, yet at 2 bits 4t + 1 and t^2 + 1
-    # both take the value 17; the bound (5 >= 2) is what refuses the quotient
-    assert divide_at_power_of_two(17, 2, 0, t_terms(4 * T + 1)) is None
+def test_t_coefficients_lists_every_power_of_t():
+    assert t_coefficients(3 * T ** -2 - T + 5 * T ** 2) == ([3, 0, 0, -1, 5], -2)
+    assert t_coefficients(-7 * ONE) == ([-7], 0)
+    assert t_coefficients(ZERO) == ([0], 0)
 
 
-def test_divide_at_power_of_two_refuses_a_nonzero_remainder():
-    # (t + 2) / (t + 1) at 4 bits: 18 = 17 + 1
-    assert divide_at_power_of_two(18, 4, 0, t_terms(T + 1)) is None
-    assert divide_at_power_of_two(-18, 4, 0, t_terms(T + 1)) is None
+def test_divide_by_sweep_gives_the_quotient_and_its_normal_form():
+    # seeded f = g (1 + t + ... + t^(n-1)) for n = 2..16, coefficients of
+    # both signs up to 2^200, as its terms and as the digits of its value
+    # at t = 2^bits: the quotient of t^shift f by den = (-1)^(n-1) (1 + ...
+    # + t^(n-1)) is (-1)^(n-1) t^shift g, which exact_div agrees with, and
+    # the normal form is g with least t-exponent 0 and lowest coefficient
+    # positive
+    rng = random.Random(2929)
+    for n in range(2, 17):
+        den = (-1) ** (n - 1) * _sweep(n)
+        for _ in range(8):
+            g = LaurentPoly({(rng.randint(-3, 12), 0):
+                             rng.choice((-1, 1)) * rng.randint(1, 1 << rng.choice((1, 8, 64, 200)))
+                             for _ in range(rng.randint(1, 6))})
+            f = g * _sweep(n)
+            coeffs, lo = t_coefficients(f)
+            bits = max(map(abs, coeffs)).bit_length() + rng.randint(1, 3)
+            shift = rng.randint(-9, 9)
+            want = exact_div(T ** shift * f, den)
+            assert want == (-1) ** (n - 1) * T ** shift * g
+            for got in (divide_by_sweep(coeffs, shift + lo, n),
+                        divide_by_sweep(t_digits(_value_at(coeffs, bits), bits), shift + lo, n)):
+                assert got[0] == want and got[1] == normalized_laurent(g), (n, str(g))
+
+
+def test_divide_by_sweep_reads_a_numerator_of_many_digits():
+    # more than 32 digits, so that the digit reader splits the value
+    rng = random.Random(3232)
+    g = LaurentPoly({(j, 0): rng.randint(-50, 50) for j in range(60)}) + T ** 60
+    f = g * _sweep(7)
+    coeffs, lo = t_coefficients(f)
+    digits = t_digits(_value_at(coeffs, 12), 12)
+    assert len(digits) > 32 and lo == 0
+    quotient, normal = divide_by_sweep(digits, -4, 7)
+    assert quotient == T ** -4 * g and normal == normalized_laurent(g)
+
+
+def test_divide_by_sweep_of_zero_is_zero():
+    for coeffs in ([], [0], [0] * 9, t_digits(0, 5)):
+        for n in (2, 3, 16):
+            assert divide_by_sweep(coeffs, 3, n) == (ZERO, ZERO)
+
+
+def test_divide_by_sweep_refuses_a_remainder():
+    # t^2 - 1 over 1 + t + t^2 leaves -2 - t; a constant over 1 + t, and
+    # t + 2 over 1 + t, leave themselves and 1
+    assert divide_by_sweep([-1, 0, 1], 0, 3) is None
+    assert divide_by_sweep(t_digits((1 << 10) - 1, 5), 2, 3) is None
+    assert divide_by_sweep([5], 0, 2) is None
+    assert divide_by_sweep([2, 1], 0, 2) is None
+    assert divide_by_sweep([1, 2, 1], 0, 2) == (-(T + 1), T + 1)
 
 
 @given(laurent_polys(span=3), laurent_polys(span=3), st.integers(min_value=12, max_value=80))

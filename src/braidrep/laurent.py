@@ -30,15 +30,21 @@ PACK_DIVIDEND_TERMS terms; slots wide enough to hold every coefficient make
 the result exact, not approximate.  Packing is refused when the box is
 sparse, so an exponent of 10**12 costs what its terms cost, not its span.
 
-The same substitution applied to one variable of a whole matrix removes t
-instead of packing products one at a time.  collapse_t owns the whole
-decision for a determinant block: one loop over its rows reads each row's
-t-range and 1-norms, sizes bits by Hadamard's bound (hadamard_bits),
-refuses the block outside the gate COLLAPSE_BITS before any shift, and
-otherwise maps the rows, shifted to nonnegative t-exponents, through the
-ring map t -> 2^bits into Z[q^+-1].  expand_t reads a result back as
-balanced base 2^bits digits, exact when each coefficient is below
-2^(bits - 1) in absolute value, splitting a coefficient of many digits in
+The same substitution applied to a whole matrix removes variables instead
+of packing products one at a time.  collapse owns the whole decision for a
+determinant block: one loop over its rows reads each row's t- and
+q-ranges and 1-norms, sizes bits by Hadamard's bound (hadamard_bits), and
+picks one of three routes before any shift.  A narrow block, within the
+gate PACKED_ROW_BITS, loses both variables: its rows, shifted to
+nonnegative exponents, go through the ring map t -> 2^bits,
+q -> 2^(bits width) into Z, width bounding the t-degree of the shifted
+determinant, and expand_packed reads digit k of the integer determinant
+back as the coefficient of t^(k mod width) q^(k div width).  A wider block
+within the gate COLLAPSE_BITS loses t alone, through t -> 2^bits into
+Z[q^+-1], and expand_t reads each coefficient of its determinant back.
+Any other block stays in the Laurent ring.  Both read-backs take balanced
+base 2^bits digits (t_digits), exact when each coefficient is below
+2^(bits - 1) in absolute value, splitting a number of many digits in
 halves so that its cost stays near linear.  polymatrix.det runs its blocks
 of 3 or more rows this way.  A closure of a representation with no q goes
 further and loses t before its first letter: t_terms reads each generator
@@ -771,18 +777,43 @@ def _packed_div(at, bt):
     return True, q
 
 
-# A block collapses to Z[q^+-1] when bits * (s + 1), for the slot width
-# bits of collapse_t and the block's largest row t-span s, lies in
+# A block of n rows packs into ints when bits * width * height, for the
+# slot width bits of collapse and the degree bounds width and height of its
+# shifted determinant, is at most PACKED_ROW_BITS * n: that bounds the bit
+# length of the packed determinant.  A block the packing refuses collapses
+# to Z[q^+-1] when bits * (s + 1), for its largest row t-span s, lies in
 # COLLAPSE_BITS: that is the width of the widest coefficient of a collapsed
-# entry.  Measured per closure block (collapsed / direct time, shared 2-vCPU
-# host, CPython 3.11): 1.1-1.8 below 64 bits, where the conversions cost
-# about 20 us that a block of few-term entries does not win back; 0.12-0.7
-# at 100-1000 bits; 0.4-0.7 at 1000-2000 bits and 0.95-1.9 above, on a few
-# blocks each.  Wide slots lose to CPython's long division, quadratic in the
-# digits: collapsing every block took the 5-strand Krammer word W5 of
-# ROADMAP from 1.4 to 3.1 s and the 12-strand Krammer command of README
-# from 12 to 150 s.
+# entry.
+#
+# COLLAPSE_BITS, measured per closure block before packing existed
+# (collapsed / direct time, shared 2-vCPU host, CPython 3.11): 1.1-1.8
+# below 64 bits, where the conversions cost about 20 us that a block of
+# few-term entries does not win back; 0.12-0.7 at 100-1000 bits; 0.4-0.7 at
+# 1000-2000 bits and 0.95-1.9 above, on a few blocks each.  Wide slots lose
+# to CPython's long division, quadratic in the digits: collapsing every
+# block took the 5-strand Krammer word W5 of ROADMAP from 1.4 to 3.1 s and
+# the 12-strand Krammer command of README from 12 to 150 s.
+#
+# PACKED_ROW_BITS, measured on the 1588 blocks of 3 or more rows that the
+# benchmark's first 1000 krammer-large operations, 200 invariant-batch
+# blocks and 2 verify-suite blocks (seed 1) hand to PolyMatrix.det: packed
+# time over the time of the route the block took before (collapsed or
+# direct), summed over the blocks of each band of packed bits per row
+# (best of 3 in each of two processes, shared 2-vCPU host, CPython 3.11):
+#
+#     bits per row:  <250  -500  -1000  -1500  -1750  -2000  -2500  -3000  -4000  more
+#     3 rows:        0.84  0.63  0.72   0.85   0.94   0.93   1.17   1.10   1.07   2.03
+#     4-6 rows:      0.33  0.34  0.47   0.65   0.75   1.03   1.22   1.32   1.81   3.94
+#
+# The products and long divisions of wide ints grow faster than the term
+# counts of the Laurent entries, and the crossover sits at 1750-2000 bits
+# per row for both; one flat gate would fit only one row of the table
+# (about 6000 bits for 3 rows, 10000-12000 for 6).  2 x 2 blocks never
+# pack: they have no division to save, and packing took 1.97 times the
+# direct time on the 44 such blocks of the first 300 krammer-large
+# operations and 100 invariant-batch blocks.
 COLLAPSE_BITS = range(64, 1025)
+PACKED_ROW_BITS = 1750
 
 
 # A closure det(rho(w) - s I) of a representation with no q runs as integer
@@ -824,48 +855,102 @@ def hadamard_bits(row_squares):
     On the torus |t| = |q| = 1 each entry x has |x| <= |x|_1, so by
     Hadamard's inequality |det| is at most B there, and so is every
     coefficient of det, being an average of det times a monomial over the
-    torus.  So every coefficient has |c| < 2^(bits - 1), as expand_t
-    needs.  No degree bound enters, and nothing is approximate.
+    torus.  So every coefficient has |c| < 2^(bits - 1), as expand_t and
+    expand_packed need.  No degree bound enters the bits, and nothing is
+    approximate.
     """
     bound = math.prod(row_squares)
     return (math.isqrt(bound - 1) + 1).bit_length() + 1
 
 
-def collapse_t(rows):
-    """(images, bits, shift) for the rows of a square block, each with a
-    nonzero entry, under the ring map t -> 2^bits into Z[q^+-1], or None
-    when the gate COLLAPSE_BITS refuses the block.
+def collapse(rows):
+    """(images, bits, width, shift) for the rows of a square block, each
+    with a nonzero entry, or None when both gates refuse the block.
 
-    Row i times t^-lo_i, lo_i its least t-exponent, lies in Z[t, q^+-1],
-    and images holds its image; the determinant of the block is
-    expand_t(det(images), bits, shift) with shift the sum of the lo_i.
-    bits is hadamard_bits of each row's sum of squared entry 1-norms.  One
-    loop over each row reads its t-range and that sum from the exponents
-    and coefficients, so the gate is checked before any shift and an entry
-    t^(10**12) costs nothing.
+    Row i times t^-lo_i q^-qlo_i, lo_i and qlo_i its least exponents, lies
+    in Z[t, q], and images holds its images under one of two ring maps.
+    bits is hadamard_bits of each row's sum of squared entry 1-norms.  The
+    shifted determinant has t-degree below width = 1 + the sum of the row
+    t-spans and q-degree below height = 1 + the sum of the row q-spans.
+    When bits * width * height is at most PACKED_ROW_BITS times the number
+    of rows, the map is t -> 2^bits, q -> 2^(bits width) into Z, images
+    are ints, and the determinant is expand_packed(det(images), bits,
+    width, shift) with shift the pair of sums of the lo_i and the qlo_i.
+    Otherwise, when bits * (s + 1) lies in COLLAPSE_BITS, s the largest
+    row t-span, the map is t -> 2^bits into Z[q^+-1], width is None, and
+    the determinant is expand_t(det(images), bits, shift) with shift the
+    sum of the lo_i.
+    One loop over each row reads its ranges and 1-norms from the exponents
+    and coefficients, so both gates are checked before any shift and an
+    entry t^(10**12) costs nothing.
     """
-    los, span, row_squares = [], 0, []
+    los, q_los, row_squares = [], [], []
+    span = t_total = q_total = 0
     for row in rows:
-        lo = hi = None
+        lo = None
         square = 0
         for x in row:
             terms = x._terms
             if terms:
                 if lo is None:
-                    lo = hi = next(iter(terms))[0]
-                for et, _ in terms:
+                    lo, q_lo = hi, q_hi = next(iter(terms))
+                for et, eq in terms:
                     if et < lo:
                         lo = et
                     elif et > hi:
                         hi = et
+                    if eq < q_lo:
+                        q_lo = eq
+                    elif eq > q_hi:
+                        q_hi = eq
                 square += sum(map(abs, terms.values())) ** 2
         los.append(lo)
+        q_los.append(q_lo)
         span = max(span, hi - lo)
+        t_total += hi - lo
+        q_total += q_hi - q_lo
         row_squares.append(square)
     bits = hadamard_bits(row_squares)
-    if bits * (span + 1) not in COLLAPSE_BITS:
-        return None
-    return [_collapse_row(row, lo, bits) for row, lo in zip(rows, los)], bits, sum(los)
+    width = t_total + 1
+    if bits * width * (q_total + 1) <= PACKED_ROW_BITS * len(rows):
+        images = [_pack_row(row, lo, q_lo, bits, width) for row, lo, q_lo in zip(rows, los, q_los)]
+        return images, bits, width, (sum(los), sum(q_los))
+    if bits * (span + 1) in COLLAPSE_BITS:
+        return [_collapse_row(row, lo, bits) for row, lo in zip(rows, los)], bits, None, sum(los)
+    return None
+
+
+def _pack_row(row, lo, q_lo, bits, width):
+    """The values of t^-lo q^-q_lo x at t = 2^bits, q = 2^(bits width) for
+    the entries x of row, ints.  lo and q_lo must be at most every
+    exponent of the row, every coefficient below 2^(bits - 1) in absolute
+    value and every t-exponent below lo + width: then each term has its
+    own base 2^bits digit, and a nonzero entry packs to a nonzero int."""
+    corner = lo + width * q_lo
+    out = []
+    for x in row:
+        v = 0
+        for (et, eq), c in x._terms.items():
+            v += c << bits * (et + width * eq - corner)
+        out.append(v)
+    return out
+
+
+def expand_packed(d, bits, width, shift):
+    """t^a q^b f for shift = (a, b) and the polynomial f in Z[t, q], of
+    t-degree below width, with f(2^bits, 2^(bits width)) = d: the
+    balanced base 2^bits digit k of d (t_digits) is f's coefficient of
+    t^(k mod width) q^(k div width), exactly when every coefficient of f
+    is below 2^(bits - 1) in absolute value."""
+    t0, q0 = shift
+    terms = {}
+    for k, digit in enumerate(t_digits(d, bits)):
+        if digit:
+            eq, et = divmod(k, width)
+            terms[(et + t0, eq + q0)] = digit
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._terms = terms
+    return out
 
 
 def _collapse_row(row, lo, bits):

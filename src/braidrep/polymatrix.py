@@ -7,12 +7,14 @@ sets), which a symmetric permutation makes block upper triangular, and
 multiplies the determinants of the diagonal blocks.  A block larger than
 1 x 1 goes through the Bareiss algorithm (interior divisions are exact by
 the Sylvester identity), pivoting at each step on the nonzero entry with
-the fewest terms.  A block of at least 3 rows first loses the variable t
-when laurent.collapse_t accepts it: the ring map t -> 2^bits sends it into
-Z[q^+-1], the same Bareiss elimination runs there on entries with big
-integer coefficients, and laurent.expand_t reads the t-exponents back out
-of the coefficients of its determinant.  laurent sizes bits by Hadamard's
-bound, so the read-back is exact, and owns the gate that refuses a block.
+the fewest terms.  A block of at least 3 rows first loses variables where
+laurent.collapse lets it: a narrow block loses both, under the ring map
+t -> 2^bits, q -> 2^(bits width) into Z, runs the same Bareiss
+elimination on ints and has its determinant's digits read back by
+laurent.expand_packed; a wider one loses t alone, under t -> 2^bits into
+Z[q^+-1], and laurent.expand_t reads the t-exponents back out of the
+coefficients of its determinant.  laurent sizes bits by Hadamard's bound,
+so the read-back is exact, and owns the gates that pick a block's route.
 integer_det takes a matrix of Python ints, for closures built at an
 integer point of t.  The block split (_split_det) and the pivoted
 elimination (_bareiss) are written once for both rings: each ring passes
@@ -52,8 +54,8 @@ import itertools
 from collections import defaultdict
 from operator import index
 
-from .laurent import (LaurentPoly, ONE, ZERO, binary_power, collapse_t, exact_div, expand_t,
-                      sum_of_products)
+from .laurent import (LaurentPoly, ONE, ZERO, binary_power, collapse, exact_div, expand_packed,
+                      expand_t, sum_of_products)
 
 
 def _nonzero(entries):
@@ -172,17 +174,21 @@ def _laurent_update(row, pivot_row, k, prev):
 
 def _laurent_block_det(rows):
     """The determinant of one strongly connected block for PolyMatrix.det:
-    a 1 x 1 block is its own entry, a block of 3 or more rows goes through
-    laurent.collapse_t, _bareiss_det over Z[q^+-1] and laurent.expand_t
-    when collapse_t accepts it, and any other through _bareiss_det over
-    the Laurent ring; a 2 x 2 block has no division to save."""
+    a 1 x 1 block is its own entry; a block of 3 or more rows that
+    laurent.collapse packs into ints goes through _integer_bareiss_det and
+    laurent.expand_packed, one it collapses to Z[q^+-1] through
+    _bareiss_det and laurent.expand_t; any other block through
+    _bareiss_det over the Laurent ring (a 2 x 2 block has no division to
+    save)."""
     if len(rows) == 1:
         return rows[0][0]
-    collapsed = collapse_t(rows) if len(rows) > 2 else None
+    collapsed = collapse(rows) if len(rows) > 2 else None
     if collapsed is None:
         return _bareiss_det(rows)
-    images, bits, shift = collapsed
-    return expand_t(_bareiss_det(images), bits, shift)
+    images, bits, width, shift = collapsed
+    if width is None:
+        return expand_t(_bareiss_det(images), bits, shift)
+    return expand_packed(_integer_bareiss_det(images), bits, width, shift)
 
 
 def _eliminated(pairs, prev):
@@ -206,7 +212,13 @@ def integer_det(m):
     the block split of PolyMatrix.det (_split_det), each block by _bareiss
     on ints, which pivots on the entry with the fewest bits and divides by
     the previous pivot with //, exact because every interior division is."""
-    return _split_det(m, lambda rows: _bareiss(rows, int.bit_length, _integer_update))
+    return _split_det(m, _integer_bareiss_det)
+
+
+def _integer_bareiss_det(m):
+    """_bareiss over the integers, for integer_det and packed blocks: the
+    pivot is the entry with the fewest bits."""
+    return _bareiss(m, int.bit_length, _integer_update)
 
 
 def _integer_update(row, pivot_row, k, prev):
@@ -403,8 +415,9 @@ class PolyMatrix:
         determinant is 0.  An all-zero row or column is a 1 x 1 block with
         a zero entry.  Each block goes through _laurent_block_det: a 1 x 1
         block is its own entry, and a larger one goes through the pivoted
-        Bareiss elimination _bareiss_det, over Z[q^+-1] when
-        laurent.collapse_t takes t out of a block of 3 or more rows.
+        Bareiss elimination _bareiss, over the integers or Z[q^+-1] when
+        laurent.collapse takes both variables or t out of a block of 3 or
+        more rows, and over the Laurent ring otherwise.
         """
         self._require_square("determinant")
         return _split_det(self.data, _laurent_block_det)

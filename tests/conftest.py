@@ -28,16 +28,19 @@ def divisors(monkeypatch):
 
 @pytest.fixture
 def bareiss_sizes(monkeypatch):
-    """The size of every block PolyMatrix.det hands to Bareiss, in order."""
+    """The size of every block PolyMatrix.det hands to Bareiss, in order,
+    over the Laurent ring, Z[q^+-1] or the integers."""
     seen = []
-    bareiss = polymatrix._bareiss_det
+    for name in ("_bareiss_det", "_integer_bareiss_det"):
+        monkeypatch.setattr(polymatrix, name, _counting(seen, getattr(polymatrix, name)))
+    return seen
 
+
+def _counting(seen, bareiss):
     def counting_bareiss(m):
         seen.append(len(m))
         return bareiss(m)
-
-    monkeypatch.setattr(polymatrix, "_bareiss_det", counting_bareiss)
-    return seen
+    return counting_bareiss
 
 
 @pytest.fixture

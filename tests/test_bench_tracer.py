@@ -43,11 +43,11 @@ def test_tracer_installs_and_counts_one_krammer_fraction():
     assert done.returncode == 0, done.stderr
     # three builds (lk(2), reduced Burau, lk(3)); five dets: three Krammer
     # numerators, two Krammer sweep denominators (the Alexander determinants
-    # are integer linear algebra, with no PolyMatrix.det).  Eleven divisions:
-    # one Bareiss step in each 3 x 3 det (one of them by the one-term divisor
-    # -1), one per Krammer canonical fraction, and six by the one-term pivot
-    # t^2 q in the Gauss-Jordan inverse of lk(3)'s sigma_1.  The Alexander
-    # quotient is an integer division at t = 2^K, with no exact_div
+    # are integer linear algebra, with no PolyMatrix.det).  Nine divisions:
+    # one per Krammer canonical fraction, and six by the one-term pivot
+    # t^2 q in the Gauss-Jordan inverse of lk(3)'s sigma_1.  The 3 x 3 dets
+    # are packed into ints and divide with //, and the Alexander quotient
+    # is an integer division at t = 2^K, neither with exact_div
     assert done.stdout.split("\n") == ["invariants.krammer_fraction 3", "reps.build 3",
-                                       "polymatrix.det 5", "laurent.exact_div 11",
+                                       "polymatrix.det 5", "laurent.exact_div 9",
                                        "build_repeats 0", ""]

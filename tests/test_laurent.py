@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from braidrep import laurent
 from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, PolyFraction, _collapse_row,
-                              divide_by_sweep, exact_div, expand_t, hadamard_bits, parse_poly,
-                              q_binomial, q_factorial, q_natural, q_pochhammer, sum_of_products,
-                              t_coefficients, t_digits, t_terms)
+                              _pack_row, divide_by_sweep, exact_div, expand_packed, expand_t,
+                              hadamard_bits, parse_poly, q_binomial, q_factorial, q_natural,
+                              q_pochhammer, sum_of_products, t_coefficients, t_digits, t_terms)
 from conftest import laurent_polys, nonzero_polys
 from oracles import (convolve, digitwise_expand_t, factorial_bracket_binomial,
                      longdiv_exact_div, matrix_from_json, normalized_laurent, poly_from_json,
@@ -647,10 +647,18 @@ def test_collapse_and_expand_round_trip():
             assert image.max_exponents()[0] == image.min_exponents()[0] == 0
             assert 0 < len(image) <= len(p)
             assert expand_t(image, bits, p.min_exponents()[0]) == p
+            # packed in both variables, with width at least the t-span + 1
+            lo = p.min_exponents()
+            for width in (p.max_exponents()[0] - lo[0] + 1, 20):
+                value, = _pack_row([p], *lo, bits, width)
+                assert expand_packed(value, bits, width, lo) == p
     assert _collapse_row([ZERO, T ** -2 * Q - 3 * T ** -1], -2, 5) == [ZERO, Q - 96 * ONE]
     # -2^(bits - 1) still reads back, 2^(bits - 1) is the first that does not
     assert expand_t(collapsed(-8 * T, 4), 4, 1) == -8 * T
     assert expand_t(collapsed(8 * T, 4), 4, 1) == T * T - 8 * T
+    assert _pack_row([ZERO, T ** -2 * Q - 3 * T ** -1], -2, 0, 5, 2) == [0, (1 << 10) - 96]
+    assert expand_packed(-8 << 4, 4, 2, (0, 0)) == -8 * T
+    assert expand_packed(8 << 4, 4, 2, (0, 0)) == Q - 8 * T
 
 
 def test_expand_reads_a_coefficient_of_many_digits():
@@ -776,6 +784,12 @@ def test_collapse_is_a_ring_map(x, y, bits):
     lo = min(a, b)
     assert (_collapse_row([x], lo, bits)[0] + _collapse_row([y], lo, bits)[0]
             == _collapse_row([x + y], lo, bits)[0])
+    # packing in both variables, t -> 2^bits and q -> 2^(bits width), is a
+    # ring map for any width
+    (a, qa), (b, qb) = x.min_exponents(), y.min_exponents()
+    for width in (1, 7):
+        pack = lambda p, t0, q0: _pack_row([p], t0, q0, bits, width)[0]
+        assert pack(x, a, qa) * pack(y, b, qb) == pack(x * y, a + b, qa + qb)
 
 
 @given(laurent_polys(max_terms=3), nonzero_polys())

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidrep.laurent import (COLLAPSE_BITS, ONE, Q, T, ZERO, LaurentPoly, PolyFraction,
-                              collapse_t, parse_poly)
+from braidrep.laurent import (COLLAPSE_BITS, ONE, PACKED_ROW_BITS, Q, T, ZERO, LaurentPoly,
+                              PolyFraction, collapse, parse_poly)
 from braidrep.polymatrix import (PolyMatrix, char_poly, char_poly_from_roots,
                                  exp_nilpotent, ext_basis, ext_power, integer_det, sym_basis,
                                  sym_power)
 from braidrep import reps
 from braidrep.reps import lk
 from braidrep import invariants as inv
-from braidrep import polymatrix
+from braidrep import laurent, polymatrix
 from braidrep.braid import BraidWord
 from oracles import (cayley_hamilton_inverse, cofactor_char_poly, diagonal_bareiss_det,
                      fraction_det, generalized_char_poly, matrix_from_json, minor_ext_power,
@@ -267,8 +267,8 @@ def test_det_of_scaled_permutation_matrices():
 
 def test_det_pivots_on_the_first_fewest_term_entry(divisors):
     # Bareiss on a 3x3 divides once, by the first pivot: of the two one-term
-    # entries, the first in row-major order (det itself collapses this block
-    # to Z[q^+-1] first, so the rule is pinned on _bareiss_det)
+    # entries, the first in row-major order (det itself packs this block
+    # into ints first, so the rule is pinned on _bareiss_det)
     a = PolyMatrix([[ONE + T + Q, T + Q, ONE - T],
                     [T - Q, ONE + Q, Q],
                     [ONE + T, T, Q - ONE]])
@@ -277,42 +277,62 @@ def test_det_pivots_on_the_first_fewest_term_entry(divisors):
 
 
 @pytest.fixture
-def collapse_paths(monkeypatch):
-    """How often PolyMatrix.det runs a block through the collapse to
-    Z[q^+-1] ("collapsed") and how often the gate refuses one ("refused")."""
+def block_routes(monkeypatch):
+    """How often PolyMatrix.det packs a block of 3 or more rows into ints
+    ("packed"), collapses one to Z[q^+-1] ("collapsed"), and how often both
+    gates refuse one, which stays in the Laurent ring ("refused")."""
     seen = collections.Counter()
 
-    def counting_collapse_t(rows):
-        collapsed = collapse_t(rows)
-        seen["refused" if collapsed is None else "collapsed"] += 1
+    def counting_collapse(rows):
+        collapsed = collapse(rows)
+        seen["refused" if collapsed is None else
+             "collapsed" if collapsed[2] is None else "packed"] += 1
         return collapsed
 
-    monkeypatch.setattr(polymatrix, "collapse_t", counting_collapse_t)
+    monkeypatch.setattr(polymatrix, "collapse", counting_collapse)
     return seen
 
 
-def collapsed_shape(rows):
-    """(bits, s, shift): the Hadamard slot width bits = bit_length(B) + 1
-    for B = ceil(sqrt(prod_i sum_j |a_ij|_1^2)), s the largest row t-span
-    and shift the sum of the rows' least t-exponents; a collapsed
-    coefficient is bits * (s + 1) bits wide."""
-    span, bound, shift = 0, 1, 0
+def block_shape(rows):
+    """(bits, s, width, height, shift): the Hadamard slot width bits =
+    bit_length(B) + 1 for B = ceil(sqrt(prod_i sum_j |a_ij|_1^2)), s the
+    largest row t-span, width and height one more than the sums of the row
+    t-spans and of the row q-spans, and shift the sums of the rows' least
+    t- and q-exponents.  A packed block is bits * width * height bits
+    wide, and a collapsed coefficient bits * (s + 1)."""
+    span, bound, width, height, t_shift, q_shift = 0, 1, 1, 1, 0, 0
     for row in rows:
-        ets = [et for x in row for (et, _), _ in x.sorted_terms()]
+        monos = [mono for x in row for mono, _ in x.sorted_terms()]
+        ets, eqs = [et for et, _ in monos], [eq for _, eq in monos]
         span = max(span, max(ets) - min(ets))
-        shift += min(ets)
+        width += max(ets) - min(ets)
+        height += max(eqs) - min(eqs)
+        t_shift += min(ets)
+        q_shift += min(eqs)
         bound *= sum(sum(abs(c) for _, c in x.sorted_terms()) ** 2 for x in row)
-    return (math.isqrt(bound - 1) + 1).bit_length() + 1, span, shift
+    bits = (math.isqrt(bound - 1) + 1).bit_length() + 1
+    return bits, span, width, height, (t_shift, q_shift)
 
 
-def connected_block(rng, size, max_coeff, t_range):
+def block_route(rows):
+    """The route PolyMatrix.det takes for a block of 3 or more rows: packed
+    within PACKED_ROW_BITS per row, else collapsed within COLLAPSE_BITS,
+    else refused."""
+    bits, span, width, height, _ = block_shape(rows)
+    if bits * width * height <= PACKED_ROW_BITS * len(rows):
+        return "packed"
+    return "collapsed" if bits * (span + 1) in COLLAPSE_BITS else "refused"
+
+
+def connected_block(rng, size, max_coeff, t_range, q_range=(-3, 3)):
     """A size x size block whose row 0 and cycle 0 -> 1 -> ... -> size-1 -> 0
     are nonzero (so it is strongly connected), other entries nonzero at
-    random; each nonzero entry has 1 to 3 terms with q-exponents in [-3, 3]
-    and t-exponents in t_range."""
+    random; each nonzero entry has 1 to 3 terms with coefficients in
+    [-max_coeff, max_coeff], t-exponents in t_range and q-exponents in
+    q_range."""
 
     def entry():
-        return LaurentPoly({(rng.randint(*t_range), rng.randint(-3, 3)):
+        return LaurentPoly({(rng.randint(*t_range), rng.randint(*q_range)):
                             rng.randint(-max_coeff, max_coeff) or 1
                             for _ in range(rng.randint(1, 3))})
 
@@ -320,43 +340,146 @@ def connected_block(rng, size, max_coeff, t_range):
              for j in range(size)] for i in range(size)]
 
 
-def test_collapsed_det_matches_the_oracles(collapse_paths):
-    # blocks below the gate (small coefficients, t-span 1), inside it, and
-    # above it (coefficients up to 10^6 make a 7 x 7 block's slots too wide
-    # for its t-spans)
+def singular(rng, rows, kind, t=1, q=1):
+    """rows made singular as kind says: "equal rows" (the last row a unit
+    multiple of the first), "rank two" or "rank one"; "regular" keeps
+    them.  The multipliers are monomials in t and q, or in one of them
+    when t or q is 0."""
+    size = len(rows)
+    if kind == "equal rows":
+        rows[-1] = [-LaurentPoly.monomial(1, t, q) * x for x in rows[0]]
+    elif kind == "rank two":
+        u = LaurentPoly.monomial(rng.randint(1, 9), -t, 2 * q)
+        v = ONE - LaurentPoly.monomial(1, t, -q)
+        for i in range(2, size):
+            rows[i] = [u * x + v * y for x, y in zip(rows[0], rows[1])]
+    elif kind == "rank one":
+        col = [LaurentPoly.monomial(rng.randint(1, 5), t * rng.randint(-2, 2), 0)
+               for _ in range(size)]
+        rows = [[c * x for x in rows[0]] for c in col]
+    return rows
+
+
+KINDS = ("regular", "equal rows", "rank two", "rank one")
+
+
+def test_collapsed_det_matches_the_oracles(block_routes):
+    # blocks on all three routes: small coefficients and t-spans pack into
+    # ints, coefficients up to 1000 over t- and q-spans of 6 make a block
+    # too wide to pack, and coefficients up to 10^6 make a 7 x 7 block's
+    # collapsed slots too wide for its t-spans as well
     rng = random.Random(20091019)
     sides = collections.Counter()
     for trial in range(120):
         size = 3 + trial % 5
         max_coeff, t_range = ((3, (0, 1)), (1000, (-3, 3)), (10 ** 6, (-3, 3)))[trial // 5 % 3]
-        kind = ("regular", "equal rows", "rank two", "rank one")[trial // 15 % 4]
-        rows = connected_block(rng, size, max_coeff, t_range)
-        if kind == "equal rows":
-            rows[-1] = [-T * Q * x for x in rows[0]]
-        elif kind == "rank two":
-            u, v = LaurentPoly.monomial(rng.randint(1, 9), -1, 2), ONE - T * Q ** -1
-            for i in range(2, size):
-                rows[i] = [u * x + v * y for x, y in zip(rows[0], rows[1])]
-        elif kind == "rank one":
-            col = [LaurentPoly.monomial(rng.randint(1, 5), rng.randint(-2, 2), 0) for _ in range(size)]
-            rows = [[c * x for x in rows[0]] for c in col]
-        bits, span, shift = collapsed_shape(rows)
-        width = bits * (span + 1)
+        kind = KINDS[trial // 15 % 4]
+        rows = singular(rng, connected_block(rng, size, max_coeff, t_range), kind)
         a = PolyMatrix(rows)
-        collapse_paths.clear()
+        block_routes.clear()
         got = a.det()
         assert got == unsplit_det(a) == diagonal_bareiss_det(a), (trial, kind)
         assert (got == ZERO) == (kind != "regular")
-        collapsed = width in COLLAPSE_BITS
-        assert collapse_paths == {"collapsed" if collapsed else "refused": 1}
-        if collapsed:
-            assert collapse_t(rows)[1:] == (bits, shift), (trial, kind)
-        side = ("collapsed" if collapsed else
-                "narrow" if width < COLLAPSE_BITS.start else "wide")
-        sides[side] += 1
-        sides[kind, side] += 1
-    assert sides["collapsed"] >= 40 and sides["narrow"] >= 10 and sides["wide"] >= 5, sides
-    assert all(sides[kind, "collapsed"] >= 5 for kind in ("regular", "equal rows", "rank two", "rank one"))
+        route = block_route(rows)
+        assert block_routes == {route: 1}
+        if route != "refused":
+            bits, _, width, _, shift = block_shape(rows)
+            want = (bits, width, shift) if route == "packed" else (bits, None, shift[0])
+            assert collapse(rows)[1:] == want, (trial, kind)
+        sides[route] += 1
+        sides[kind, route] += 1
+    assert sides["packed"] >= 30 and sides["collapsed"] >= 20 and sides["refused"] >= 5, sides
+    assert all(sides[kind, route] >= 3 for kind in KINDS for route in ("packed", "collapsed")), sides
+
+
+def test_packed_det_matches_the_oracles(block_routes):
+    # the integer route against the unsplit Laurent Bareiss and the
+    # diagonal-pivot Bareiss: regular and singular blocks, free of q
+    # (height 1), free of t (width 1) or in both, with coefficients of
+    # either sign; nearly every block here packs.  Then a block exactly at
+    # the gate, one a q-degree above it, and one with a t^(10**12) entry,
+    # which both gates refuse before any shift.
+    rng = random.Random(20261020)
+    seen = collections.Counter()
+    for trial in range(160):
+        size = 3 + trial % 4
+        free = ("q", "t", "neither")[trial // 4 % 3]
+        kind = KINDS[trial // 12 % 4]
+        rows = connected_block(rng, size, 9, (0, 0) if free == "t" else (-2, 1),
+                               (0, 0) if free == "q" else (-1, 2))
+        rows = singular(rng, rows, kind, t=int(free != "t"), q=int(free != "q"))
+        a = PolyMatrix(rows)
+        block_routes.clear()
+        got = a.det()
+        assert got == unsplit_det(a) == diagonal_bareiss_det(a), (trial, free, kind)
+        assert (got == ZERO) == (kind != "regular"), (trial, free, kind)
+        route = block_route(rows)
+        assert block_routes == {route: 1}, (trial, free, kind)
+        seen[route] += 1
+        _, _, width, height, _ = block_shape(rows)
+        if free != "neither":
+            axis = 1 if free == "q" else 0
+            assert (width, height)[axis] == 1
+            assert all(mono[axis] == 0 for mono, _ in got.sorted_terms())
+        if route != "packed":
+            continue
+        if got:
+            signs = {c > 0 for _, c in got.sorted_terms()}
+            seen[free, "negative"] += False in signs
+            seen[free, "positive"] += True in signs
+        else:
+            seen[free, kind] += 1
+    assert all(seen[free, sign] >= 5 for free in ("q", "t", "neither")
+               for sign in ("negative", "positive")), seen
+    assert all(seen[free, kind] >= 5 for free in ("q", "t", "neither") for kind in KINDS[1:]), seen
+    assert seen["packed"] >= 140, seen
+    huge = LaurentPoly.monomial(-3, 10 ** 12, 1)
+    fixed = ((gate_block(73, GATE // 75 - 1), "packed"), (gate_block(73, GATE // 75), "collapsed"),
+             (PolyMatrix([[ONE - Q, huge, ZERO], [ZERO, T - Q, Q], [T, -ONE, 2 * ONE]]), "refused"))
+    for a, route in fixed:
+        block_routes.clear()
+        assert a.det() == unsplit_det(a) == diagonal_bareiss_det(a)
+        assert block_routes == {route: 1}
+
+
+def gate_block(e, n):
+    """A cyclic 3 x 3 block with entries t^2 (c q^-1 + q^(n-1)), t^-1 q and
+    t q, c = 2^e, e > 0, n > 0: det = t^2 (c q + q^(n+1)).  Every row
+    t-span is 0 and B = c + 1, so the slots are e + 2 bits wide, and the
+    q-spans sum to n: the packed block is (e + 2) (n + 1) bits wide, and a
+    collapsed coefficient e + 2."""
+    return PolyMatrix([[ZERO, LaurentPoly({(2, -1): 2 ** e, (2, n - 1): 1}), ZERO],
+                       [ZERO, ZERO, LaurentPoly.monomial(1, -1, 1)],
+                       [LaurentPoly.monomial(1, 1, 1), ZERO, ZERO]])
+
+
+# the widest packed 3 x 3 block
+GATE = 3 * PACKED_ROW_BITS
+
+
+@pytest.mark.parametrize("n, route", ((GATE // 75 - 1, "packed"), (GATE // 75, "collapsed")))
+def test_packed_gate_edges(block_routes, n, route):
+    # slots of 75 bits: exactly at the gate, and one q-degree above it,
+    # where the collapse to Z[q^+-1] (75 bits) takes the block instead
+    assert GATE % 75 == 0
+    a = gate_block(73, n)
+    assert block_shape(a.data)[:4] == (75, 0, 1, n + 1)
+    got = a.det()
+    assert got == diagonal_bareiss_det(a) == LaurentPoly({(2, 1): 2 ** 73, (2, n + 1): 1})
+    assert block_routes == {route: 1}
+
+
+@pytest.mark.parametrize("e, route", ((61, "refused"), (62, "collapsed"),
+                                      (1022, "collapsed"), (1023, "refused")))
+def test_collapse_gate_edges(block_routes, e, route):
+    # a q-span of GATE keeps the block from packing at any slot width; the
+    # collapsed coefficients are e + 2 bits wide, from 63 (refused) and 64
+    # (collapsed) to 1024 (collapsed) and 1025 (refused)
+    a = gate_block(e, GATE)
+    assert block_shape(a.data)[:4] == (e + 2, 0, 1, GATE + 1)
+    got = a.det()
+    assert got == diagonal_bareiss_det(a) == LaurentPoly({(2, 1): 2 ** e, (2, GATE + 1): 1})
+    assert block_routes == {route: 1}
 
 
 def sylvester_hadamard(k):
@@ -366,67 +489,84 @@ def sylvester_hadamard(k):
     return h
 
 
-@pytest.mark.parametrize("m, d", ((22, 3), (16, 4), (31, 7), (8, 12)))
-def test_collapsed_det_meets_its_bound(collapse_paths, m, d):
-    # c * (cyclic permutation) with c = 2^m - 1 and t-power entries: one
-    # coefficient, c^d, equal to the Hadamard bound B.  The slots are
-    # bit_length(B) + 1 bits wide, one more than the read-back needs here.
+def bound_block(m, d):
+    """c * (cyclic permutation) with c = 2^m - 1 and t-power entries, and
+    its determinant: one coefficient, c^d, equal to the Hadamard bound B."""
     c = 2 ** m - 1
     rows = [[ZERO] * d for _ in range(d)]
     for i in range(d):
         rows[i][(i + 1) % d] = LaurentPoly.monomial(c, 2 * i - 3, i % 2)
-    want = LaurentPoly.monomial((-1) ** (d - 1) * c ** d, d * (d - 4), d // 2)
-    assert PolyMatrix(rows).det() == want
-    assert collapse_paths == {"collapsed": 1}
+    return PolyMatrix(rows), LaurentPoly.monomial((-1) ** (d - 1) * c ** d, d * (d - 4), d // 2)
 
 
-@pytest.mark.parametrize("m", (3, 9))
-def test_collapsed_det_meets_its_bound_across_a_t_span(collapse_paths, m):
-    # Sylvester's 4 x 4 Hadamard matrix times c = 2^m - 1, column j times
-    # t^j: rows orthogonal on the torus, so |det| = 16 c^4 is the bound,
-    # with a row t-span of 3
+def hadamard_block(m):
+    """Sylvester's 4 x 4 Hadamard matrix times c = 2^m - 1, column j times
+    t^j, and its determinant: rows orthogonal on the torus, so |det| =
+    16 c^4 is the bound, with a row t-span of 3."""
     c = 2 ** m - 1
     h = sylvester_hadamard(2)
     rows = [[LaurentPoly.monomial(c * h[i][j], j, i - 1) for j in range(4)] for i in range(4)]
-    a = PolyMatrix(rows)
-    got = a.det()
-    assert got == diagonal_bareiss_det(a) == LaurentPoly.monomial(16 * c ** 4, 6, 2)
-    assert collapse_paths == {"collapsed": 1}
+    return PolyMatrix(rows), LaurentPoly.monomial(16 * c ** 4, 6, 2)
 
 
-@pytest.mark.parametrize("e, path", ((61, "refused"), (62, "collapsed"),
-                                     (1022, "collapsed"), (1023, "refused")))
-def test_collapse_gate_edges(collapse_paths, e, path):
-    # a cyclic block with entries c t^2 q^-1, t^-1 q and t q, c = 2^e: every
-    # row t-span is 0 and B = c, so the width is bit_length(c) + 1, from 63
-    # (refused) and 64 (collapsed) to 1024 (collapsed) and 1025 (refused)
-    c = 2 ** e
-    a = PolyMatrix([[ZERO, LaurentPoly.monomial(c, 2, -1), ZERO],
-                    [ZERO, ZERO, LaurentPoly.monomial(1, -1, 1)],
-                    [LaurentPoly.monomial(1, 1, 1), ZERO, ZERO]])
-    assert collapsed_shape(a.data)[:2] == (e + 2, 0)
-    got = a.det()
-    assert got == diagonal_bareiss_det(a) == LaurentPoly.monomial(c, 2, 1)
-    assert collapse_paths == {path: 1}
+@pytest.fixture
+def packing_closed(monkeypatch):
+    """No block packs, so the collapse to Z[q^+-1] takes every block that
+    the packing gate would have taken."""
+    monkeypatch.setattr(laurent, "PACKED_ROW_BITS", 0)
 
 
-def test_collapse_gate_counts_the_row_t_span(collapse_paths):
+# The slots are bit_length(B) + 1 bits wide, one more than the read-back
+# needs on these blocks, on either route.
+BOUND_BLOCKS = pytest.mark.parametrize("m, d", ((22, 3), (16, 4), (31, 7), (8, 12)))
+
+
+@BOUND_BLOCKS
+def test_packed_det_meets_its_bound(block_routes, m, d):
+    a, want = bound_block(m, d)
+    assert a.det() == want
+    assert block_routes == {"packed": 1}
+
+
+@BOUND_BLOCKS
+def test_collapsed_det_meets_its_bound(block_routes, packing_closed, m, d):
+    a, want = bound_block(m, d)
+    assert a.det() == want
+    assert block_routes == {"collapsed": 1}
+
+
+@pytest.mark.parametrize("m", (3, 9))
+def test_packed_det_meets_its_bound_across_a_t_span(block_routes, m):
+    a, want = hadamard_block(m)
+    assert a.det() == diagonal_bareiss_det(a) == want
+    assert block_routes == {"packed": 1}
+
+
+@pytest.mark.parametrize("m", (3, 9))
+def test_collapsed_det_meets_its_bound_across_a_t_span(block_routes, packing_closed, m):
+    a, want = hadamard_block(m)
+    assert a.det() == diagonal_bareiss_det(a) == want
+    assert block_routes == {"collapsed": 1}
+
+
+def test_collapse_gate_counts_the_row_t_span(block_routes, packing_closed):
     # K = 32 from B = ceil(sqrt(2 * 2^60)), and row 0 spans one t-degree:
-    # the collapsed coefficients are K * (1 + 1) = 64 bits wide, so the
-    # block collapses, where a gate on K * s = 32 would refuse it
+    # with the packing gate closed, the collapsed coefficients are
+    # K * (1 + 1) = 64 bits wide, so the block collapses, where a gate on
+    # K * s = 32 would refuse it
     a = PolyMatrix([[ZERO, ONE, T],
                     [ZERO, ZERO, LaurentPoly.monomial(2 ** 30, 0, 1)],
                     [T ** 3, ZERO, ZERO]])
-    assert collapsed_shape(a.data)[:2] == (32, 1)
+    assert block_shape(a.data)[:2] == (32, 1)
     got = a.det()
     assert got == diagonal_bareiss_det(a) == LaurentPoly.monomial(2 ** 30, 3, 1)
-    assert collapse_paths == {"collapsed": 1}
+    assert block_routes == {"collapsed": 1}
 
 
-def test_collapsed_det_of_a_huge_t_power_costs_nothing(collapse_paths):
-    # the gate reads exponents before any shift: a row spanning 10**12
+def test_collapsed_det_of_a_huge_t_power_costs_nothing(block_routes):
+    # both gates read exponents before any shift: a row spanning 10**12
     # t-degrees is refused, and a row whose only entry is t^(10**12) shifts
-    # to a constant
+    # to a constant and packs
     huge = LaurentPoly.monomial(2 ** 40, 10 ** 12, 0)
     refused = PolyMatrix([[ONE + Q, huge, ZERO], [ZERO, T - Q, Q], [T, ONE, 2 * ONE]])
     shifted = PolyMatrix([[ZERO, huge, ZERO], [ZERO, T - Q, Q], [T, ONE, 2 * ONE]])
@@ -434,17 +574,20 @@ def test_collapsed_det_of_a_huge_t_power_costs_nothing(collapse_paths):
         assert a.det() == unsplit_det(a) == diagonal_bareiss_det(a)
     assert refused.det() == (ONE + Q) * (2 * T - 3 * Q) + huge * T * Q
     assert shifted.det() == huge * T * Q
-    assert collapse_paths == {"refused": 2, "collapsed": 2}
+    assert block_routes == {"refused": 2, "packed": 2}
 
 
 def test_det_with_a_zero_line_in_the_trailing_block_divides_nothing(divisors):
     rng = random.Random(11)
     for kind in ("zero row", "zero column"):
         assert random_singular_matrix(rng, 5, kind).det() == ZERO
-    # rank one: the block left after the first step is all zero
+    # rank one: the block left after the first step is all zero, in the
+    # Laurent ring and packed into ints alike
     col = [T, ONE, Q ** -1, 2 * ONE]
     row = [ONE, -T, Q, T * Q]
-    assert PolyMatrix([[x * y for y in row] for x in col]).det() == ZERO
+    a = PolyMatrix([[x * y for y in row] for x in col])
+    assert a.det() == ZERO
+    assert polymatrix._bareiss_det([r[:] for r in a.data]) == ZERO
     assert divisors == []
 
 
@@ -480,7 +623,7 @@ def hidden_blocks(rng, blocks, triangular):
     return PolyMatrix(rows).conjugate_by_permutation(perm)
 
 
-def test_det_splits_hidden_blocks_like_the_unsplit_bareiss(bareiss_sizes):
+def test_det_splits_hidden_blocks_like_the_unsplit_bareiss(bareiss_sizes, block_routes):
     rng = random.Random(20261019)
     seen = collections.Counter()
     for trial in range(120):
@@ -489,11 +632,14 @@ def test_det_splits_hidden_blocks_like_the_unsplit_bareiss(bareiss_sizes):
         blocks = [irreducible_block(rng, s, zero_diagonal and s > 1) for s in sizes]
         a = hidden_blocks(rng, blocks, triangular=trial % 2 == 1)
         del bareiss_sizes[:]
+        block_routes.clear()
         got = a.det()
         assert got == unsplit_det(a) == diagonal_bareiss_det(a)
         if got:
-            # every block found is a hidden one, smallest first
+            # every block found is a hidden one, smallest first, and each of
+            # 3 or more rows takes its own route
             assert bareiss_sizes == sorted(s for s in sizes if s > 1)
+            assert block_routes == collections.Counter(block_route(b) for b in blocks if len(b) > 2)
             seen["nonzero", zero_diagonal] += 1
         else:
             seen["zero"] += 1
@@ -511,17 +657,38 @@ def test_det_of_a_zero_one_by_one_block_runs_no_bareiss(bareiss_sizes, divisors)
         del divisors[:]
 
 
-def test_det_runs_bareiss_on_the_three_by_three_blocks_only(bareiss_sizes):
+def test_det_runs_bareiss_on_the_three_by_three_blocks_only(bareiss_sizes, block_routes):
     rng = random.Random(33)
     while True:
         blocks = [irreducible_block(rng, 3), irreducible_block(rng, 3)]
         if all(PolyMatrix(b).det() for b in blocks):
             break
     del bareiss_sizes[:]
+    block_routes.clear()
     a = hidden_blocks(rng, blocks, triangular=False)
     got = a.det()
     assert bareiss_sizes == [3, 3]
+    assert block_routes == {"packed": 2}
     assert got == unsplit_det(a) == PolyMatrix(blocks[0]).det() * PolyMatrix(blocks[1]).det()
+
+
+def test_split_det_sends_each_block_its_own_route(bareiss_sizes, block_routes):
+    # five hidden blocks, one per route: a 1 x 1 block is its own entry, a
+    # 2 x 2 block stays in the Laurent ring, and of the three 3 x 3 blocks
+    # one packs into ints, one (75-bit slots, a q-span of GATE) collapses
+    # to Z[q^+-1] and one (3-bit slots) is refused by both gates
+    rng = random.Random(34)
+    blocks = [irreducible_block(rng, 3), gate_block(73, GATE).data,
+              gate_block(1, GATE).data, [[ONE + T, Q], [-Q, ONE - T]], [[2 * T * Q]]]
+    assert [block_route(b) for b in blocks[:3]] == ["packed", "collapsed", "refused"]
+    want = math.prod((PolyMatrix(b).det() for b in blocks), start=ONE)
+    assert want
+    del bareiss_sizes[:]
+    block_routes.clear()
+    a = hidden_blocks(rng, blocks, triangular=True)
+    assert a.det() == want == unsplit_det(a)
+    assert sorted(bareiss_sizes) == [2, 3, 3, 3]
+    assert block_routes == {"packed": 1, "collapsed": 1, "refused": 1}
 
 
 @pytest.mark.parametrize("a", (PolyMatrix.identity(1), PolyMatrix.identity(5),
@@ -786,7 +953,9 @@ def test_integer_and_laurent_dets_share_one_elimination_and_keep_their_ring(monk
     # one whose first pivot in either ring is (0, 1), one column swap, which
     # gives a negative determinant.  integer_det gives an int and det a
     # LaurentPoly, each block runs through the one polymatrix._bareiss with
-    # its ring's pivot size, and neither writes its argument
+    # its ring's pivot size (det packs its blocks of 3 rows into ints, and
+    # keeps its 2 x 2 blocks in the Laurent ring), and neither writes its
+    # argument
     seen = []
     bareiss = polymatrix._bareiss
 
@@ -810,7 +979,7 @@ def test_integer_and_laurent_dets_share_one_elimination_and_keep_their_ring(monk
         got = a.det()
         assert type(got) is LaurentPoly and got == LaurentPoly.const(want)
         assert a == PolyMatrix(kept)
-        assert seen == [(b, len) for b in blocks]
+        assert seen == [(b, len if b == 2 else int.bit_length) for b in blocks]
 
 
 def test_dense_det_matches_the_oracle_without_the_split(monkeypatch):

@@ -15,6 +15,23 @@ constructors build them, so a word image rewrites only the lines (rows
 for the conjugated reduced Burau form, columns for lk) where each letter
 differs from the identity; reps.image_of_word passes the rest through.
 
+A Krammer numerator is first tried as a pencil of two half-word images
+(_pencil).  Cut the word w = u v, u its first ceil(L/2) letters; lk(v)
+is invertible over Z[t^+-1, q^+-1], so
+
+    det(lk(u v) - s I) = det(lk(u) - s lk(v^-1)) det lk(v),
+
+and det lk(v) = (-1)^(n |v|) t^(n e) q^e on n strands, e the exponent
+sum of v, since det lk(sigma_i^+-1) = ((-1)^n t^n q)^+-1.  Each half is
+walked alone, so the pencil's entries have about half the spans and
+much smaller 1-norms than lk(w)'s, and its determinant blocks fit the
+packing gate of laurent.collapse where the whole image's do not.
+polymatrix.packed_det takes the pencil when every block of 3 or more
+rows packs into ints; otherwise the numerator is the closure of the
+whole word, _laurent_closure, as before.  The pencil is not taken
+everywhere: where the whole image splits into smaller blocks than the
+pencil, or a block is too wide to pack, the pencil's blocks cost more.
+
 Reduced Burau has no q, so its closures are integer linear algebra
 (Kronecker substitution, D. Harvey, J. Symb. Comput. 44, 2009):
 reps.letter_t_lines reads the word's letters once, reps.word_norm_bound
@@ -54,7 +71,7 @@ import functools
 from .braid import BraidWord, CheckReport
 from .laurent import (LaurentPoly, PolyFraction, Q, T, ZERO, divide_by_sweep, exact_rational,
                       hadamard_bits, integer_closure_fits, t_coefficients, t_digits)
-from .polymatrix import integer_det
+from .polymatrix import integer_det, packed_det
 from .reps import (burau_reduced, image_at_power_of_two, image_of_word, letter_t_lines, lk,
                    word_norm_bound)
 
@@ -67,14 +84,20 @@ class InvariantError(Exception):
 
 
 class AlexanderResult:
-    """raw_fraction is the determinant ratio as-is; normalized is the Laurent
-    polynomial quotient with minimum t-degree 0 and positive lowest coefficient."""
+    """normalized is the Laurent polynomial quotient with minimum t-degree 0
+    and positive lowest coefficient; raw_fraction is the determinant ratio
+    as-is, normalized times the unit c t^a of unit = (c, a), built when
+    read (see laurent.divide_by_sweep)."""
 
-    __slots__ = ("raw_fraction", "normalized")
+    __slots__ = ("normalized", "unit")
 
-    def __init__(self, raw_fraction, normalized):
-        self.raw_fraction = raw_fraction
+    def __init__(self, normalized, unit=(1, 0)):
         self.normalized = normalized
+        self.unit = unit
+
+    @property
+    def raw_fraction(self):
+        return PolyFraction(self.normalized.times_term(*self.unit))
 
     def __str__(self):
         return str(self.normalized)
@@ -126,7 +149,10 @@ def _krammer_data(n):
 
 def _laurent_closure(rep, word, s):
     """s^dim det(rho(word) - s I) as the LaurentPoly PolyMatrix.det gives,
-    with s subtracted on the diagonal of the word image.
+    with s subtracted on the diagonal of the image of the whole word: the
+    Alexander numerator on the Laurent path, the Krammer sweep
+    denominator, and the Krammer numerator when its pencil (_pencil) has
+    a block that does not pack.
 
     For the Krammer invariant rho is lk tensored with the sign character,
     which scales the image of a word of length L by s = (-1)^L.  So
@@ -140,6 +166,30 @@ def _laurent_closure(rep, word, s):
         row[i] = row[i] + shift
     det = m.det()
     return -det if s < 0 and rep.dim % 2 else det
+
+
+def _pencil(rep, word, s, cut):
+    """(rows, unit) with s^dim det(rho(word) - s I) = det(rows) times the
+    monomial unit = (c, et, eq), for rho = lk on n strands, the word cut
+    into u, its first cut letters, and v, the rest.
+
+    rho(v) is invertible over the Laurent ring, so rho(uv) - s I =
+    (rho(u) - s rho(v^-1)) rho(v), and rows holds the pencil rho(u) -
+    s rho(v^-1): the images of the two halves, each walked alone, written
+    into rho(u)'s rows in place.  det lk(sigma_i^+-1) = ((-1)^n t^n q)^+-1,
+    so det rho(v) = (-1)^(n |v|) t^(n e) q^e with e v's exponent sum, and
+    the sign of s^dim joins it in c."""
+    n = word.strands
+    v = word.letters[cut:]
+    rows = image_of_word(rep, BraidWord(n, word.letters[:cut])).data
+    inverse = image_of_word(rep, BraidWord(n, [-x for x in reversed(v)])).data
+    for row, other in zip(rows, inverse):
+        for j, y in enumerate(other):
+            if y:
+                row[j] = row[j] - y if s > 0 else row[j] + y
+    e = sum(1 if x > 0 else -1 for x in v)
+    c = (-1) ** (n * len(v)) * (-1 if s < 0 and rep.dim % 2 else 1)
+    return rows, (c, n * e, e)
 
 
 def _integer_closure(rep, word):
@@ -191,10 +241,11 @@ def alexander(word):
     integer path reads the determinant's coefficients as its balanced
     base 2^K digits (laurent.t_digits), the Laurent path as the terms of
     a LaurentPoly (laurent.t_coefficients), and laurent.divide_by_sweep
-    divides that one list by den and builds the quotient and its normal
-    form.  By Burau's theorem the ratio is a Laurent polynomial for every
-    braid, links included; InvariantError, if the division leaves a
-    remainder, guards the theorem.
+    divides that one list by den and builds the quotient's normal form,
+    with the unit that gives back the quotient.  By Burau's theorem the
+    ratio is a Laurent polynomial for every braid, links included;
+    InvariantError, if the division leaves a remainder, guards the
+    theorem.
 
     The word is first reduced cyclically (see the module docstring); one
     that is then left without some generator answers raw 0/1 and
@@ -202,7 +253,7 @@ def alexander(word):
     """
     word = word.free_reduce(cyclic=True)
     if _misses_a_generator(word):
-        return AlexanderResult(PolyFraction(ZERO), ZERO)
+        return AlexanderResult(ZERO)
     rep, den = _alexander_data(word.strands)
     closure = _integer_closure(rep, word)
     if closure is None:
@@ -214,7 +265,7 @@ def alexander(word):
     if quotient is None:
         num = LaurentPoly({(shift + i, 0): c for i, c in enumerate(coeffs)})
         raise InvariantError("determinant ratio %s is not a polynomial" % (PolyFraction(num, den),))
-    return AlexanderResult(PolyFraction(quotient[0]), quotient[1])
+    return AlexanderResult(*quotient)
 
 
 def krammer_fraction(word):
@@ -222,10 +273,15 @@ def krammer_fraction(word):
 
     Uses the two-row representation tensored with the sign character, that
     is lk with negated generator images, applied once per word of L letters
-    by _laurent_closure as s^dim det(lk(word) - s I), s = (-1)^L, on the
-    word reduced cyclically, which keeps the parity of L (see the module
-    docstring).  collapsed carries the polynomial value when the
-    denominator divides exactly.
+    as s^dim det(lk(word) - s I), s = (-1)^L, on the word reduced
+    cyclically, which keeps the parity of L (see the module docstring).
+    The word is cut after its first ceil(L/2) letters, w = u v, and the
+    numerator is det(lk(u) - s lk(v^-1)) times the unit det lk(v) =
+    (-1)^(n |v|) t^(n e) q^e, e the exponent sum of v, with the sign of
+    s^dim (_pencil), when polymatrix.packed_det packs every block of that
+    pencil into ints; otherwise it is _laurent_closure of the whole word.
+    Both give the same polynomial.  collapsed carries the polynomial value
+    when the denominator divides exactly.
 
     A reduced word of even length that misses some generator sigma_i
     answers fraction 0 and collapsed 0 at once, with no lk(n) and no sweep
@@ -248,7 +304,10 @@ def krammer_fraction(word):
     if s > 0 and _misses_a_generator(word):
         return KrammerResult(PolyFraction(ZERO), ZERO)
     rep, den = _krammer_data(word.strands)
-    fraction = PolyFraction(_laurent_closure(rep, word, s), den)
+    rows, unit = _pencil(rep, word, s, (len(word.letters) + 1) // 2)
+    num = packed_det(rows)
+    num = _laurent_closure(rep, word, s) if num is None else num.times_term(*unit)
+    fraction = PolyFraction(num, den)
     return KrammerResult(fraction, fraction.num if fraction.is_polynomial() else None)
 
 

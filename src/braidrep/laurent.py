@@ -1040,10 +1040,12 @@ def t_coefficients(x):
 
 
 def divide_by_sweep(coeffs, shift, n):
-    """(t^shift f / den, its normal form) for f = sum_i coeffs[i] t^i and
-    den = (-1)^(n-1) (1 + t + ... + t^(n-1)), or None when den does not
-    divide t^shift f.  The normal form is the quotient times the unit
-    +-t^a that gives it least t-exponent 0 and lowest coefficient > 0.
+    """(normal, (c, a)) for the quotient t^shift f / den = c t^a normal,
+    f = sum_i coeffs[i] t^i and den = (-1)^(n-1) (1 + t + ... + t^(n-1)),
+    or None when den does not divide t^shift f.  normal is the quotient's
+    normal form, least t-exponent 0 and lowest coefficient > 0, and the
+    unit c t^a (c = +-1) turns it back into the quotient, which is not
+    built here; a zero quotient gives (ZERO, (1, 0)).
 
     f = g (1 + ... + t^(n-1)) + r with deg r < n - 1, so f_i is r_i plus
     the window g_(i-n+1) + ... + g_i (g_j = 0 off 0..deg g).  Top-down,
@@ -1058,17 +1060,13 @@ def divide_by_sweep(coeffs, shift, n):
         if coeffs[i] != window:
             return None
         window -= g[i]
-    pairs = [(k, c) for k, c in enumerate(g) if c]
-    if not pairs:
-        return ZERO, ZERO
-    low, c = pairs[0]
-    sign = (-1) ** (n - 1)
-    unit = 1 if c > 0 else -1
-    quotient = LaurentPoly.__new__(LaurentPoly)
-    quotient._terms = {(k + shift, 0): sign * c for k, c in pairs}
+    low = next((k for k, c in enumerate(g) if c), None)
+    if low is None:
+        return ZERO, (1, 0)
+    unit = 1 if g[low] > 0 else -1
     normal = LaurentPoly.__new__(LaurentPoly)
-    normal._terms = {(k - low, 0): unit * c for k, c in pairs}
-    return quotient, normal
+    normal._terms = {(k - low, 0): unit * c for k, c in enumerate(g) if c}
+    return normal, ((-1) ** (n - 1) * unit, shift + low)
 
 
 def t_terms(x):

@@ -15,11 +15,15 @@ laurent.expand_packed; a wider one loses t alone, under t -> 2^bits into
 Z[q^+-1], and laurent.expand_t reads the t-exponents back out of the
 coefficients of its determinant.  laurent sizes bits by Hadamard's bound,
 so the read-back is exact, and owns the gates that pick a block's route.
-integer_det takes a matrix of Python ints, for closures built at an
-integer point of t.  The block split (_split_det) and the pivoted
-elimination (_bareiss) are written once for both rings: each ring passes
-in only its pivot size (terms, or bits) and its row update.  Neither
-determinant writes its argument: _split_det hands each block on as a copy.
+packed_det runs the same split but takes a block of 3 or more rows only
+on the packed route, and gives None when one does not pack, for a caller
+that has another way to its determinant (the Krammer pencil of
+invariants.krammer_fraction).  integer_det takes a matrix of Python ints,
+for closures built at an integer point of t.  The block split
+(_split_det) and the pivoted elimination (_bareiss) are written once for
+both rings: each ring passes in only its pivot size (terms, or bits) and
+its row update.  No determinant writes its argument: _split_det hands
+each block on as a copy.
 Products pair only nonzero entries of both factors.  Inverses run
 fraction-free Gauss-Jordan elimination on [A | I], the same exact
 divisions as Bareiss, over the nonzero entries of each row only.
@@ -89,9 +93,9 @@ def _split_det(m, block_det):
     """Determinant of a square list of rows, which it never writes, as the
     product of block_det over the strongly connected blocks of its nonzero
     pattern, smallest first, each block a copy; the first block whose
-    determinant is zero gives that zero.  A matrix with no zero entry is
-    one block and skips _strong_components.  PolyMatrix.det and integer_det
-    differ only in block_det."""
+    determinant is zero, or None (packed_det's refusal), gives that value.
+    A matrix with no zero entry is one block and skips _strong_components.
+    PolyMatrix.det, packed_det and integer_det differ only in block_det."""
     if all(map(all, m)):
         return block_det([row[:] for row in m])
     out = None
@@ -188,6 +192,30 @@ def _laurent_block_det(rows):
     images, bits, width, shift = collapsed
     if width is None:
         return expand_t(_bareiss_det(images), bits, shift)
+    return expand_packed(_integer_bareiss_det(images), bits, width, shift)
+
+
+def packed_det(m):
+    """Determinant of a square list of rows of LaurentPoly entries, which it
+    never writes, when every strongly connected block of 3 or more rows
+    packs into ints, else None.  The block split of PolyMatrix.det
+    (_split_det), with 1 x 1 and 2 x 2 blocks as _laurent_block_det takes
+    them, and each larger block on laurent.collapse's packing route alone:
+    a block that collapse leaves in Z[q^+-1] or refuses gives None, and so
+    does the whole determinant, unless a smaller block, taken first, was
+    zero and gave 0."""
+    return _split_det(m, _packed_block_det)
+
+
+def _packed_block_det(rows):
+    """The block function of packed_det: _laurent_block_det for a block of
+    at most 2 rows, else the packed determinant or None."""
+    if len(rows) < 3:
+        return _laurent_block_det(rows)
+    collapsed = collapse(rows)
+    if collapsed is None or collapsed[2] is None:
+        return None
+    images, bits, width, shift = collapsed
     return expand_packed(_integer_bareiss_det(images), bits, width, shift)
 
 

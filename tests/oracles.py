@@ -565,3 +565,30 @@ def fraction_det(rows):
                 row[j] -= f * m[k][j]
     assert det.denominator == 1
     return int(det)
+
+
+def det_mod_prime(rows, t0, q0, prime):
+    """The determinant of a square list of rows of LaurentPoly entries at
+    t = t0, q = q0 in the integers mod prime, t0 and q0 units mod prime,
+    by Gaussian elimination there."""
+    def value(x):
+        return sum(c * pow(t0, et, prime) * pow(q0, eq, prime)
+                   for (et, eq), c in x.sorted_terms()) % prime
+
+    m = [[value(x) for x in row] for row in rows]
+    n = len(m)
+    det = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            det = -det
+        det = det * m[k][k] % prime
+        inverse = pow(m[k][k], -1, prime)
+        for row in m[k + 1:]:
+            f = row[k] * inverse % prime
+            for j in range(k, n):
+                row[j] = (row[j] - f * m[k][j]) % prime
+    return det % prime

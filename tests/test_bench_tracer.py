@@ -41,13 +41,16 @@ def test_tracer_installs_and_counts_one_krammer_fraction():
     done = subprocess.run([sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "bench")],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    # three builds (lk(2), reduced Burau, lk(3)); five dets: three Krammer
-    # numerators, two Krammer sweep denominators (the Alexander determinants
-    # are integer linear algebra, with no PolyMatrix.det).  Nine divisions:
-    # one per Krammer canonical fraction, and six by the one-term pivot
-    # t^2 q in the Gauss-Jordan inverse of lk(3)'s sigma_1.  The 3 x 3 dets
-    # are packed into ints and divide with //, and the Alexander quotient
-    # is an integer division at t = 2^K, neither with exact_div
+    # three builds (lk(2), reduced Burau, lk(3)); two dets, the Krammer
+    # sweep denominators: the three Krammer numerators are pencils of two
+    # half-word images whose every block packs, so polymatrix.packed_det
+    # takes them, not PolyMatrix.det, and the Alexander determinants are
+    # integer linear algebra.  Eight divisions: one per Krammer canonical
+    # fraction, and five by the one-term pivot t in the Gauss-Jordan
+    # inverse of lk(3)'s sigma_2, the inverse letter of v^-1 for v = -1 2,
+    # the second half of 1 2 -1 2.  The 3 x 3 dets are packed into ints
+    # and divide with //, and the Alexander quotient is an integer division
+    # at t = 2^K, neither with exact_div
     assert done.stdout.split("\n") == ["invariants.krammer_fraction 3", "reps.build 3",
-                                       "polymatrix.det 5", "laurent.exact_div 9",
+                                       "polymatrix.det 2", "laurent.exact_div 8",
                                        "build_repeats 0", ""]

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import random
@@ -10,10 +11,11 @@ from braidrep import laurent
 from braidrep.braid import BraidWord
 from braidrep.cli import MAX_SIZE
 from braidrep.laurent import LaurentPoly, ONE, PolyFraction, Q, T, ZERO, parse_poly
-from braidrep.polymatrix import PolyMatrix
+from braidrep.polymatrix import PolyMatrix, packed_det
 from braidrep import reps
 from braidrep.reps import image_of_word, lk
-from oracles import generalized_char_poly, normalized_laurent, sign_twisted_krammer_fraction
+from oracles import (det_mod_prime, generalized_char_poly, normalized_laurent,
+                     sign_twisted_krammer_fraction)
 
 W = BraidWord
 
@@ -816,7 +818,8 @@ def test_integer_closure_det_matches_the_laurent_path_on_many_strands():
 def test_alexander_reads_its_letters_once_and_krammer_never_walks_them(monkeypatch):
     # the invariant picks the route: one alexander call inside the gate
     # parses and orients its word once for both walks, and krammer_fraction
-    # (lk has q) runs neither walk
+    # (lk has q) runs neither walk; it reads the letters of each half of
+    # its pencil once, u and v^-1, whose blocks all pack here
     word = W.parse("1 -2 3 2 -1 3 3 -2", 4)
     inv.alexander(word)
     inv.krammer_fraction(word)
@@ -826,7 +829,7 @@ def test_alexander_reads_its_letters_once_and_krammer_never_walks_them(monkeypat
     for name in ("word_norm_bound", "image_at_power_of_two"):
         monkeypatch.setattr(inv, name, _counted(getattr(inv, name), counts, name))
     inv.krammer_fraction(word)
-    assert counts == {"_applied_letters": 1, "word_norm_bound": 0, "image_at_power_of_two": 0}
+    assert counts == {"_applied_letters": 2, "word_norm_bound": 0, "image_at_power_of_two": 0}
     counts["_applied_letters"] = 0
     inv.alexander(word)
     assert counts == {"_applied_letters": 1, "word_norm_bound": 1, "image_at_power_of_two": 1}
@@ -929,3 +932,87 @@ def test_the_krammer_sweep_denominator_has_its_measured_closed_form():
             a, eps = n // 2 - 1, -1
         x = Q * T ** n
         assert inv._krammer_data(n)[1] == eps * (x - ONE) ** a * (x + ONE) ** (n - 1 - a), n
+
+
+EIGHT = W.parse("1 -2 3 -4 5 -6 7 1 -2 3", 8)
+
+
+def test_the_pencil_of_every_cut_gives_the_closure_determinant():
+    # det(lk(u v) - s I) = det(lk(u) - s lk(v^-1)) det lk(v) at every cut
+    # h = |u| = 0..L: seeded words of both parities of L on n = 2..7
+    # strands, whose pencils' dets, through PolyMatrix.det and through
+    # packed_det where every block packs, times the unit, are the closure
+    # of the whole word
+    rng = random.Random(3131)
+    words = [W(n, [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)])
+             for n in range(2, 8) for length in (2 * rng.randint(2, 5), 2 * rng.randint(2, 5) + 1)]
+    packed_cuts = 0
+    for word in words:
+        rep, _ = inv._krammer_data(word.strands)
+        s = (-1) ** len(word.letters)
+        want = inv._laurent_closure(rep, word, s)
+        for cut in range(len(word.letters) + 1):
+            rows, unit = inv._pencil(rep, word, s, cut)
+            packed = packed_det(rows)
+            assert PolyMatrix._wrap(rows).det().times_term(*unit) == want, (word, cut)
+            if packed is not None:
+                assert packed.times_term(*unit) == want, (word, cut)
+                packed_cuts += 1
+    assert packed_cuts >= 50
+
+
+@pytest.mark.parametrize("length", (10, 9))
+def test_the_pencil_of_every_cut_of_the_eight_strand_word(length):
+    # the 8-strand word and its 9-letter prefix, both parities of L, whose
+    # 28 x 28 pencils pack at no cut: the cut krammer_fraction takes is
+    # compared exactly (a Laurent det of about 1 s), and every cut mod the
+    # prime 2^61 - 1 at one point (t, q), against the closure of the whole
+    # word
+    word = W(8, EIGHT.letters[:length])
+    rep, _ = inv._krammer_data(8)
+    s = (-1) ** length
+    want = inv._laurent_closure(rep, word, s)
+    prime, t0, q0 = 2 ** 61 - 1, 1234567, 7654321
+    for cut in range(length + 1):
+        rows, (c, et, eq) = inv._pencil(rep, word, s, cut)
+        assert packed_det(rows) is None
+        unit = c * pow(t0, et, prime) * pow(q0, eq, prime)
+        assert det_mod_prime(rows, t0, q0, prime) * unit % prime == \
+            det_mod_prime([[want]], t0, q0, prime), cut
+        if cut == (length + 1) // 2:
+            assert PolyMatrix._wrap(rows).det().times_term(c, et, eq) == want
+
+
+def test_the_determinant_of_an_lk_letter_is_the_pencil_unit():
+    # det lk(sigma_i^+-1) = ((-1)^n t^n q)^+-1 on n = 2..16 strands, the
+    # factor _pencil multiplies once per letter of v
+    for n in range(2, 17):
+        rep = lk(n)
+        for i in range(1, n):
+            assert rep.sigma(i).det() == LaurentPoly.monomial((-1) ** n, n, 1), (n, i)
+            assert rep.sigma(-i).det() == LaurentPoly.monomial((-1) ** n, -n, -1), (n, i)
+
+
+def test_krammer_fraction_takes_the_pencil_or_the_whole_closure_with_one_value(monkeypatch):
+    # seeded words on 3..5 strands: the pencil packs for some and not for
+    # others, which fall back to the closure of the whole word; either way
+    # the fraction is the ratio of the whole word's closure
+    rng = random.Random(3131)
+    words = [W(n, [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(6, 16))])
+             for n in (3, 4, 5) for _ in range(50)]
+    paths = collections.Counter()
+
+    def counted(rows):
+        d = packed_det(rows)
+        paths["fallback" if d is None else "pencil"] += 1
+        return d
+
+    monkeypatch.setattr(inv, "packed_det", counted)
+    for word in words:
+        got = inv.krammer_fraction(word)
+        reduced = word.free_reduce(cyclic=True)
+        rep, den = inv._krammer_data(word.strands)
+        s = (-1) ** len(reduced.letters)
+        assert got.fraction == PolyFraction(inv._laurent_closure(rep, reduced, s), den), word
+        assert got.collapsed == (got.fraction.num if got.fraction.is_polynomial() else None)
+    assert paths["pencil"] >= 20 and paths["fallback"] >= 20, paths

@@ -726,7 +726,7 @@ def test_divide_by_sweep_gives_the_quotient_and_its_normal_form():
     # at t = 2^bits: the quotient of t^shift f by den = (-1)^(n-1) (1 + ...
     # + t^(n-1)) is (-1)^(n-1) t^shift g, which exact_div agrees with, and
     # the normal form is g with least t-exponent 0 and lowest coefficient
-    # positive
+    # positive, which the returned unit turns back into the quotient
     rng = random.Random(2929)
     for n in range(2, 17):
         den = (-1) ** (n - 1) * _sweep(n)
@@ -740,9 +740,11 @@ def test_divide_by_sweep_gives_the_quotient_and_its_normal_form():
             shift = rng.randint(-9, 9)
             want = exact_div(T ** shift * f, den)
             assert want == (-1) ** (n - 1) * T ** shift * g
-            for got in (divide_by_sweep(coeffs, shift + lo, n),
-                        divide_by_sweep(t_digits(_value_at(coeffs, bits), bits), shift + lo, n)):
-                assert got[0] == want and got[1] == normalized_laurent(g), (n, str(g))
+            for normal, unit in (divide_by_sweep(coeffs, shift + lo, n),
+                                 divide_by_sweep(t_digits(_value_at(coeffs, bits), bits),
+                                                 shift + lo, n)):
+                assert normal.times_term(*unit) == want, (n, str(g))
+                assert normal == normalized_laurent(g), (n, str(g))
 
 
 def test_divide_by_sweep_reads_a_numerator_of_many_digits():
@@ -753,14 +755,14 @@ def test_divide_by_sweep_reads_a_numerator_of_many_digits():
     coeffs, lo = t_coefficients(f)
     digits = t_digits(_value_at(coeffs, 12), 12)
     assert len(digits) > 32 and lo == 0
-    quotient, normal = divide_by_sweep(digits, -4, 7)
-    assert quotient == T ** -4 * g and normal == normalized_laurent(g)
+    normal, unit = divide_by_sweep(digits, -4, 7)
+    assert normal.times_term(*unit) == T ** -4 * g and normal == normalized_laurent(g)
 
 
 def test_divide_by_sweep_of_zero_is_zero():
     for coeffs in ([], [0], [0] * 9, t_digits(0, 5)):
         for n in (2, 3, 16):
-            assert divide_by_sweep(coeffs, 3, n) == (ZERO, ZERO)
+            assert divide_by_sweep(coeffs, 3, n) == (ZERO, (1, 0))
 
 
 def test_divide_by_sweep_refuses_a_remainder():
@@ -770,7 +772,7 @@ def test_divide_by_sweep_refuses_a_remainder():
     assert divide_by_sweep(t_digits((1 << 10) - 1, 5), 2, 3) is None
     assert divide_by_sweep([5], 0, 2) is None
     assert divide_by_sweep([2, 1], 0, 2) is None
-    assert divide_by_sweep([1, 2, 1], 0, 2) == (-(T + 1), T + 1)
+    assert divide_by_sweep([1, 2, 1], 0, 2) == (T + 1, (-1, 0))
 
 
 @given(laurent_polys(span=3), laurent_polys(span=3), st.integers(min_value=12, max_value=80))

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from braidrep.laurent import (COLLAPSE_BITS, ONE, PACKED_ROW_BITS, Q, T, ZERO, LaurentPoly,
                               PolyFraction, collapse, parse_poly)
 from braidrep.polymatrix import (PolyMatrix, char_poly, char_poly_from_roots,
-                                 exp_nilpotent, ext_basis, ext_power, integer_det, sym_basis,
-                                 sym_power)
+                                 exp_nilpotent, ext_basis, ext_power, integer_det, packed_det,
+                                 sym_basis, sym_power)
 from braidrep import reps
 from braidrep.reps import lk
 from braidrep import invariants as inv
@@ -480,6 +480,62 @@ def test_collapse_gate_edges(block_routes, e, route):
     got = a.det()
     assert got == diagonal_bareiss_det(a) == LaurentPoly({(2, 1): 2 ** e, (2, GATE + 1): 1})
     assert block_routes == {route: 1}
+
+
+def block_sum(*blocks):
+    """The direct sum of the blocks, with t q above the diagonal between
+    each block and the next, so the sum is block upper triangular: its
+    strongly connected blocks are the given ones, and its determinant is
+    their product."""
+    a = blocks[0]
+    for b in blocks[1:]:
+        corner = a.rows
+        a = a.direct_sum(b)
+        a.data[corner - 1][corner] = T * Q
+    return a
+
+
+def test_packed_det_is_the_det_when_every_block_packs(block_routes):
+    # 1 x 1 and 2 x 2 blocks as PolyMatrix.det takes them, and blocks of 3
+    # and 4 rows that pack; the argument is left as it was
+    rng = random.Random(3131)
+    packed = [PolyMatrix(connected_block(rng, size, 3, (0, 1))) for size in (3, 4)]
+    assert [block_route(b.data) for b in packed] == ["packed", "packed"]
+    for a in (block_sum(PolyMatrix([[T - Q]]), m22(T, Q, ONE, T ** -1), *packed),
+              block_sum(gate_block(73, GATE // 75 - 1), PolyMatrix([[3 * Q]])),
+              packed[1]):
+        before = [row[:] for row in a.data]
+        block_routes.clear()
+        got = packed_det(a.data)
+        assert got == a.det() == diagonal_bareiss_det(a) != ZERO
+        assert a.data == before
+        assert set(block_routes) == {"packed"}
+
+
+def test_packed_det_refuses_a_block_it_cannot_pack():
+    # a 3 x 3 block that collapses to Z[q^+-1] or that both gates refuse
+    # gives None, whatever blocks come with it, while PolyMatrix.det takes
+    # it on its own route
+    small = m22(T, Q, ONE, T ** -1)
+    for wide, route in ((gate_block(73, GATE // 75), "collapsed"),
+                        (gate_block(1023, GATE), "refused")):
+        assert block_route(wide.data) == route
+        for a in (wide, block_sum(small, wide), block_sum(wide, PolyMatrix([[T]]), small)):
+            assert a.det() != ZERO
+            assert packed_det(a.data) is None
+
+
+def test_packed_det_of_a_zero_block_before_a_refused_one_is_zero():
+    # blocks go smallest first, so a zero block smaller than the refused one
+    # gives 0, and one larger than it comes too late
+    refused = gate_block(1023, GATE)
+    for zero in (PolyMatrix([[ZERO]]), m22(T, Q, T, Q)):
+        got = packed_det(block_sum(refused, zero).data)
+        assert got == ZERO and isinstance(got, LaurentPoly)
+    rng = random.Random(4)
+    singular4 = PolyMatrix(singular(rng, connected_block(rng, 4, 3, (0, 1)), "equal rows"))
+    a = block_sum(singular4, refused)
+    assert a.det() == ZERO and packed_det(a.data) is None
 
 
 def sylvester_hadamard(k):

@@ -13,7 +13,9 @@ s = (-1)^L, so the Krammer determinants are taken on lk itself as
 s^dim det(lk(word) - s I).  The generator images stay as their
 constructors build them, so a word image rewrites only the lines (rows
 for the conjugated reduced Burau form, columns for lk) where each letter
-differs from the identity; reps.image_of_word passes the rest through.
+differs from the identity; the walk (reps._image_of_letters) passes the
+rest through.  Both invariants hand it the letters they have already
+reduced (see below), so no word is reduced twice.
 
 A Krammer numerator is first tried as a pencil of two half-word images
 (_pencil).  Cut the word w = u v, u its first ceil(L/2) letters; lk(v)
@@ -25,16 +27,27 @@ and det lk(v) = (-1)^(n |v|) t^(n e) q^e on n strands, e the exponent
 sum of v, since det lk(sigma_i^+-1) = ((-1)^n t^n q)^+-1.  Each half is
 walked alone, so the pencil's entries have about half the spans and
 much smaller 1-norms than lk(w)'s, and its determinant blocks fit the
-packing gate of laurent.collapse where the whole image's do not.
-polymatrix.packed_det takes the pencil when every block of 3 or more
-rows packs into ints; otherwise the numerator is the closure of the
-whole word, _laurent_closure, as before.  The pencil is not taken
-everywhere: where the whole image splits into smaller blocks than the
-pencil, or a block is too wide to pack, the pencil's blocks cost more.
+packing gate of laurent.collapse where the whole image's do not.  The
+pencil itself is never written out: polymatrix.packed_det takes the two
+images and s, reads the gate's bounds from both before any subtraction
+(laurent.pack_pencil), and packs lk(u) - s lk(v^-1) term by term, when
+every block of 3 or more rows packs into ints; otherwise the numerator
+is the closure of the whole word, _laurent_closure, as before.  The
+pencil is not taken everywhere: where the whole image splits into
+smaller blocks than the pencil, or a block is too wide to pack, the
+pencil's blocks cost more.
+
+The Krammer sweep denominator is eps (q t^n - 1)^a (q t^n + 1)^b, a form
+found by factoring and checked exactly once per n (_krammer_data).  A
+binomial factor
+q t^n -+ 1 divides num exactly when num vanishes at q = +-t^-n, which
+one pass over num's terms decides (laurent.binomial_divides); most
+numerators fail it, and their canonical fraction is built with no
+division attempted (PolyFraction.indivisible).
 
 Reduced Burau has no q, so its closures are integer linear algebra
 (Kronecker substitution, D. Harvey, J. Symb. Comput. 44, 2009):
-reps.letter_t_lines reads the word's letters once, reps.word_norm_bound
+reps.letter_t_lines reads the reduced letters once, reps.word_norm_bound
 walks them, with no product, to bound each line of the image by one
 number, the sum of its entries' 1-norms; Hadamard's bound on those sums
 gives K (laurent.hadamard_bits), reps.image_at_power_of_two builds the
@@ -69,10 +82,11 @@ gives (2*t^3*q - 2*t^2*q + 2*t - 2) / (t^6*q^2 - 1)), and it is computed.
 import functools
 
 from .braid import BraidWord, CheckReport
-from .laurent import (LaurentPoly, PolyFraction, Q, T, ZERO, divide_by_sweep, exact_rational,
-                      hadamard_bits, integer_closure_fits, t_coefficients, t_digits)
+from .laurent import (LaurentPoly, ONE, PolyFraction, Q, T, ZERO, binomial_divides,
+                      divide_by_sweep, exact_rational, hadamard_bits, integer_closure_fits,
+                      t_coefficients, t_digits)
 from .polymatrix import integer_det, packed_det
-from .reps import (burau_reduced, image_at_power_of_two, image_of_word, letter_t_lines, lk,
+from .reps import (_image_of_letters, burau_reduced, image_at_power_of_two, letter_t_lines, lk,
                    word_norm_bound)
 
 
@@ -140,16 +154,43 @@ def _alexander_data(n):
 
 @functools.lru_cache(maxsize=None)
 def _krammer_data(n):
-    """lk(n) and the Krammer sweep denominator, the closure determinant of
-    sigma_1 ... sigma_(n-1) (_laurent_closure with its sign), built once
-    per n."""
+    """(rep, den, signs): lk(n), the Krammer sweep denominator den, the
+    closure determinant of sigma_1 ... sigma_(n-1) (_laurent_closure with
+    its sign), and the signs of den's binomial factors, built once per n.
+
+    Factored by sympy and pinned for n = 2..14 by the tests, den =
+    eps (q t^n - 1)^a (q t^n + 1)^b with a + b = n - 1: a = b = (n - 1)/2
+    and eps = 1 for odd n, a = n/2 and eps = 1 for n = 0 mod 4, and
+    a = n/2 - 1 and eps = -1 for n = 2 mod 4.  That form is not proved, so
+    it is checked here against the computed den, exactly, and signs holds
+    -1 for the factor q t^n + 1 when b > 0 and +1 for q t^n - 1 when a > 0,
+    in the order krammer_fraction tests them; if the check fails, signs is
+    empty and rules nothing out.  A numerator that one of these factors
+    does not divide (laurent.binomial_divides) is not divided by den, and
+    krammer_fraction skips the division.  q t^n + 1 goes first because it
+    is the factor that fails: on 3000 seed-1 krammer-large words (n = 4) it
+    failed on 1608 of 1991 numerators and q t^n - 1 on none, and on the
+    Krammer words of 1000 seed-1 invariant-batch blocks (n = 3, 4) it alone
+    ruled out 900 of the 920 numerators that a factor rules out."""
     rep = lk(n, "new")
-    return rep, _laurent_closure(rep, BraidWord(n, list(range(1, n))), (-1) ** (n - 1))
+    den = _laurent_closure(rep, list(range(1, n)), (-1) ** (n - 1))
+    if n % 2:
+        a, eps = (n - 1) // 2, 1
+    elif n % 4 == 0:
+        a, eps = n // 2, 1
+    else:
+        a, eps = n // 2 - 1, -1
+    b = n - 1 - a
+    x = LaurentPoly.monomial(1, n, 1)
+    closed = eps * (x - ONE) ** a * (x + ONE) ** b
+    signs = tuple(sign for sign, power in ((-1, b), (1, a)) if power) if den == closed else ()
+    return rep, den, signs
 
 
-def _laurent_closure(rep, word, s):
-    """s^dim det(rho(word) - s I) as the LaurentPoly PolyMatrix.det gives,
-    with s subtracted on the diagonal of the image of the whole word: the
+def _laurent_closure(rep, letters, s):
+    """s^dim det(rho(w) - s I) as the LaurentPoly PolyMatrix.det gives,
+    with s subtracted on the diagonal of the image of the whole word w
+    with these letters, walked as given (reps._image_of_letters): the
     Alexander numerator on the Laurent path, the Krammer sweep
     denominator, and the Krammer numerator when its pencil (_pencil) has
     a block that does not pack.
@@ -160,7 +201,7 @@ def _laurent_closure(rep, word, s):
     word, and the generator images stay as lk builds them.  alexander
     passes s = 1.
     """
-    m = image_of_word(rep, word)
+    m = _image_of_letters(rep, letters)
     shift = LaurentPoly.const(-s)
     for i, row in enumerate(m.data):
         row[i] = row[i] + shift
@@ -168,38 +209,38 @@ def _laurent_closure(rep, word, s):
     return -det if s < 0 and rep.dim % 2 else det
 
 
-def _pencil(rep, word, s, cut):
-    """(rows, unit) with s^dim det(rho(word) - s I) = det(rows) times the
-    monomial unit = (c, et, eq), for rho = lk on n strands, the word cut
-    into u, its first cut letters, and v, the rest.
+def _pencil(rep, letters, s, cut):
+    """(a, b, unit) with s^dim det(rho(w) - s I) = det(a - s b) times the
+    monomial unit = (c, et, eq), for rho = lk on n strands and the word w
+    with these letters, cut into u, its first cut letters, and v, the
+    rest.
 
     rho(v) is invertible over the Laurent ring, so rho(uv) - s I =
-    (rho(u) - s rho(v^-1)) rho(v), and rows holds the pencil rho(u) -
-    s rho(v^-1): the images of the two halves, each walked alone, written
-    into rho(u)'s rows in place.  det lk(sigma_i^+-1) = ((-1)^n t^n q)^+-1,
-    so det rho(v) = (-1)^(n |v|) t^(n e) q^e with e v's exponent sum, and
-    the sign of s^dim joins it in c."""
-    n = word.strands
-    v = word.letters[cut:]
-    rows = image_of_word(rep, BraidWord(n, word.letters[:cut])).data
-    inverse = image_of_word(rep, BraidWord(n, [-x for x in reversed(v)])).data
-    for row, other in zip(rows, inverse):
-        for j, y in enumerate(other):
-            if y:
-                row[j] = row[j] - y if s > 0 else row[j] + y
+    (rho(u) - s rho(v^-1)) rho(v): a and b are the rows of rho(u) and
+    rho(v^-1), each walked alone from the letters (reps._image_of_letters),
+    which are not reduced again, and the pencil a - s b is left to
+    polymatrix.packed_det, which never builds it where it packs.
+    det lk(sigma_i^+-1) = ((-1)^n t^n q)^+-1, so det rho(v) =
+    (-1)^(n |v|) t^(n e) q^e with e v's exponent sum, and the sign of
+    s^dim joins it in c."""
+    n = rep.strands
+    v = letters[cut:]
+    a = _image_of_letters(rep, letters[:cut]).data
+    b = _image_of_letters(rep, [-x for x in reversed(v)]).data
     e = sum(1 if x > 0 else -1 for x in v)
     c = (-1) ** (n * len(v)) * (-1 if s < 0 and rep.dim % 2 else 1)
-    return rows, (c, n * e, e)
+    return a, b, (c, n * e, e)
 
 
-def _integer_closure(rep, word):
-    """(d, bits, shift) with det(rho(word) - I) = t^shift f for the f in
+def _integer_closure(rep, letters):
+    """(d, bits, shift) with det(rho(w) - I) = t^shift f for the f in
     Z[t] whose value at t = 2^bits is d, every coefficient of f below
     2^(bits - 1) in absolute value; for a representation with no q, or
-    None when the gate refuses the word.
+    None when the gate refuses the word w with these letters, which are
+    walked as given (reps.letter_t_lines).
 
-    Line i of rho(word) has entries whose 1-norms add up to at most sums[i]
-    (reps.word_norm_bound), so line i of rho(word) - I has them add up to
+    Line i of rho(w) has entries whose 1-norms add up to at most sums[i]
+    (reps.word_norm_bound), so line i of rho(w) - I has them add up to
     at most sums[i] + 1, and as the squares of those 1-norms add up to at
     most (sums[i] + 1)^2, K = hadamard_bits of those squares puts every
     coefficient of the determinant below 2^(K - 1).  Line i at t = 2^K is
@@ -213,12 +254,12 @@ def _integer_closure(rep, word):
     dimension and the a priori width K (row t-span + 1), the t-span from
     word_norm_bound.
     """
-    letters = letter_t_lines(rep, word)
-    sums, los, his = word_norm_bound(rep, letters)
+    lines = letter_t_lines(rep, letters)
+    sums, los, his = word_norm_bound(rep, lines)
     bits = hadamard_bits([(total + 1) ** 2 for total in sums])
     if not integer_closure_fits(rep.dim, bits * (max(h - l for l, h in zip(los, his)) + 1)):
         return None
-    lines, offsets = image_at_power_of_two(rep, letters, bits)
+    lines, offsets = image_at_power_of_two(rep, lines, bits)
     for i, line in enumerate(lines):
         line[i] -= 1 << bits * offsets[i]
     return integer_det(lines), bits, -sum(offsets)
@@ -255,9 +296,9 @@ def alexander(word):
     if _misses_a_generator(word):
         return AlexanderResult(ZERO)
     rep, den = _alexander_data(word.strands)
-    closure = _integer_closure(rep, word)
+    closure = _integer_closure(rep, word.letters)
     if closure is None:
-        coeffs, shift = t_coefficients(_laurent_closure(rep, word, 1))
+        coeffs, shift = t_coefficients(_laurent_closure(rep, word.letters, 1))
     else:
         d, bits, shift = closure
         coeffs = t_digits(d, bits)
@@ -278,10 +319,15 @@ def krammer_fraction(word):
     The word is cut after its first ceil(L/2) letters, w = u v, and the
     numerator is det(lk(u) - s lk(v^-1)) times the unit det lk(v) =
     (-1)^(n |v|) t^(n e) q^e, e the exponent sum of v, with the sign of
-    s^dim (_pencil), when polymatrix.packed_det packs every block of that
-    pencil into ints; otherwise it is _laurent_closure of the whole word.
-    Both give the same polynomial.  collapsed carries the polynomial value
-    when the denominator divides exactly.
+    s^dim (_pencil, which walks both halves from the reduced letters),
+    when polymatrix.packed_det(lk(u), lk(v^-1), s) packs every block of
+    that pencil into ints; otherwise it is _laurent_closure of the whole
+    word.  Both give the same polynomial.  The fraction tries the exact
+    division by the denominator only when every binomial factor of it
+    divides the numerator (laurent.binomial_divides, with the signs that
+    _krammer_data keeps); otherwise it is built without one
+    (PolyFraction.indivisible), the same canonical pair.  collapsed
+    carries the polynomial value when the denominator divides exactly.
 
     A reduced word of even length that misses some generator sigma_i
     answers fraction 0 and collapsed 0 at once, with no lk(n) and no sweep
@@ -303,11 +349,15 @@ def krammer_fraction(word):
     s = (-1) ** len(word.letters)
     if s > 0 and _misses_a_generator(word):
         return KrammerResult(PolyFraction(ZERO), ZERO)
-    rep, den = _krammer_data(word.strands)
-    rows, unit = _pencil(rep, word, s, (len(word.letters) + 1) // 2)
-    num = packed_det(rows)
-    num = _laurent_closure(rep, word, s) if num is None else num.times_term(*unit)
-    fraction = PolyFraction(num, den)
+    n, letters = word.strands, word.letters
+    rep, den, signs = _krammer_data(n)
+    a, b, unit = _pencil(rep, letters, s, (len(letters) + 1) // 2)
+    num = packed_det(a, b, s)
+    num = _laurent_closure(rep, letters, s) if num is None else num.times_term(*unit)
+    if all(binomial_divides(num, n, sign) for sign in signs):
+        fraction = PolyFraction(num, den)
+    else:
+        fraction = PolyFraction.indivisible(num, den)
     return KrammerResult(fraction, fraction.num if fraction.is_polynomial() else None)
 
 

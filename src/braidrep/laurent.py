@@ -863,6 +863,59 @@ def hadamard_bits(row_squares):
     return (math.isqrt(bound - 1) + 1).bit_length() + 1
 
 
+def _bounds(lines):
+    """(los, q_los, bits, span, width, height) for a square block given
+    line by line: for each row index i, lines yields row i of each of one
+    or more images, and the block is a signed sum of those images.
+
+    One loop reads each row's ranges and 1-norms from the exponents and
+    coefficients of all its images, so a gate reads them before any shift
+    or sum, and an entry t^(10**12) costs nothing.  lo_i and qlo_i are the
+    least t- and q-exponents of row i over every image, span the largest
+    row t-span, width and height one more than the sums of the row t- and
+    q-spans, each taken over the union of the images' ranges, which holds
+    every range of the signed sum.  bits is hadamard_bits of each row's sum
+    over j of (sum over the images of |x_ij|_1)^2: the 1-norm of a signed
+    sum is at most that inner sum, so these bound the sum's rows too.  Each
+    row must have a nonzero entry in some image."""
+    los, q_los, row_squares = [], [], []
+    span = t_total = q_total = 0
+    for rows in lines:
+        lo = None
+        square = 0
+        for entries in zip(*rows):
+            norm = 0
+            for x in entries:
+                terms = x._terms
+                if terms:
+                    if lo is None:
+                        lo, q_lo = hi, q_hi = next(iter(terms))
+                    for et, eq in terms:
+                        if et < lo:
+                            lo = et
+                        elif et > hi:
+                            hi = et
+                        if eq < q_lo:
+                            q_lo = eq
+                        elif eq > q_hi:
+                            q_hi = eq
+                    norm += sum(map(abs, terms.values()))
+            square += norm * norm
+        los.append(lo)
+        q_los.append(q_lo)
+        span = max(span, hi - lo)
+        t_total += hi - lo
+        q_total += q_hi - q_lo
+        row_squares.append(square)
+    return los, q_los, hadamard_bits(row_squares), span, t_total + 1, q_total + 1
+
+
+def _packs(bits, width, height, rows):
+    """The packing gate: whether a block of rows rows, slot width bits and
+    degree bounds width and height packs, at most PACKED_ROW_BITS per row."""
+    return bits * width * height <= PACKED_ROW_BITS * rows
+
+
 def collapse(rows):
     """(images, bits, width, shift) for the rows of a square block, each
     with a nonzero entry, or None when both gates refuse the block.
@@ -879,45 +932,34 @@ def collapse(rows):
     Otherwise, when bits * (s + 1) lies in COLLAPSE_BITS, s the largest
     row t-span, the map is t -> 2^bits into Z[q^+-1], width is None, and
     the determinant is expand_t(det(images), bits, shift) with shift the
-    sum of the lo_i.
-    One loop over each row reads its ranges and 1-norms from the exponents
-    and coefficients, so both gates are checked before any shift and an
-    entry t^(10**12) costs nothing.
+    sum of the lo_i.  _bounds reads the ranges and 1-norms, so both gates
+    are checked before any shift.
     """
-    los, q_los, row_squares = [], [], []
-    span = t_total = q_total = 0
-    for row in rows:
-        lo = None
-        square = 0
-        for x in row:
-            terms = x._terms
-            if terms:
-                if lo is None:
-                    lo, q_lo = hi, q_hi = next(iter(terms))
-                for et, eq in terms:
-                    if et < lo:
-                        lo = et
-                    elif et > hi:
-                        hi = et
-                    if eq < q_lo:
-                        q_lo = eq
-                    elif eq > q_hi:
-                        q_hi = eq
-                square += sum(map(abs, terms.values())) ** 2
-        los.append(lo)
-        q_los.append(q_lo)
-        span = max(span, hi - lo)
-        t_total += hi - lo
-        q_total += q_hi - q_lo
-        row_squares.append(square)
-    bits = hadamard_bits(row_squares)
-    width = t_total + 1
-    if bits * width * (q_total + 1) <= PACKED_ROW_BITS * len(rows):
+    los, q_los, bits, span, width, height = _bounds(zip(rows))
+    if _packs(bits, width, height, len(rows)):
         images = [_pack_row(row, lo, q_lo, bits, width) for row, lo, q_lo in zip(rows, los, q_los)]
         return images, bits, width, (sum(los), sum(q_los))
     if bits * (span + 1) in COLLAPSE_BITS:
         return [_collapse_row(row, lo, bits) for row, lo in zip(rows, los)], bits, None, sum(los)
     return None
+
+
+def pack_pencil(a, b, s):
+    """(images, bits, width, shift) for the block a - s b, s = +-1, on
+    collapse's packing route, or None when the packing gate refuses it;
+    a and b are square lists of rows, and each row must have a nonzero
+    entry in a or in b.  a - s b is never built: _bounds reads the gate's
+    bounds from both images, and each row is packed term by term as a - s b
+    (_pack_pencil_row), the ints of the packed row of a minus s times those
+    of b, since packing is a ring map.  The bounds are those of a - s b or
+    looser (see _bounds), so the determinant is expand_packed(det(images),
+    bits, width, shift), as for collapse, exactly."""
+    los, q_los, bits, _, width, height = _bounds(zip(a, b))
+    if not _packs(bits, width, height, len(a)):
+        return None
+    images = [_pack_pencil_row(row, other, s, lo, q_lo, bits, width)
+              for row, other, lo, q_lo in zip(a, b, los, q_los)]
+    return images, bits, width, (sum(los), sum(q_los))
 
 
 def _pack_row(row, lo, q_lo, bits, width):
@@ -932,6 +974,23 @@ def _pack_row(row, lo, q_lo, bits, width):
         v = 0
         for (et, eq), c in x._terms.items():
             v += c << bits * (et + width * eq - corner)
+        out.append(v)
+    return out
+
+
+def _pack_pencil_row(row, other, s, lo, q_lo, bits, width):
+    """_pack_row of the entries x - s y for x in row and y in other, term
+    by term, with no x - s y built; lo and q_lo must be at most every
+    exponent of both rows, and the coefficients of x - s y below
+    2^(bits - 1) in absolute value."""
+    corner = lo + width * q_lo
+    out = []
+    for x, y in zip(row, other):
+        v = 0
+        for (et, eq), c in x._terms.items():
+            v += c << bits * (et + width * eq - corner)
+        for (et, eq), c in y._terms.items():
+            v -= s * c << bits * (et + width * eq - corner)
         out.append(v)
     return out
 
@@ -1082,6 +1141,28 @@ def t_terms(x):
     return lo, lo + max(j for j, _ in terms), sum(abs(c) for _, c in terms), terms
 
 
+def binomial_divides(f, n, sign):
+    """Whether q t^n - sign divides f in the Laurent ring, for sign = +-1.
+
+    q t^n - sign is t^n (q - sign t^-n), a unit times a polynomial monic
+    of degree 1 in q over Z[t^+-1], so it divides f exactly when f
+    vanishes at q = sign t^-n, that is when f(t, sign t^-n) = sum c
+    sign^eq t^(et - n eq) over f's terms c t^et q^eq is 0: for each k the
+    coefficients of the terms with et - n eq = k, each signed by sign^eq,
+    add up to 0.  One pass over f's terms, and no division."""
+    sums = {}
+    get = sums.get
+    if sign > 0:
+        for (et, eq), c in f._terms.items():
+            k = et - n * eq
+            sums[k] = get(k, 0) + c
+    else:
+        for (et, eq), c in f._terms.items():
+            k = et - n * eq
+            sums[k] = get(k, 0) + (-c if eq & 1 else c)
+    return not any(sums.values())
+
+
 # ----------------------------------------------------------------------
 # fractions
 
@@ -1093,7 +1174,10 @@ class PolyFraction:
     otherwise the shared monomial content (componentwise minimum exponents
     over both supports) and the shared integer content are divided out of
     both, and the denominator's leading coefficient is made positive.
-    Equality is decided by cross multiplication, so no gcd is needed.
+    The constructor tries the division (exact_div) and then normalizes;
+    indivisible normalizes alone, for a caller that has proved the division
+    fails.  Equality is decided by cross multiplication, so no gcd is
+    needed.
     """
 
     __slots__ = ("num", "den")
@@ -1113,6 +1197,21 @@ class PolyFraction:
         if q is not None:
             self.num, self.den = q, ONE
             return
+        self._normalize(num, den)
+
+    @classmethod
+    def indivisible(cls, num, den):
+        """The canonical fraction num/den for a nonzero num and a den that
+        the caller knows does not divide it (invariants.krammer_fraction
+        reads that off one factor of den, binomial_divides): the
+        normalization of the constructor, without its division attempt,
+        so the same num and den."""
+        fraction = cls.__new__(cls)
+        fraction._normalize(num, den)
+        return fraction
+
+    def _normalize(self, num, den):
+        """Set num/den in canonical form for a den that does not divide num."""
         mn = num.min_exponents()
         md = den.min_exponents()
         shift = (min(mn[0], md[0]), min(mn[1], md[1]))

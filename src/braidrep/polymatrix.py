@@ -15,8 +15,12 @@ laurent.expand_packed; a wider one loses t alone, under t -> 2^bits into
 Z[q^+-1], and laurent.expand_t reads the t-exponents back out of the
 coefficients of its determinant.  laurent sizes bits by Hadamard's bound,
 so the read-back is exact, and owns the gates that pick a block's route.
-packed_det runs the same split but takes a block of 3 or more rows only
-on the packed route, and gives None when one does not pack, for a caller
+packed_det takes a pencil a - s b as its two images a and b and the sign
+s, never building it for a block of 3 or more rows: it runs the same
+split on the union of their patterns, builds a - s b only for 1 x 1 and
+2 x 2 blocks, and takes a larger block only on the packed route, whose
+gate laurent.pack_pencil reads from both images before packing a - s b
+term by term.  It gives None when a block does not pack, for a caller
 that has another way to its determinant (the Krammer pencil of
 invariants.krammer_fraction).  integer_det takes a matrix of Python ints,
 for closures built at an integer point of t.  The block split
@@ -59,7 +63,7 @@ from collections import defaultdict
 from operator import index
 
 from .laurent import (LaurentPoly, ONE, ZERO, binary_power, collapse, exact_div, expand_packed,
-                      expand_t, sum_of_products)
+                      expand_t, pack_pencil, sum_of_products)
 
 
 def _nonzero(entries):
@@ -89,18 +93,25 @@ def _strong_components(rows):
     return components
 
 
-def _split_det(m, block_det):
+def _split_det(block_det, m, other=None):
     """Determinant of a square list of rows, which it never writes, as the
     product of block_det over the strongly connected blocks of its nonzero
     pattern, smallest first, each block a copy; the first block whose
     determinant is zero, or None (packed_det's refusal), gives that value.
-    A matrix with no zero entry is one block and skips _strong_components.
+    With a second image other, the pattern is the union of both patterns,
+    block_det gets the block of each image, and the determinant is that of
+    the pencil packed_det takes: an entry that the pencil cancels to 0 only
+    joins blocks, and the determinant of a block triangular matrix is the
+    product of its diagonal blocks' on any coarser split too.  A pattern
+    with no zero entry is one block and skips _strong_components.
     PolyMatrix.det, packed_det and integer_det differ only in block_det."""
-    if all(map(all, m)):
-        return block_det([row[:] for row in m])
+    images = (m,) if other is None else (m, other)
+    pattern = m if other is None else [[x or y for x, y in zip(*rows)] for rows in zip(m, other)]
+    if all(map(all, pattern)):
+        return block_det(*[[row[:] for row in a] for a in images])
     out = None
-    for block in sorted(_strong_components(m), key=len):
-        d = block_det([[m[i][j] for j in block] for i in block])
+    for block in sorted(_strong_components(pattern), key=len):
+        d = block_det(*[[[a[i][j] for j in block] for i in block] for a in images])
         if not d:
             return d
         out = d if out is None else out * d
@@ -195,27 +206,31 @@ def _laurent_block_det(rows):
     return expand_packed(_integer_bareiss_det(images), bits, width, shift)
 
 
-def packed_det(m):
-    """Determinant of a square list of rows of LaurentPoly entries, which it
-    never writes, when every strongly connected block of 3 or more rows
-    packs into ints, else None.  The block split of PolyMatrix.det
-    (_split_det), with 1 x 1 and 2 x 2 blocks as _laurent_block_det takes
-    them, and each larger block on laurent.collapse's packing route alone:
-    a block that collapse leaves in Z[q^+-1] or refuses gives None, and so
-    does the whole determinant, unless a smaller block, taken first, was
-    zero and gave 0."""
-    return _split_det(m, _packed_block_det)
+def packed_det(a, b, s):
+    """det(a - s b), s = +-1, for square lists of rows a and b of
+    LaurentPoly entries, which it never writes, when every strongly
+    connected block of 3 or more rows packs into ints, else None.  The
+    block split of PolyMatrix.det (_split_det) on the union of a's and b's
+    patterns; a 1 x 1 or 2 x 2 block is a - s b built and taken as
+    _laurent_block_det takes it, and a larger block goes on
+    laurent.collapse's packing route alone, through laurent.pack_pencil,
+    which reads the gate's bounds from a and b and packs a - s b without
+    building it.  A block the gate refuses gives None, and so does the
+    whole determinant, unless a smaller block, taken first, was zero and
+    gave 0."""
+    return _split_det(lambda x, y: _pencil_block_det(x, y, s), a, b)
 
 
-def _packed_block_det(rows):
-    """The block function of packed_det: _laurent_block_det for a block of
-    at most 2 rows, else the packed determinant or None."""
-    if len(rows) < 3:
-        return _laurent_block_det(rows)
-    collapsed = collapse(rows)
-    if collapsed is None or collapsed[2] is None:
+def _pencil_block_det(a, b, s):
+    """The block function of packed_det: _laurent_block_det of a - s b for
+    a block of at most 2 rows, else the packed determinant or None."""
+    if len(a) < 3:
+        return _laurent_block_det([[(x - y if s > 0 else x + y) if y else x for x, y in zip(*rows)]
+                                   for rows in zip(a, b)])
+    packed = pack_pencil(a, b, s)
+    if packed is None:
         return None
-    images, bits, width, shift = collapsed
+    images, bits, width, shift = packed
     return expand_packed(_integer_bareiss_det(images), bits, width, shift)
 
 
@@ -240,7 +255,7 @@ def integer_det(m):
     the block split of PolyMatrix.det (_split_det), each block by _bareiss
     on ints, which pivots on the entry with the fewest bits and divides by
     the previous pivot with //, exact because every interior division is."""
-    return _split_det(m, _integer_bareiss_det)
+    return _split_det(_integer_bareiss_det, m)
 
 
 def _integer_bareiss_det(m):
@@ -448,7 +463,7 @@ class PolyMatrix:
         more rows, and over the Laurent ring otherwise.
         """
         self._require_square("determinant")
-        return _split_det(self.data, _laurent_block_det)
+        return _split_det(_laurent_block_det, self.data)
 
     def inverse(self):
         """Exact inverse by fraction-free Gauss-Jordan elimination on [A | I].

@@ -10,11 +10,13 @@ word loses the pairs of inverse letters that meet by far commutation
 (BraidWord.free_reduce): they are the same braid, so the image is the
 same matrix, and fewer letters are applied.  A word image is kept
 as a list of rows or of columns and applies each letter only to the lines
-where its image differs from the identity (image_of_word), never as a
-whole-matrix product.  A changed line with a single entry 1 is the old line
-it points at, shared rather than copied, and one with a single monomial
-entry is that line shifted; lines are replaced and never written, so
-sharing is safe, and the finished image copies every line.  Two more walks
+where its image differs from the identity (image_of_word, through the walk
+_image_of_letters, which a caller that has reduced its letters already
+uses directly), never as a whole-matrix product.  A changed line with a
+single entry 1 is the old line it points at, shared rather than copied,
+and one with a single monomial entry is that line shifted; lines are
+replaced and never written, so sharing is safe, and the finished image
+copies every line.  Two more walks
 over the same changed lines serve representations with no q, with no
 product of polynomials, both over one letter_t_lines of the word:
 word_norm_bound bounds each line by one number, the sum of its entries'
@@ -171,15 +173,19 @@ class Representation:
 
 def _applied_letters(rep, word):
     """The letters of a braid word (BraidWord or text) left after
-    BraidWord.free_reduce, which gives the same braid, in the order a word
-    image applies them: right to left by rows, left to right by columns
-    (Representation._orient, which this runs)."""
+    BraidWord.free_reduce, which gives the same braid, in word order."""
     if isinstance(word, str):
         word = BraidWord.parse(word, rep.strands)
     if word.strands != rep.strands:
         raise ValueError("word on %d strands fed to a representation on %d"
                          % (word.strands, rep.strands))
-    letters = word.free_reduce().letters
+    return word.free_reduce().letters
+
+
+def _walk_order(rep, letters):
+    """letters in the order a word image applies them: right to left by
+    rows, left to right by columns (Representation._orient, which this
+    runs)."""
     return letters[::-1] if rep._orient() else letters
 
 
@@ -189,7 +195,17 @@ def image_of_word(rep, word):
     The letters applied are those of the word with the pairs of inverse
     letters cancelled that meet by far commutation (_applied_letters): the
     same braid, so the same image as the product of every letter's image,
-    and a pair such as sigma_1 sigma_1^-1 inverts nothing.
+    and a pair such as sigma_1 sigma_1^-1 inverts nothing.  The walk
+    itself is _image_of_letters."""
+    return _image_of_letters(rep, _applied_letters(rep, word))
+
+
+def _image_of_letters(rep, letters):
+    """Image of the braid word with these letters (nonzero ints, in word
+    order, on rep's strands), each letter applied as given: nothing is
+    cancelled, so a caller that has reduced its word already
+    (invariants.alexander, the halves of invariants._pencil) walks it
+    without reducing it again.
 
     The image is kept as a list of lines: its rows, or its columns, which
     are transposed back once at the end.  Each letter replaces only the
@@ -208,7 +224,7 @@ def image_of_word(rep, word):
     old ones and then puts them in place.  The returned matrix copies every
     line, so the caller may write into it, and writing one of its rows
     changes no other row and no kept image."""
-    letters = _applied_letters(rep, word)
+    letters = _walk_order(rep, letters)
     if not letters:
         return PolyMatrix.identity(rep.dim)
     by_rows = rep._by_rows
@@ -235,13 +251,13 @@ def image_of_word(rep, word):
     return PolyMatrix._wrap([list(row) for row in zip(*lines)])
 
 
-def letter_t_lines(rep, word):
-    """Representation._letter_t_lines of each letter of a braid word
-    (BraidWord or text) that _applied_letters keeps, in the order a word
-    image applies them; the representation keeps each letter's lines, so
-    a letter is read once.  The walks below take this list, so two walks
-    parse the word once."""
-    return [rep._letter_t_lines(x) for x in _applied_letters(rep, word)]
+def letter_t_lines(rep, letters):
+    """Representation._letter_t_lines of each of a braid word's letters
+    (nonzero ints, in word order), in the order a word image applies them
+    (_walk_order); nothing is cancelled, as in _image_of_letters.  The
+    representation keeps each letter's lines, so a letter is read once.
+    The walks below take this list, so two walks read the letters once."""
+    return [rep._letter_t_lines(x) for x in _walk_order(rep, letters)]
 
 
 def word_norm_bound(rep, letters):

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from braidrep import laurent
 from braidrep.laurent import (ONE, Q, T, ZERO, LaurentPoly, PolyFraction, _collapse_row,
-                              _pack_row, divide_by_sweep, exact_div, expand_packed, expand_t,
-                              hadamard_bits, parse_poly, q_binomial, q_factorial, q_natural,
-                              q_pochhammer, sum_of_products, t_coefficients, t_digits, t_terms)
+                              _pack_row, binomial_divides, divide_by_sweep, exact_div,
+                              expand_packed, expand_t, hadamard_bits, parse_poly, q_binomial,
+                              q_factorial, q_natural, q_pochhammer, sum_of_products,
+                              t_coefficients, t_digits, t_terms)
 from conftest import laurent_polys, nonzero_polys
 from oracles import (convolve, digitwise_expand_t, factorial_bracket_binomial,
                      longdiv_exact_div, matrix_from_json, normalized_laurent, poly_from_json,
@@ -914,3 +915,49 @@ def test_integer_closure_gate_edges():
     assert not laurent.integer_closure_fits(3, limit // 4 + 1)
     assert laurent.integer_closure_fits(16, limit // 225)
     assert not laurent.integer_closure_fits(16, limit // 225 + 1)
+
+
+def _seeded_poly(rng, terms, t_range, q_range):
+    return LaurentPoly({(rng.randint(*t_range), rng.randint(*q_range)): rng.randint(-5, 5) or 1
+                        for _ in range(terms)})
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_binomial_divides_agrees_with_exact_div(n):
+    # q t^n - sign divides f exactly when binomial_divides says so: seeded
+    # polynomials, which the factor seldom divides, their products with
+    # either factor and with both, and f (q t^n - sign) + 1, a near miss
+    rng = random.Random(4040 + n)
+    x = LaurentPoly.monomial(1, n, 1)
+    seen = {True: 0, False: 0}
+    for _ in range(30):
+        f = _seeded_poly(rng, rng.randint(1, 8), (-2 * n, 2 * n), (-3, 3))
+        for sign in (1, -1):
+            factor = x - sign
+            other = x + sign
+            for g in (f, f * factor, f * other, f * factor * other, f * factor + ONE):
+                got = binomial_divides(g, n, sign)
+                assert got == (exact_div(g, factor) is not None), (n, sign, g)
+                seen[got] += 1
+    assert binomial_divides(ZERO, n, 1) and binomial_divides(ZERO, n, -1)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_indivisible_is_the_constructor_without_its_division(fraction_divisors):
+    # where den does not divide num, PolyFraction.indivisible gives the
+    # constructor's canonical pair, monomial and integer content and the
+    # sign of den's leading coefficient included, and divides nothing
+    rng = random.Random(4141)
+    cases = 0
+    for _ in range(200):
+        num = _seeded_poly(rng, rng.randint(1, 6), (-3, 5), (-2, 4)) * rng.choice((1, 2, 6))
+        den = _seeded_poly(rng, rng.randint(2, 4), (-3, 5), (-2, 4)) * rng.choice((-3, 1, 2))
+        if num.is_zero() or len(den) < 2 or exact_div(num, den) is not None:
+            continue
+        want = PolyFraction(num, den)
+        fraction_divisors.clear()
+        got = PolyFraction.indivisible(num, den)
+        assert not fraction_divisors
+        assert (got.num._terms, got.den._terms) == (want.num._terms, want.den._terms)
+        cases += 1
+    assert cases >= 150, cases

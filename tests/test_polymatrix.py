@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidrep.laurent import (COLLAPSE_BITS, ONE, PACKED_ROW_BITS, Q, T, ZERO, LaurentPoly,
-                              PolyFraction, collapse, parse_poly)
+                              PolyFraction, collapse, pack_pencil, parse_poly)
 from braidrep.polymatrix import (PolyMatrix, char_poly, char_poly_from_roots,
                                  exp_nilpotent, ext_basis, ext_power, integer_det, packed_det,
                                  sym_basis, sym_power)
@@ -289,7 +289,13 @@ def block_routes(monkeypatch):
              "collapsed" if collapsed[2] is None else "packed"] += 1
         return collapsed
 
+    def counting_pack_pencil(a, b, s):
+        packed = pack_pencil(a, b, s)
+        seen["unpacked" if packed is None else "packed"] += 1
+        return packed
+
     monkeypatch.setattr(polymatrix, "collapse", counting_collapse)
+    monkeypatch.setattr(polymatrix, "pack_pencil", counting_pack_pencil)
     return seen
 
 
@@ -495,6 +501,12 @@ def block_sum(*blocks):
     return a
 
 
+def zero_image(a):
+    """A second image of a's shape with no nonzero entry: packed_det(m,
+    zero_image(m), s) is the determinant of m alone."""
+    return [[ZERO] * a.cols for _ in range(a.rows)]
+
+
 def test_packed_det_is_the_det_when_every_block_packs(block_routes):
     # 1 x 1 and 2 x 2 blocks as PolyMatrix.det takes them, and blocks of 3
     # and 4 rows that pack; the argument is left as it was
@@ -506,7 +518,7 @@ def test_packed_det_is_the_det_when_every_block_packs(block_routes):
               packed[1]):
         before = [row[:] for row in a.data]
         block_routes.clear()
-        got = packed_det(a.data)
+        got = packed_det(a.data, zero_image(a), 1)
         assert got == a.det() == diagonal_bareiss_det(a) != ZERO
         assert a.data == before
         assert set(block_routes) == {"packed"}
@@ -522,7 +534,7 @@ def test_packed_det_refuses_a_block_it_cannot_pack():
         assert block_route(wide.data) == route
         for a in (wide, block_sum(small, wide), block_sum(wide, PolyMatrix([[T]]), small)):
             assert a.det() != ZERO
-            assert packed_det(a.data) is None
+            assert packed_det(a.data, zero_image(a), 1) is None
 
 
 def test_packed_det_of_a_zero_block_before_a_refused_one_is_zero():
@@ -530,12 +542,88 @@ def test_packed_det_of_a_zero_block_before_a_refused_one_is_zero():
     # gives 0, and one larger than it comes too late
     refused = gate_block(1023, GATE)
     for zero in (PolyMatrix([[ZERO]]), m22(T, Q, T, Q)):
-        got = packed_det(block_sum(refused, zero).data)
+        a = block_sum(refused, zero)
+        got = packed_det(a.data, zero_image(a), 1)
         assert got == ZERO and isinstance(got, LaurentPoly)
     rng = random.Random(4)
     singular4 = PolyMatrix(singular(rng, connected_block(rng, 4, 3, (0, 1)), "equal rows"))
     a = block_sum(singular4, refused)
-    assert a.det() == ZERO and packed_det(a.data) is None
+    assert a.det() == ZERO and packed_det(a.data, zero_image(a), 1) is None
+
+
+def pencil_rows(a, b, s):
+    """The rows of a - s b, built."""
+    return [[x - s * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def test_packed_det_of_a_pencil_is_the_det_of_a_minus_s_b(block_routes):
+    # seeded pencils of 3 to 6 rows, s = +-1, each with entries where a =
+    # s b, which cancel, and some with a row that cancels completely: when
+    # every block packs, packed_det(a, b, s) is PolyMatrix.det of a - s b,
+    # which it never builds for a block of 3 or more rows; a and b are left
+    # as they were
+    rng = random.Random(3232)
+    seen = collections.Counter()
+    for trial in range(120):
+        size, s = 3 + trial % 4, (1, -1)[trial // 4 % 2]
+        a = connected_block(rng, size, 3, (-1, 1), (0, 1))
+        b = [[x if rng.random() < 0.6 else ZERO for x in row]
+             for row in connected_block(rng, size, 3, (-1, 1), (-1, 0))]
+        for i in range(size):
+            for j in range(size):
+                if b[i][j] and rng.random() < 0.2:
+                    a[i][j] = s * b[i][j]
+                    seen["cancelled entries"] += 1
+        if trial % 3 == 0:
+            r = rng.randrange(size)
+            if any(b[r]):
+                a[r] = [s * y for y in b[r]]
+            else:
+                b[r] = [s * x for x in a[r]]
+        before = ([row[:] for row in a], [row[:] for row in b])
+        want = PolyMatrix(pencil_rows(a, b, s)).det()
+        block_routes.clear()
+        got = packed_det(a, b, s)
+        assert (a, b) == before
+        if got is None:
+            assert block_routes["unpacked"] >= 1
+            seen["unpacked"] += 1
+            continue
+        assert got == want, (trial, size, s)
+        seen["zero" if got == ZERO else "packed", s] += 1
+        if trial % 3 == 0:
+            assert got == ZERO
+    assert seen["cancelled entries"] >= 100, seen
+    assert all(seen[kind, s] >= 10 for kind in ("packed", "zero") for s in (1, -1)), seen
+
+
+def test_packed_det_of_a_pencil_splits_on_the_union_pattern(block_routes):
+    # a and b have different patterns: a upper triangular, which splits
+    # into 1 x 1 blocks, and b strictly lower triangular but for its corner
+    # entry (0, 3), which splits into smaller blocks than 4 x 4 too, but the
+    # union is one 4 x 4 block, which packs; and a 1 x 1 block where a = s b
+    # is a zero block that comes before a refused one, so the refused block
+    # is never tried
+    rng = random.Random(3233)
+    full = connected_block(rng, 4, 3, (0, 1), (0, 1))
+    a = [[x if j >= i else ZERO for j, x in enumerate(row)] for i, row in enumerate(full)]
+    b = [[x if j < i else ZERO for j, x in enumerate(row)] for i, row in enumerate(full)]
+    b[0][3] = T * Q
+    for s in (1, -1):
+        want = PolyMatrix(pencil_rows(a, b, s)).det()
+        block_routes.clear()
+        assert packed_det(a, b, s) == want != ZERO
+        assert block_routes == {"packed": 1}
+    refused = gate_block(1023, GATE)
+    for s in (1, -1):
+        a = block_sum(refused, PolyMatrix([[s * T]])).data
+        b = zero_image(PolyMatrix(a))
+        b[3][3] = T
+        block_routes.clear()
+        got = packed_det(a, b, s)
+        assert got == ZERO and isinstance(got, LaurentPoly) and not block_routes
+        b[3][3] = ZERO
+        assert packed_det(a, b, s) is None and block_routes == {"unpacked": 1}
 
 
 def sylvester_hadamard(k):

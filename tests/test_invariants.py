@@ -823,11 +823,14 @@ def test_alexander_reads_its_letters_once_and_krammer_never_walks_them(monkeypat
     # reduces its word once, cyclically, and hands those letters to both
     # walks, and krammer_fraction (lk has q) runs neither walk; it reduces
     # its word once too and walks each half of its pencil, u and v^-1,
-    # whose blocks all pack here, from those letters.  Neither reduces a
-    # word again (_applied_letters is image_of_word's)
+    # whose blocks all pack here, from those letters, on a cold memo of
+    # half images; a warm call walks neither half and gives the same
+    # fraction.  Neither reduces a word again (_applied_letters is
+    # image_of_word's)
     word = W.parse("1 -2 3 2 -1 3 3 -2", 4)
     inv.alexander(word)
-    inv.krammer_fraction(word)
+    cold = inv.krammer_fraction(word).fraction
+    inv._half_image.clear()
     counts = dict.fromkeys(("free_reduce", "_applied_letters", "_image_of_letters",
                             "letter_t_lines", "word_norm_bound", "image_at_power_of_two"), 0)
     monkeypatch.setattr(W, "free_reduce", _counted(W.free_reduce, counts, "free_reduce"))
@@ -836,8 +839,12 @@ def test_alexander_reads_its_letters_once_and_krammer_never_walks_them(monkeypat
     for name in ("_image_of_letters", "letter_t_lines", "word_norm_bound",
                  "image_at_power_of_two"):
         monkeypatch.setattr(inv, name, _counted(getattr(inv, name), counts, name))
-    inv.krammer_fraction(word)
+    assert inv.krammer_fraction(word).fraction == cold
     assert counts == {"free_reduce": 1, "_applied_letters": 0, "_image_of_letters": 2,
+                      "letter_t_lines": 0, "word_norm_bound": 0, "image_at_power_of_two": 0}
+    counts.update(dict.fromkeys(counts, 0))
+    assert inv.krammer_fraction(word).fraction == cold
+    assert counts == {"free_reduce": 1, "_applied_letters": 0, "_image_of_letters": 0,
                       "letter_t_lines": 0, "word_norm_bound": 0, "image_at_power_of_two": 0}
     counts.update(dict.fromkeys(counts, 0))
     inv.alexander(word)
@@ -1079,3 +1086,126 @@ def test_krammer_fraction_takes_the_pencil_or_the_whole_closure_with_one_value(m
         assert got.fraction == want, word
         assert got.collapsed == (got.fraction.num if got.fraction.is_polynomial() else None)
     assert paths["pencil"] >= 20 and paths["fallback"] >= 20, paths
+
+
+def _terms(rows):
+    """The terms over every entry of a list of rows."""
+    return sum(len(x) for row in rows for x in row)
+
+
+def _fresh_rows(rep, letters):
+    """The rows of rho(w) for the letters of w, walked anew."""
+    return tuple(map(tuple, reps._image_of_letters(rep, letters).data))
+
+
+def test_a_warm_krammer_fraction_equals_a_cold_one_and_the_closure(monkeypatch):
+    # seeded words on n = 2..7 strands of both parities, some missing a
+    # generator: with the memo of half images cleared, krammer_fraction
+    # walks both halves; a second call reads them back; both give the
+    # ratio of the whole word's closure, on the pencil and on the fallback
+    rng = random.Random(3333)
+    words = []
+    for n in range(2, 8):
+        for length in (2 * rng.randint(2, 5), 2 * rng.randint(2, 5) + 1):
+            words.append(W(n, [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)]))
+            if n > 2:
+                gens = [g for g in range(1, n) if g != rng.randint(1, n - 1)]
+                words.append(W(n, [rng.choice((1, -1)) * rng.choice(gens) for _ in range(length)]))
+    words += [W(n, [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(7, 12))])
+              for n in (3, 4) for _ in range(15)]
+    paths = collections.Counter()
+
+    def counted(a, b, s):
+        d = packed_det(a, b, s)
+        paths["fallback" if d is None else "pencil"] += 1
+        return d
+
+    monkeypatch.setattr(inv, "packed_det", counted)
+    misses = 0
+    for word in words:
+        inv._half_image.clear()
+        cold = inv.krammer_fraction(word)
+        warm = inv.krammer_fraction(word)
+        reduced = word.free_reduce(cyclic=True)
+        misses += inv._misses_a_generator(reduced)
+        rep, den, _ = inv._krammer_data(word.strands)
+        s = (-1) ** len(reduced.letters)
+        want = PolyFraction(inv._laurent_closure(rep, reduced.letters, s), den)
+        assert cold.fraction == warm.fraction == want, word
+        assert cold.collapsed == warm.collapsed, word
+    assert paths["pencil"] >= 40 and paths["fallback"] >= 8 and misses >= 10, (paths, misses)
+
+
+def test_kept_half_images_are_tuples_that_their_readers_leave_unchanged():
+    # a word whose pencil packs and W4, whose pencil is refused and falls
+    # back to the closure of the whole word: after krammer_fraction, after
+    # packed_det of the kept halves and after _laurent_closure of the same
+    # letters, every kept half is a tuple of tuples equal to a fresh walk
+    for word, packs in ((W.parse("1 -2 3 2 -1 3 3 -2", 4), True), (W4, False)):
+        inv._half_image.clear()
+        inv.krammer_fraction(word)
+        reduced = word.free_reduce(cyclic=True)
+        rep, _, _ = inv._krammer_data(word.strands)
+        s = (-1) ** len(reduced.letters)
+        a, b, _ = inv._pencil(rep, reduced.letters, s, (len(reduced.letters) + 1) // 2)
+        assert (packed_det(a, b, s) is not None) == packs
+        inv._laurent_closure(rep, reduced.letters, s)
+        assert len(inv._half_image.rows) == 2
+        for (kept_rep, letters), (rows, size) in inv._half_image.rows.items():
+            assert kept_rep is rep
+            assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+            assert rows == _fresh_rows(rep, letters) and size == _terms(rows)
+            with pytest.raises(TypeError):
+                rows[0][0] = ZERO
+
+
+def test_the_memo_of_half_images_keeps_its_budget_oldest_first(monkeypatch):
+    # a budget of a few halves: the terms held never exceed it, the halves
+    # kept are the latest that fit, in the order they came, and a half over
+    # the whole budget is walked, not kept, and evicts nothing
+    rep, _, _ = inv._krammer_data(4)
+    rng = random.Random(3434)
+    halves = [tuple(rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(rng.randint(1, 5)))
+              for _ in range(60)]
+    halves += halves[:10]
+    sizes = {h: _terms(_fresh_rows(rep, h)) for h in halves}
+    budget = 3 * sorted(sizes.values())[len(sizes) // 2]
+    assert max(sizes.values()) > budget
+    monkeypatch.setattr(inv, "HALF_IMAGE_TERMS", budget)
+    inv._half_image.clear()
+    model = collections.OrderedDict()
+    evicted = over = 0
+    for h in halves:
+        assert inv._half_image(rep, h) == _fresh_rows(rep, h)
+        size = sizes[h]
+        if size > budget:
+            over += 1
+        elif h not in model:
+            while sum(model.values()) + size > budget:
+                model.popitem(last=False)
+                evicted += 1
+            model[h] = size
+        assert list(inv._half_image.rows) == [(rep, k) for k in model]
+        assert inv._half_image.terms == sum(model.values()) <= budget
+    assert evicted >= 20 and over >= 2, (evicted, over)
+    for word in (W4, W.parse("1 -2 3 2 -1 3 3 -2", 4)):
+        reduced = word.free_reduce(cyclic=True)
+        _, den, _ = inv._krammer_data(4)
+        s = (-1) ** len(reduced.letters)
+        want = PolyFraction(inv._laurent_closure(rep, reduced.letters, s), den)
+        assert inv.krammer_fraction(word).fraction == want
+        assert inv._half_image.terms <= budget
+
+
+def test_lk_and_sym2_quantized_never_share_a_half_image():
+    # the same letters walked through lk(n) and sym2_quantized(n), which
+    # have the same dimension, are two entries, each its own walk
+    for n in (3, 4):
+        letters = (1, -2, 1, 2) if n == 3 else (1, -2, 3, 2)
+        pair = (lk(n), reps.sym2_quantized(n))
+        inv._half_image.clear()
+        got = [inv._half_image(rep, letters) for rep in pair]
+        assert got == [_fresh_rows(rep, letters) for rep in pair]
+        assert got[0] != got[1]
+        assert list(inv._half_image.rows) == [(rep, letters) for rep in pair]
+        assert [inv._half_image(rep, letters) for rep in pair[::-1]] == got[::-1]
